@@ -4,8 +4,9 @@ The pieces: the archimedean place cycle of a totally real field inert at p
 (places), Goren-Oort stratum chains and the induced smaller data (strata),
 degree bounds forced by partial Hasse invariants (hasse), rank-two Hodge
 rigidity on (g, n) curves (rigidity), the isomonodromy degree ledger (ledger),
-and the certificate builder, verifier and self checks (certificate, selfcheck,
-cli).
+the certificate builder, verifier and self checks (certificate, selfcheck,
+cli), and the independent reference computations they are checked against
+(oracle).
 """
 
 from ._version import __version__
@@ -21,7 +22,6 @@ from .certificate import (
     verify_document,
 )
 from .hasse import (
-    DegreeProfile,
     HasseConstraint,
     degree_bound,
     hasse_constraints,
@@ -29,14 +29,9 @@ from .hasse import (
     polarization_degree_bound,
 )
 from .ledger import (
-    AtiyahClasses,
-    BundleClass,
     ContradictionVerdict,
-    ExactTriple,
-    atiyah_classes,
     contradiction_check,
     hom_degree,
-    rr_chi,
     tangent_degree,
 )
 from .places import (
@@ -87,7 +82,6 @@ __all__ = [
     "fiber_dimension",
     "strata_children",
     "HasseConstraint",
-    "DegreeProfile",
     "hasse_constraints",
     "max_degree_sum",
     "degree_bound",
@@ -100,14 +94,9 @@ __all__ = [
     "square_root_count",
     "is_special",
     "finiteness_verdict",
-    "BundleClass",
-    "ExactTriple",
-    "AtiyahClasses",
     "ContradictionVerdict",
     "hom_degree",
     "tangent_degree",
-    "atiyah_classes",
-    "rr_chi",
     "contradiction_check",
     "FinitenessCertificate",
     "NodeRecord",

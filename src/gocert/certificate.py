@@ -25,7 +25,7 @@ from .hasse import degree_bound, polarization_degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
 from .places import RamificationData, make_ramification, shimura_dimension
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
-from .strata import Stratum, fiber_dimension, strata_children
+from .strata import strata_children
 
 TOOL_VERSION = f"gocert-{__version__}"
 
@@ -133,7 +133,7 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
         )
         if dim >= 1:
             for t_child, child in strata_children(datum):
-                n_fiber = fiber_dimension(Stratum(rd=datum, t=t_child))
+                n_fiber = dim - len(t_child) - shimura_dimension(child)
                 visit(child, path + (tuple(sorted(t_child)),), n_fiber)
 
     visit(rd, (), None)
@@ -215,6 +215,11 @@ def serialize_document(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def is_json_int(value: Any) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_doc(doc: dict[str, Any]) -> tuple[RamificationData, CurveType]:
     """Parse and validate the embedded configuration; raises ValueError when malformed."""
     config = doc.get("config")
@@ -223,18 +228,16 @@ def config_from_doc(doc: dict[str, Any]) -> tuple[RamificationData, CurveType]:
     rd_doc = config["rd"]
     if not isinstance(rd_doc, dict) or set(rd_doc) != {"f", "p", "s_fin_count", "s_inf"}:
         raise ValueError("config.rd must carry exactly f, p, s_fin_count, s_inf")
-    if not isinstance(rd_doc["s_inf"], list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in rd_doc["s_inf"]
-    ):
+    if not isinstance(rd_doc["s_inf"], list) or not all(is_json_int(v) for v in rd_doc["s_inf"]):
         raise ValueError("config.rd.s_inf must be a list of integers")
     for key in ("f", "p", "s_fin_count"):
-        if not isinstance(rd_doc[key], int) or isinstance(rd_doc[key], bool):
+        if not is_json_int(rd_doc[key]):
             raise ValueError(f"config.rd.{key} must be an integer")
     curve_doc = config["curve"]
     if not isinstance(curve_doc, dict) or set(curve_doc) != {"g", "n"}:
         raise ValueError("config.curve must carry exactly g and n")
     for key in ("g", "n"):
-        if not isinstance(curve_doc[key], int) or isinstance(curve_doc[key], bool):
+        if not is_json_int(curve_doc[key]):
             raise ValueError(f"config.curve.{key} must be an integer")
     rd = make_ramification(
         f=rd_doc["f"],
@@ -270,10 +273,10 @@ def _audit_nodes(nodes: Any) -> list[str]:
             t = list(node["t"])
         except (KeyError, TypeError):
             return [f"nodes[{i}] is structurally malformed"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) for step in path for v in step):
+        if not all(is_json_int(v) for step in path for v in step):
             return [f"nodes[{i}] path entries must be integers"]
         step_sorted = sorted(path[-1]) if path else []
-        if not isinstance(dim, int) or isinstance(dim, bool):
+        if not is_json_int(dim):
             return [f"nodes[{i}] dim is not an integer"]
         if (kind == KIND_DIM_ZERO) != (dim == 0):
             failures.append(f"nodes[{i}] path={list(map(list, path))}: kind {kind!r} disagrees with dim {dim}")

@@ -16,6 +16,7 @@ from typing import Any
 from .certificate import (
     build_certificate,
     error_document,
+    is_json_int,
     serialize_certificate,
     serialize_document,
     verify_document,
@@ -54,17 +55,19 @@ def _load_config_file(path: str) -> dict[str, Any]:
 def _analyze_inputs(args: argparse.Namespace) -> tuple[int, int, list[int], int, tuple[int, int]]:
     if args.config is not None:
         doc = _load_config_file(args.config)
-        try:
-            p = int(doc["p"])
-            f = int(doc["f"])
-        except KeyError as exc:
-            raise ValueError(f"config file is missing {exc}") from None
-        ram_inf = [int(v) for v in doc.get("ram_inf", [])]
-        ram_fin = int(doc.get("ram_fin", 0))
-        curve = doc.get("curve")
-        if not (isinstance(curve, list) and len(curve) == 2):
-            raise ValueError("config curve must be a two-element list [g, n]")
-        return p, f, ram_inf, ram_fin, (int(curve[0]), int(curve[1]))
+        for key in ("p", "f"):
+            if key not in doc:
+                raise ValueError(f"config file is missing {key!r}")
+        doc = {"ram_inf": [], "ram_fin": 0, **doc}
+        for key in ("p", "f", "ram_fin"):
+            if not is_json_int(doc[key]):
+                raise ValueError(f"config {key} must be an integer")
+        ram_inf, curve = doc["ram_inf"], doc.get("curve")
+        if not (isinstance(ram_inf, list) and all(is_json_int(v) for v in ram_inf)):
+            raise ValueError("config ram_inf must be a list of integers")
+        if not (isinstance(curve, list) and len(curve) == 2 and all(is_json_int(v) for v in curve)):
+            raise ValueError("config curve must be a two-element list [g, n] of integers")
+        return doc["p"], doc["f"], ram_inf, doc["ram_fin"], (curve[0], curve[1])
     missing = [flag for flag, value in (("--p", args.p), ("--f", args.f), ("--curve", args.curve)) if value is None]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (or use --config)")

@@ -12,7 +12,6 @@ p-powers along the cycle, and the total caps the polarization degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .places import RamificationData, n_tau, sigma_pow, split_places
 
@@ -28,28 +27,6 @@ class HasseConstraint:
     def __post_init__(self) -> None:
         if self.exponent < 1:
             raise ValueError(f"constraint exponent must be positive, got {self.exponent}")
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Positive integer degrees assigned to the pulled-back line bundles at split places."""
-
-    degrees: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", dict(self.degrees))
-        for place, degree in self.degrees.items():
-            if degree < 1:
-                raise ValueError(f"degree at place {place} must be positive, got {degree}")
-
-    def total(self) -> int:
-        return sum(self.degrees.values())
-
-    def satisfies(self, constraint: HasseConstraint, p: int) -> bool:
-        return (
-            self.degrees[constraint.source]
-            <= p ** constraint.exponent * self.degrees[constraint.target]
-        )
 
 
 def hasse_constraints(rd: RamificationData) -> list[HasseConstraint]:

@@ -12,48 +12,8 @@ filtration-preserving family to vanish, contradicting its nontriviality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .rigidity import CurveType
-
-
-@dataclass(frozen=True)
-class BundleClass:
-    """Rank and degree of a vector bundle on a curve of the given type."""
-
-    rank: int
-    degree: int
-    context: CurveType
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-
-
-@dataclass(frozen=True)
-class ExactTriple:
-    """Sub, total and quotient classes of a short exact sequence; additivity is enforced."""
-
-    sub: BundleClass
-    total: BundleClass
-    quotient: BundleClass
-
-    def __post_init__(self) -> None:
-        if not (self.sub.context == self.total.context == self.quotient.context):
-            raise ValueError("exact triple mixes bundles on different curve types")
-        if self.total.rank != self.sub.rank + self.quotient.rank:
-            raise ValueError(
-                f"rank additivity fails: {self.total.rank} != {self.sub.rank} + {self.quotient.rank}"
-            )
-        if self.total.degree != self.sub.degree + self.quotient.degree:
-            raise ValueError(
-                f"degree additivity fails: {self.total.degree} != {self.sub.degree} + {self.quotient.degree}"
-            )
-
-
-class AtiyahClasses(NamedTuple):
-    end: BundleClass
-    atiyah: BundleClass
 
 
 @dataclass(frozen=True)
@@ -74,33 +34,6 @@ def hom_degree(fil1_deg: int, det_deg: int) -> int:
 def tangent_degree(ct: CurveType) -> int:
     """Degree 2 - 2g - n of the tangent sheaf, logarithmic along the punctures."""
     return 2 - 2 * ct.g - ct.n
-
-
-def atiyah_classes(e: BundleClass) -> AtiyahClasses:
-    """Endomorphism and Atiyah-extension classes of a bundle.
-
-    End(E) has rank r^2 and degree zero for any E; the Atiyah bundle extends
-    the (log) tangent sheaf by End(E), so its class follows by additivity.
-    """
-    end = BundleClass(rank=e.rank**2, degree=0, context=e.context)
-    tangent = BundleClass(rank=1, degree=tangent_degree(e.context), context=e.context)
-    triple = ExactTriple(
-        sub=end,
-        total=BundleClass(
-            rank=end.rank + tangent.rank,
-            degree=end.degree + tangent.degree,
-            context=e.context,
-        ),
-        quotient=tangent,
-    )
-    return AtiyahClasses(end=end, atiyah=triple.total)
-
-
-def rr_chi(g: int, degree: int) -> int:
-    """Euler characteristic degree + 1 - g of a line bundle on a genus-g curve."""
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
-    return degree + 1 - g
 
 
 def contradiction_check(ct: CurveType, fil1_deg: int, det_deg: int) -> ContradictionVerdict:

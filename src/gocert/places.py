@@ -14,16 +14,33 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
+# Miller-Rabin with the first twelve primes as bases is exact below P_BOUND,
+# which is itself a strong pseudoprime to all twelve bases.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+P_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < P_BOUND."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -69,6 +86,8 @@ class RamificationData:
                 "a quaternion algebra ramifies at an even number of places: "
                 f"|s_inf|={len(self.s_inf)}, s_fin_count={self.s_fin_count}"
             )
+        if self.p >= P_BOUND:
+            raise ValueError(f"p must be below {P_BOUND}, the bound of the exact primality test")
         if not _is_prime(self.p):
             raise ValueError(f"p must be a prime, got {self.p}")
 
@@ -80,9 +99,14 @@ class RamificationData:
 def make_ramification(
     f: int, p: int, s_inf: Iterable[int] = (), s_fin_count: int = 0
 ) -> RamificationData:
-    """Convenience constructor building the cycle and coercing s_inf."""
+    """Convenience constructor building the cycle; a place listed twice in s_inf is an error."""
+    places: set[int] = set()
+    for v in s_inf:
+        if v in places:
+            raise ValueError(f"ramified place {v} is listed twice")
+        places.add(v)
     return RamificationData(
-        cycle=PlaceCycle(f), s_inf=frozenset(s_inf), s_fin_count=s_fin_count, p=p
+        cycle=PlaceCycle(f), s_inf=frozenset(places), s_fin_count=s_fin_count, p=p
     )
 
 

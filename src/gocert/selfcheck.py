@@ -1,14 +1,14 @@
 """Exhaustive self-check suites over all small configurations.
 
 Every suite enumerates the full configuration space up to the requested degree
-bound and checks an invariant against an independent computation (definition
-replay, connectivity-based chain finding, or fixpoint relaxation of the degree
-constraints).  Failures carry the first counterexample found.
+bound and checks an invariant against an independent computation from the
+oracle module (connectivity-based chain finding, a definition scan of the Hasse
+constraints, or fixpoint relaxation of those constraints).  Failures carry the
+first counterexample found.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -16,7 +16,14 @@ from typing import Callable, Iterator
 from .certificate import build_certificate, verify_certificate
 from .hasse import degree_bound, hasse_constraints, max_degree_sum
 from .ledger import contradiction_check
-from .places import RamificationData, make_ramification, n_tau, shimura_dimension, split_places
+from .oracle import (
+    all_ramifications,
+    all_vanishing_sets,
+    cycle_components,
+    relaxed_profile_max,
+    scan_constraints,
+)
+from .places import make_ramification, n_tau, shimura_dimension, split_places
 from .rigidity import CurveType, classify_filtration, euler_bound, finiteness_verdict, is_special
 from .strata import Stratum, decompose_chains, fiber_dimension, induced_ramification
 
@@ -41,62 +48,15 @@ class SelfcheckReport:
         return all(suite.passed for suite in self.suites)
 
 
-def _all_ramifications(max_f: int, p: int) -> Iterator[RamificationData]:
-    """Every (f, s_inf) with f <= max_f and s_inf a proper subset of the places."""
-    for f in range(1, max_f + 1):
-        for r in range(f):
-            for s in itertools.combinations(range(f), r):
-                yield make_ramification(f, p, s, len(s) % 2)
-
-
 def _all_strata(max_f: int, p: int) -> Iterator[Stratum]:
-    for rd in _all_ramifications(max_f, p):
-        splits = split_places(rd)
-        for r in range(len(splits)):
-            for t in itertools.combinations(splits, r):
-                yield Stratum(rd=rd, t=frozenset(t))
-
-
-def _cycle_components(f: int, occupied: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of the occupied places in the cycle graph on Z/f."""
-    remaining = set(occupied)
-    components = []
-    while remaining:
-        stack = [min(remaining)]
-        comp = set()
-        while stack:
-            x = stack.pop()
-            if x not in remaining:
-                continue
-            remaining.discard(x)
-            comp.add(x)
-            for y in ((x + 1) % f, (x - 1) % f):
-                if y in remaining:
-                    stack.append(y)
-        components.append(frozenset(comp))
-    return components
-
-
-def _relaxed_profile_max(rd: RamificationData, anchor: int) -> int:
-    """Componentwise-largest constrained profile with the anchor at one, by downward fixpoint."""
-    cap = rd.p ** rd.f
-    degrees = {tau: cap for tau in split_places(rd)}
-    degrees[anchor] = 1
-    constraints = hasse_constraints(rd)
-    changed = True
-    while changed:
-        changed = False
-        for c in constraints:
-            allowed = rd.p ** c.exponent * degrees[c.target]
-            if degrees[c.source] > allowed:
-                degrees[c.source] = allowed
-                changed = True
-    return sum(degrees.values())
+    for rd in all_ramifications(max_f, p, min_dim=1):
+        for t in all_vanishing_sets(rd):
+            yield Stratum(rd=rd, t=t)
 
 
 def _suite_n_tau_tiling(max_f: int, p: int) -> tuple[int, str | None]:
     checked = 0
-    for rd in _all_ramifications(max_f, p):
+    for rd in all_ramifications(max_f, p, min_dim=1):
         checked += 1
         if sum(n_tau(rd, tau) for tau in split_places(rd)) != rd.f:
             return checked, f"f={rd.f} s_inf={sorted(rd.s_inf)}"
@@ -121,7 +81,7 @@ def _suite_chain_partition(max_f: int, p: int) -> tuple[int, str | None]:
         if covered != occupied:
             return checked, f"not covering: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
         if {frozenset(c.elements) for c in chains} != set(
-            _cycle_components(st.rd.f, frozenset(occupied))
+            cycle_components(st.rd.f, frozenset(occupied))
         ):
             return checked, f"component mismatch: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
     return checked, None
@@ -166,15 +126,18 @@ def _suite_dimension_descent(max_f: int, p: int) -> tuple[int, str | None]:
 def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> tuple[int, str | None]:
     checked = 0
     for p in primes:
-        for rd in _all_ramifications(max_f, p):
+        for rd in all_ramifications(max_f, p, min_dim=1):
             checked += 1
-            anchors = split_places(rd)
-            expected = max(_relaxed_profile_max(rd, anchor) for anchor in anchors)
-            if degree_bound(rd) != expected:
-                return checked, f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
-            for anchor in anchors:
-                if max_degree_sum(rd, anchor) != _relaxed_profile_max(rd, anchor):
-                    return checked, f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+            label = f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+            constraints = [(c.source, c.target, c.exponent) for c in hasse_constraints(rd)]
+            if constraints != scan_constraints(rd.f, rd.s_inf):
+                return checked, f"constraints: {label}"
+            per_anchor = {anchor: relaxed_profile_max(rd, anchor) for anchor in split_places(rd)}
+            if degree_bound(rd) != max(per_anchor.values()):
+                return checked, label
+            for anchor, expected in per_anchor.items():
+                if max_degree_sum(rd, anchor) != expected:
+                    return checked, f"anchor {anchor}: {label}"
     return checked, None
 
 
@@ -182,7 +145,7 @@ def _suite_degree_monotone(max_f: int, primes: tuple[int, ...]) -> tuple[int, st
     checked = 0
     ordered = sorted(primes)
     for lo, hi in zip(ordered, ordered[1:]):
-        for rd_lo in _all_ramifications(max_f, lo):
+        for rd_lo in all_ramifications(max_f, lo, min_dim=1):
             checked += 1
             rd_hi = make_ramification(rd_lo.f, hi, rd_lo.s_inf, rd_lo.s_fin_count)
             if degree_bound(rd_lo) > degree_bound(rd_hi):
@@ -224,7 +187,7 @@ def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> tuple[i
     checked = 0
     curves = (CurveType(2, 0), CurveType(0, 4), CurveType(3, 0))
     for p in primes[:2]:
-        for rd in _all_ramifications(min(max_f, 4), p):
+        for rd in all_ramifications(min(max_f, 4), p, min_dim=1):
             for ct in curves:
                 checked += 1
                 cert = build_certificate(rd, ct)

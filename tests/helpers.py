@@ -1,10 +1,8 @@
-"""Independent oracles and enumeration helpers shared by the test modules.
+"""Test-only helpers: a brute-force degree oracle and certificate mutations.
 
-These deliberately avoid the library's own algorithms: chains are recovered as
-connected components of the cycle graph, augmented sets by replaying the
-even/odd recipe on those components, and degree maxima by brute-force profile
-enumeration (small spaces) or by a downward fixpoint of the constraints, which
-computes the same componentwise-largest feasible profile.
+The oracles shared with selfcheck live in gocert.oracle.  Profile enumeration
+is too slow for anything but the tests' small spaces, and the mutations exist
+only to show that verification rejects altered documents.
 """
 
 from __future__ import annotations
@@ -13,75 +11,8 @@ import copy
 import itertools
 from typing import Any, Callable, Iterator
 
-from gocert import RamificationData, make_ramification
-
-
-def all_ramifications(max_f: int, p: int, *, min_dim: int = 0) -> Iterator[RamificationData]:
-    """All (f, s_inf) with f <= max_f; s_fin_count fixes parity."""
-    for f in range(1, max_f + 1):
-        for r in range(f + 1 - min_dim):
-            for s in itertools.combinations(range(f), r):
-                yield make_ramification(f, p, s, len(s) % 2)
-
-
-def all_vanishing_sets(rd: RamificationData) -> Iterator[frozenset[int]]:
-    """Every proper subset (including the empty one) of the split places."""
-    splits = [i for i in range(rd.f) if i not in rd.s_inf]
-    for r in range(len(splits)):
-        for t in itertools.combinations(splits, r):
-            yield frozenset(t)
-
-
-def cycle_components(f: int, occupied: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of occupied places in the cycle graph on Z/f."""
-    remaining = set(occupied)
-    components = []
-    while remaining:
-        stack = [min(remaining)]
-        comp: set[int] = set()
-        while stack:
-            x = stack.pop()
-            if x not in remaining:
-                continue
-            remaining.discard(x)
-            comp.add(x)
-            for y in ((x + 1) % f, (x - 1) % f):
-                if y in remaining:
-                    stack.append(y)
-        components.append(frozenset(comp))
-    return components
-
-
-def replay_augmented_set(f: int, s_inf: frozenset[int], t: frozenset[int]) -> frozenset[int]:
-    """Definition replay of the augmented vanishing set on connectivity components.
-
-    For each component, take its intersection with t; when that is odd, add
-    the predecessor of the component's backward end.
-    """
-    occupied = frozenset(s_inf | t)
-    if len(occupied) == f:
-        raise ValueError("replay undefined on the full cycle")
-    augmented: set[int] = set()
-    for comp in cycle_components(f, occupied):
-        met = comp & t
-        augmented |= met
-        if len(met) % 2 == 1:
-            tails = [x for x in comp if (x - 1) % f not in comp]
-            assert len(tails) == 1, "components of a proper subset have one backward end"
-            augmented.add((tails[0] - 1) % f)
-    return frozenset(augmented)
-
-
-def scan_constraints(f: int, s_inf: frozenset[int]) -> list[tuple[int, int, int]]:
-    """(source, target, exponent) triples by a direct backward scan of the definition."""
-    splits = [i for i in range(f) if i not in s_inf]
-    triples = []
-    for tau in splits:
-        n = 1
-        while (tau - n) % f in s_inf:
-            n += 1
-        triples.append((tau, (tau - n) % f, n))
-    return triples
+from gocert import RamificationData
+from gocert.oracle import scan_constraints
 
 
 def enumerated_profile_max(rd: RamificationData, anchor: int) -> int:
@@ -189,27 +120,3 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
         produced = variant(label, mutate)
         if produced is not None:
             yield produced
-
-
-def relaxed_profile_max(rd: RamificationData, anchor: int) -> int:
-    """Fixpoint form of the same maximum: lower each degree until every constraint holds.
-
-    Feasible profiles are closed under componentwise max, so the downward
-    iteration from the capped profile converges to the largest one; its total
-    equals the brute-force maximum.
-    """
-    f, p = rd.f, rd.p
-    splits = [i for i in range(f) if i not in rd.s_inf]
-    assert anchor in splits
-    constraints = scan_constraints(f, frozenset(rd.s_inf))
-    degrees = {tau: p**f for tau in splits}
-    degrees[anchor] = 1
-    changed = True
-    while changed:
-        changed = False
-        for src, tgt, exp in constraints:
-            allowed = p**exp * degrees[tgt]
-            if degrees[src] > allowed:
-                degrees[src] = allowed
-                changed = True
-    return sum(degrees.values())

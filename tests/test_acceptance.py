@@ -25,13 +25,8 @@ from gocert import (
     verify_certificate,
     verify_document,
 )
-from helpers import (
-    all_ramifications,
-    all_vanishing_sets,
-    document_mutations,
-    enumerated_profile_max,
-    relaxed_profile_max,
-)
+from gocert.oracle import all_ramifications, all_vanishing_sets, relaxed_profile_max
+from helpers import document_mutations, enumerated_profile_max
 
 # deterministic sample: (p, f, s_inf, (g, n)); s_fin_count fixes parity
 SAMPLED_CONFIGS = (

@@ -13,7 +13,8 @@ from gocert import (
     verify_document,
 )
 from gocert.certificate import config_from_doc, error_document
-from helpers import all_ramifications, document_mutations
+from gocert.oracle import all_ramifications
+from helpers import document_mutations
 
 GENUS_TWO = CurveType(2, 0)
 FOUR_PUNCTURED = CurveType(0, 4)

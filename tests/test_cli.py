@@ -56,6 +56,16 @@ def test_analyze_rejects_bad_parity(capsys):
     assert "even number" in err
 
 
+def test_analyze_rejects_repeated_ramified_place(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--p", "3", "--f", "3", "--ram-inf", "0,0,1", "--ram-fin", "1",
+        "--curve", "2,0",
+    )
+    assert code == 1
+    assert json.loads(out)["verdict"] == "error"
+    assert "place 0 is listed twice" in err
+
+
 def test_analyze_requires_flags_or_config(capsys):
     code, out, err = run_cli(capsys, "analyze", "--p", "3")
     assert code == 1
@@ -89,6 +99,13 @@ def test_analyze_from_config_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--config", str(config))
     assert code == 1
     assert "unknown config keys" in err
+
+    # values must be JSON integers: no float, bool or string is coerced
+    config.write_text(json.dumps({"p": 3.9, "f": True, "curve": ["2", 0]}))
+    code, out, err = run_cli(capsys, "analyze", "--config", str(config))
+    assert code == 1
+    assert json.loads(out)["verdict"] == "error"
+    assert "must be an integer" in err
 
 
 def test_verify_roundtrip_and_tamper(tmp_path, capsys):

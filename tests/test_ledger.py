@@ -1,17 +1,12 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gocert import (
-    BundleClass,
     CurveType,
-    ExactTriple,
-    atiyah_classes,
     contradiction_check,
     euler_bound,
     hom_degree,
     is_special,
-    rr_chi,
     tangent_degree,
 )
 
@@ -34,60 +29,6 @@ def test_tangent_degree_examples():
     assert tangent_degree(CurveType(2, 0)) == -2
     assert tangent_degree(CurveType(1, 0)) == 0
     assert tangent_degree(CurveType(0, 4)) == -2
-
-
-def test_exact_triple_enforces_additivity():
-    ct = CurveType(2, 0)
-    sub = BundleClass(rank=4, degree=0, context=ct)
-    quotient = BundleClass(rank=1, degree=-2, context=ct)
-    ExactTriple(sub=sub, total=BundleClass(rank=5, degree=-2, context=ct), quotient=quotient)
-    with pytest.raises(ValueError):
-        ExactTriple(sub=sub, total=BundleClass(rank=5, degree=0, context=ct), quotient=quotient)
-    with pytest.raises(ValueError):
-        ExactTriple(sub=sub, total=BundleClass(rank=6, degree=-2, context=ct), quotient=quotient)
-    with pytest.raises(ValueError):
-        ExactTriple(
-            sub=sub,
-            total=BundleClass(rank=5, degree=-2, context=CurveType(3, 0)),
-            quotient=quotient,
-        )
-
-
-def test_bundle_class_needs_positive_rank():
-    with pytest.raises(ValueError):
-        BundleClass(rank=0, degree=0, context=CurveType(2, 0))
-
-
-def test_atiyah_classes_examples():
-    end, atiyah = atiyah_classes(BundleClass(rank=2, degree=0, context=CurveType(2, 0)))
-    assert (end.rank, end.degree) == (4, 0)
-    assert (atiyah.rank, atiyah.degree) == (5, -2)
-
-    end, atiyah = atiyah_classes(BundleClass(rank=1, degree=7, context=CurveType(1, 0)))
-    assert (end.rank, end.degree) == (1, 0)
-    assert (atiyah.rank, atiyah.degree) == (2, 0)
-
-    _, atiyah = atiyah_classes(BundleClass(rank=2, degree=0, context=CurveType(0, 4)))
-    assert atiyah.degree == -2
-
-
-def test_atiyah_additivity_across_types():
-    for g in range(5):
-        for n in range(5):
-            for rank in (1, 2, 3):
-                ct = CurveType(g, n)
-                end, atiyah = atiyah_classes(BundleClass(rank=rank, degree=3, context=ct))
-                assert end.rank == rank**2 and end.degree == 0
-                assert atiyah.rank == end.rank + 1
-                assert atiyah.degree == end.degree + tangent_degree(ct)
-
-
-def test_rr_chi_examples():
-    assert rr_chi(0, 0) == 1
-    assert rr_chi(2, -2) == -3
-    assert rr_chi(1, 0) == 0
-    with pytest.raises(ValueError):
-        rr_chi(-1, 0)
 
 
 def test_contradiction_check_examples():

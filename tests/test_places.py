@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,8 @@ from gocert import (
     sigma_pow,
     split_places,
 )
-from helpers import all_ramifications
+from gocert.oracle import all_ramifications
+from gocert.places import P_BOUND
 
 
 def test_sigma_pow_examples():
@@ -96,3 +99,31 @@ def test_validation_rules():
     with pytest.raises(ValueError):
         make_ramification(3, 2, (), s_fin_count=-2)
     assert make_ramification(3, 2, {0, 1}).s_fin_count == 0
+
+
+def test_ramified_place_listed_twice_is_rejected():
+    with pytest.raises(ValueError, match="place 0 is listed twice"):
+        make_ramification(3, 2, (0, 0))
+    with pytest.raises(ValueError, match="place 1 is listed twice"):
+        make_ramification(4, 2, [1, 0, 1], 1)
+
+
+def test_primality_matches_trial_division():
+    for n in range(-3, 3000):
+        prime = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+        try:
+            make_ramification(1, n)
+        except ValueError:
+            assert not prime, n
+        else:
+            assert prime, n
+
+
+def test_large_primes_are_fast_and_the_bound_is_enforced():
+    start = time.perf_counter()
+    assert make_ramification(1, 10**18 + 3).p == 10**18 + 3
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="must be a prime"):
+        make_ramification(1, 3_215_031_751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match=str(P_BOUND)):
+        make_ramification(1, P_BOUND)  # composite, yet a strong pseudoprime to all twelve bases

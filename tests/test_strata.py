@@ -13,7 +13,7 @@ from gocert import (
     split_places,
     strata_children,
 )
-from helpers import all_ramifications, all_vanishing_sets, cycle_components, replay_augmented_set
+from gocert.oracle import all_ramifications, all_vanishing_sets, cycle_components, replay_augmented_set
 
 
 def _stratum(f, s_inf, t, p=2):
