@@ -26,7 +26,6 @@ from .hasse import (
     degree_bound,
     hasse_constraints,
     max_degree_sum,
-    polarization_degree_bound,
 )
 from .ledger import (
     ContradictionVerdict,
@@ -35,12 +34,10 @@ from .ledger import (
     tangent_degree,
 )
 from .places import (
-    PlaceCycle,
     RamificationData,
     make_ramification,
     n_tau,
     shimura_dimension,
-    sigma_pow,
     split_places,
 )
 from .rigidity import (
@@ -55,9 +52,7 @@ from .rigidity import (
 )
 from .selfcheck import SelfcheckReport, SuiteResult, selfcheck
 from .strata import (
-    Chain,
     Stratum,
-    chain_augment,
     decompose_chains,
     fiber_dimension,
     induced_ramification,
@@ -67,17 +62,13 @@ from .strata import (
 __all__ = [
     "__version__",
     "TOOL_VERSION",
-    "PlaceCycle",
     "RamificationData",
     "make_ramification",
-    "sigma_pow",
     "split_places",
     "n_tau",
     "shimura_dimension",
     "Stratum",
-    "Chain",
     "decompose_chains",
-    "chain_augment",
     "induced_ramification",
     "fiber_dimension",
     "strata_children",
@@ -85,7 +76,6 @@ __all__ = [
     "hasse_constraints",
     "max_degree_sum",
     "degree_bound",
-    "polarization_degree_bound",
     "CurveType",
     "HodgeSolution",
     "RigidityVerdict",

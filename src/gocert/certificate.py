@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from ._version import __version__
-from .hasse import degree_bound, polarization_degree_bound
+from .hasse import degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
-from .places import RamificationData, make_ramification, shimura_dimension
+from .places import RamificationData, is_json_int, make_ramification, shimura_dimension
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
 from .strata import strata_children
 
@@ -105,7 +105,7 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
         else:
             kind = KIND_ORDINARY if not path else KIND_DESCENT
             bound = degree_bound(datum)
-            pol = polarization_degree_bound(datum)
+            pol = 2 * bound
             contra = contradiction_check(ct, 1, 0)
             prose = _PROSE_ORDINARY if kind == KIND_ORDINARY else _PROSE_DESCENT
         flags: tuple[str, ...] = ()
@@ -215,30 +215,22 @@ def serialize_document(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def is_json_int(value: Any) -> bool:
-    """True for a JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def config_from_doc(doc: dict[str, Any]) -> tuple[RamificationData, CurveType]:
-    """Parse and validate the embedded configuration; raises ValueError when malformed."""
+    """Parse the embedded configuration; raises ValueError when malformed.
+
+    Only the shape is checked here; make_ramification and CurveType check the values.
+    """
     config = doc.get("config")
     if not isinstance(config, dict) or set(config) != {"curve", "rd"}:
         raise ValueError("config must be an object with exactly the keys 'curve' and 'rd'")
     rd_doc = config["rd"]
     if not isinstance(rd_doc, dict) or set(rd_doc) != {"f", "p", "s_fin_count", "s_inf"}:
         raise ValueError("config.rd must carry exactly f, p, s_fin_count, s_inf")
-    if not isinstance(rd_doc["s_inf"], list) or not all(is_json_int(v) for v in rd_doc["s_inf"]):
-        raise ValueError("config.rd.s_inf must be a list of integers")
-    for key in ("f", "p", "s_fin_count"):
-        if not is_json_int(rd_doc[key]):
-            raise ValueError(f"config.rd.{key} must be an integer")
+    if not isinstance(rd_doc["s_inf"], list):
+        raise ValueError("config.rd.s_inf must be a list")
     curve_doc = config["curve"]
     if not isinstance(curve_doc, dict) or set(curve_doc) != {"g", "n"}:
         raise ValueError("config.curve must carry exactly g and n")
-    for key in ("g", "n"):
-        if not is_json_int(curve_doc[key]):
-            raise ValueError(f"config.curve.{key} must be an integer")
     rd = make_ramification(
         f=rd_doc["f"],
         p=rd_doc["p"],
@@ -296,6 +288,23 @@ def _audit_nodes(nodes: Any) -> list[str]:
     return failures
 
 
+def _tree_size(rd: RamificationData) -> int:
+    """Node count of the full case split below rd, memoized on the datum.
+
+    Repeated data make this cheap: the work is one strata_children call per
+    distinct datum, not per node.
+    """
+    memo: dict[RamificationData, int] = {}
+
+    def size(datum: RamificationData) -> int:
+        if datum not in memo:
+            below = strata_children(datum) if shimura_dimension(datum) else []
+            memo[datum] = 1 + sum(size(child) for _, child in below)
+        return memo[datum]
+
+    return size(rd)
+
+
 def _first_node_mismatch(index: int, got: Any, want: dict[str, Any]) -> str:
     where = f"nodes[{index}] path={want['path']}"
     if not isinstance(got, dict):
@@ -309,8 +318,10 @@ def _first_node_mismatch(index: int, got: Any, want: dict[str, Any]) -> str:
 def verify_document(doc: Any) -> VerifyResult:
     """Independent replay: rebuild from the embedded config and compare field by field.
 
-    Truthy exactly when the document matches a fresh build; otherwise the
-    failures list pinpoints the first divergence (by node path and field).
+    The node count is checked against the expected tree size before the
+    rebuild, so a small document cannot demand a large build.  Truthy exactly
+    when the document matches a fresh build; otherwise the failures list
+    pinpoints the first divergence (by node path and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
@@ -335,21 +346,24 @@ def verify_document(doc: Any) -> VerifyResult:
     failures.extend(_audit_nodes(doc["nodes"]))
     if failures:
         return VerifyResult(False, tuple(failures))
+    # The root alone has 2^m - 2 children (m split places); comparing bit lengths
+    # keeps a declared huge f from computing 2^m itself.
+    count, m = len(doc["nodes"]), shimura_dimension(rd)
+    if (count + 1).bit_length() <= m:
+        return VerifyResult(False, (f"node count is {count}, expected at least 2^{m} - 1",))
+    want_count = _tree_size(rd)
+    if count != want_count:
+        return VerifyResult(False, (f"node count is {count}, expected {want_count}",))
 
     expected = certificate_to_doc(build_certificate(rd, ct))
     if doc["verdict"] != expected["verdict"]:
         failures.append(f"verdict is {doc['verdict']!r}, expected {expected['verdict']!r}")
     if doc["rigidity"] != expected["rigidity"]:
         failures.append(f"rigidity block is {doc['rigidity']!r}, expected {expected['rigidity']!r}")
-    got_nodes = doc["nodes"]
-    want_nodes = expected["nodes"]
-    if len(got_nodes) != len(want_nodes):
-        failures.append(f"node count is {len(got_nodes)}, expected {len(want_nodes)}")
-    else:
-        for i, (got, want) in enumerate(zip(got_nodes, want_nodes)):
-            if got != want:
-                failures.append(_first_node_mismatch(i, got, want))
-                break
+    for i, (got, want) in enumerate(zip(doc["nodes"], expected["nodes"], strict=True)):
+        if got != want:
+            failures.append(_first_node_mismatch(i, got, want))
+            break
     return VerifyResult(not failures, tuple(failures))
 
 

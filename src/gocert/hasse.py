@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .places import RamificationData, n_tau, sigma_pow, split_places
+from .places import RamificationData, n_tau, split_places
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ def hasse_constraints(rd: RamificationData) -> list[HasseConstraint]:
     constraints = []
     for tau in splits:
         n = n_tau(rd, tau)
-        constraints.append(
-            HasseConstraint(source=tau, target=sigma_pow(rd.cycle, tau, -n), exponent=n)
-        )
+        constraints.append(HasseConstraint(source=tau, target=(tau - n) % rd.f, exponent=n))
     return constraints
 
 
@@ -63,9 +61,9 @@ def max_degree_sum(rd: RamificationData, anchor: int) -> int:
     x = anchor
     while True:
         gap = 1
-        while sigma_pow(rd.cycle, x, gap) not in splits:
+        while (x + gap) % rd.f not in splits:
             gap += 1
-        x = sigma_pow(rd.cycle, x, gap)
+        x = (x + gap) % rd.f
         if x == anchor:
             break
         running *= rd.p ** gap
@@ -85,7 +83,3 @@ def degree_bound(rd: RamificationData) -> int:
         raise ValueError("degree bound needs at least one split place")
     return max(max_degree_sum(rd, anchor) for anchor in splits)
 
-
-def polarization_degree_bound(rd: RamificationData) -> int:
-    """Bound on the degree of the pulled-back top-form polarization: twice the omega total."""
-    return 2 * degree_bound(rd)

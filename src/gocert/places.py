@@ -11,7 +11,7 @@ itself never ramifies, and finite places matter only through parity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below P_BOUND,
@@ -44,82 +44,66 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PlaceCycle:
-    """Places 0..f-1 with Frobenius i -> i + 1 (mod f), a single f-cycle."""
-
-    f: int
-
-    def __post_init__(self) -> None:
-        if self.f < 1:
-            raise ValueError(f"need at least one place, got f={self.f}")
-
-    @property
-    def places(self) -> range:
-        return range(self.f)
+def is_json_int(value: Any) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class RamificationData:
-    """A place cycle together with the ramification set of a quaternion algebra.
+    """The f places Z/f together with the ramification set of a quaternion algebra.
 
     s_inf holds the ramified archimedean places; s_fin_count is the number of
-    ramified finite places other than p.  The total ramification set of a
-    quaternion algebra has even size, and p must not belong to it.
+    ramified finite places other than p.  A plain record: make_ramification is
+    the checking constructor, and the stratum recursion builds children that
+    keep its invariants by construction.
     """
 
-    cycle: PlaceCycle
+    f: int
     s_inf: frozenset[int]
     s_fin_count: int
     p: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_inf", frozenset(self.s_inf))
-        if not all(isinstance(v, int) and 0 <= v < self.cycle.f for v in self.s_inf):
-            raise ValueError(
-                f"s_inf {sorted(self.s_inf)} is not a subset of the places 0..{self.cycle.f - 1}"
-            )
-        if self.s_fin_count < 0:
-            raise ValueError(f"negative count of finite ramified places: {self.s_fin_count}")
-        if (len(self.s_inf) + self.s_fin_count) % 2 != 0:
-            raise ValueError(
-                "a quaternion algebra ramifies at an even number of places: "
-                f"|s_inf|={len(self.s_inf)}, s_fin_count={self.s_fin_count}"
-            )
-        if self.p >= P_BOUND:
-            raise ValueError(f"p must be below {P_BOUND}, the bound of the exact primality test")
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be a prime, got {self.p}")
-
-    @property
-    def f(self) -> int:
-        return self.cycle.f
 
 
 def make_ramification(
     f: int, p: int, s_inf: Iterable[int] = (), s_fin_count: int = 0
 ) -> RamificationData:
-    """Convenience constructor building the cycle; a place listed twice in s_inf is an error."""
+    """Checked constructor: integer fields, distinct places in range, even ramification, prime p.
+
+    The total ramification set of a quaternion algebra has even size, and p
+    must not belong to it.
+    """
+    for name, value in (("f", f), ("p", p), ("s_fin_count", s_fin_count)):
+        if not is_json_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if f < 1:
+        raise ValueError(f"need at least one place, got f={f}")
     places: set[int] = set()
     for v in s_inf:
+        if not is_json_int(v):
+            raise ValueError(f"ramified place {v!r} must be an integer")
+        if not 0 <= v < f:
+            raise ValueError(f"ramified place {v} is not one of the places 0..{f - 1}")
         if v in places:
             raise ValueError(f"ramified place {v} is listed twice")
         places.add(v)
-    return RamificationData(
-        cycle=PlaceCycle(f), s_inf=frozenset(places), s_fin_count=s_fin_count, p=p
-    )
-
-
-def sigma_pow(cycle: PlaceCycle, i: int, k: int) -> int:
-    """Apply Frobenius k times to the place i; k may be negative."""
-    if not 0 <= i < cycle.f:
-        raise ValueError(f"place {i} out of range for f={cycle.f}")
-    return (i + k) % cycle.f
+    if s_fin_count < 0:
+        raise ValueError(f"negative count of finite ramified places: {s_fin_count}")
+    if (len(places) + s_fin_count) % 2 != 0:
+        raise ValueError(
+            "a quaternion algebra ramifies at an even number of places: "
+            f"|s_inf|={len(places)}, s_fin_count={s_fin_count}"
+        )
+    if p >= P_BOUND:
+        raise ValueError(f"p must be below {P_BOUND}, the bound of the exact primality test")
+    if not _is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    return RamificationData(f=f, s_inf=frozenset(places), s_fin_count=s_fin_count, p=p)
 
 
 def split_places(rd: RamificationData) -> list[int]:
     """Ascending list of archimedean places where the algebra splits."""
-    return [i for i in rd.cycle.places if i not in rd.s_inf]
+    return [i for i in range(rd.f) if i not in rd.s_inf]
 
 
 def n_tau(rd: RamificationData, tau: int) -> int:
@@ -133,7 +117,7 @@ def n_tau(rd: RamificationData, tau: int) -> int:
     if tau in rd.s_inf:
         raise ValueError(f"n_tau is undefined on the ramified place {tau}")
     n = 1
-    while sigma_pow(rd.cycle, tau, -n) in rd.s_inf:
+    while (tau - n) % rd.f in rd.s_inf:
         n += 1
     return n
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .places import is_json_int
+
 
 @dataclass(frozen=True)
 class CurveType:
@@ -26,6 +28,9 @@ class CurveType:
     n: int
 
     def __post_init__(self) -> None:
+        for name, value in (("g", self.g), ("n", self.n)):
+            if not is_json_int(value):
+                raise ValueError(f"curve {name} must be an integer, got {value!r}")
         if self.g < 0 or self.n < 0:
             raise ValueError(f"genus and puncture count must be nonnegative, got ({self.g}, {self.n})")
 

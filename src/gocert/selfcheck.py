@@ -33,6 +33,7 @@ class SuiteResult:
     name: str
     passed: bool
     checked: int
+    scope: str
     counterexample: str | None
     seconds: float
 
@@ -71,16 +72,16 @@ def _suite_chain_partition(max_f: int, p: int) -> tuple[int, str | None]:
         chains = decompose_chains(st)
         covered: set[int] = set()
         for c in chains:
-            if covered & set(c.elements):
+            if covered.intersection(c):
                 return checked, f"overlap: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-            covered |= set(c.elements)
-            head_next = (c.head + 1) % st.rd.f
-            tail_prev = (c.elements[-1] - 1) % st.rd.f
+            covered.update(c)
+            head_next = (c[0] + 1) % st.rd.f
+            tail_prev = (c[-1] - 1) % st.rd.f
             if head_next in occupied or tail_prev in occupied:
                 return checked, f"not maximal: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
         if covered != occupied:
             return checked, f"not covering: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-        if {frozenset(c.elements) for c in chains} != set(
+        if {frozenset(c) for c in chains} != set(
             cycle_components(st.rd.f, frozenset(occupied))
         ):
             return checked, f"component mismatch: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
@@ -113,7 +114,7 @@ def _suite_dimension_descent(max_f: int, p: int) -> tuple[int, str | None]:
         parent = shimura_dimension(st.rd)
         child = shimura_dimension(induced_ramification(st))
         n = fiber_dimension(st)
-        odd = sum(1 for c in decompose_chains(st) if len(set(c.elements) & st.t) % 2 == 1)
+        odd = sum(1 for c in decompose_chains(st) if len(st.t.intersection(c)) % 2 == 1)
         if child != parent - len(st.t) - n:
             return checked, f"descent formula: {label}"
         if n != odd:
@@ -186,8 +187,8 @@ def _suite_contradiction_agreement() -> tuple[int, str | None]:
 def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> tuple[int, str | None]:
     checked = 0
     curves = (CurveType(2, 0), CurveType(0, 4), CurveType(3, 0))
-    for p in primes[:2]:
-        for rd in all_ramifications(min(max_f, 4), p, min_dim=1):
+    for p in primes:
+        for rd in all_ramifications(max_f, p, min_dim=1):
             for ct in curves:
                 checked += 1
                 cert = build_certificate(rd, ct)
@@ -200,25 +201,44 @@ def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> tuple[i
     return checked, None
 
 
+def _scope(max_f: int, primes: tuple[int, ...]) -> str:
+    if len(primes) == 1:
+        return f"f<={max_f} p={primes[0]}"
+    return f"f<={max_f} p in {','.join(map(str, primes)) or 'none'}"
+
+
 def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
-    """Run every suite over all configurations with f <= max_f and the given primes."""
+    """Run every suite over the configurations its scope names.
+
+    The stratum suites use the first prime only (the place combinatorics does
+    not depend on p), and the certificate round trip stops at f <= 4 and the
+    first two primes because each check builds and verifies a whole tree.
+    """
     prime_tuple = tuple(primes)
     if max_f < 1:
         return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=())
     base_p = prime_tuple[0] if prime_tuple else 2
+    base = _scope(max_f, (base_p,))
+    every = _scope(max_f, prime_tuple)
+    curves = "g<=10 n<=10"
+    trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
     suites: list[SuiteResult] = []
-    runs: list[tuple[str, Callable[[], tuple[int, str | None]]]] = [
-        ("n-tau-tiling", lambda: _suite_n_tau_tiling(max_f, base_p)),
-        ("chain-partition", lambda: _suite_chain_partition(max_f, base_p)),
-        ("induced-parity-growth", lambda: _suite_induced_parity_growth(max_f, base_p)),
-        ("dimension-descent", lambda: _suite_dimension_descent(max_f, base_p)),
-        ("degree-oracle", lambda: _suite_degree_oracle(max_f, prime_tuple)),
-        ("degree-monotone", lambda: _suite_degree_monotone(max_f, prime_tuple)),
-        ("rigidity-table", _suite_rigidity_table),
-        ("contradiction-agreement", _suite_contradiction_agreement),
-        ("certificate-roundtrip", lambda: _suite_certificate_roundtrip(max_f, prime_tuple)),
+    runs: list[tuple[str, str, Callable[[], tuple[int, str | None]]]] = [
+        ("n-tau-tiling", base, lambda: _suite_n_tau_tiling(max_f, base_p)),
+        ("chain-partition", base, lambda: _suite_chain_partition(max_f, base_p)),
+        ("induced-parity-growth", base, lambda: _suite_induced_parity_growth(max_f, base_p)),
+        ("dimension-descent", base, lambda: _suite_dimension_descent(max_f, base_p)),
+        ("degree-oracle", every, lambda: _suite_degree_oracle(max_f, prime_tuple)),
+        ("degree-monotone", every, lambda: _suite_degree_monotone(max_f, prime_tuple)),
+        ("rigidity-table", curves, _suite_rigidity_table),
+        ("contradiction-agreement", curves, _suite_contradiction_agreement),
+        (
+            "certificate-roundtrip",
+            _scope(trip_f, trip_primes),
+            lambda: _suite_certificate_roundtrip(trip_f, trip_primes),
+        ),
     ]
-    for name, run in runs:
+    for name, scope, run in runs:
         start = time.perf_counter()
         checked, counterexample = run()
         suites.append(
@@ -226,6 +246,7 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
                 name=name,
                 passed=counterexample is None,
                 checked=checked,
+                scope=scope,
                 counterexample=counterexample,
                 seconds=time.perf_counter() - start,
             )

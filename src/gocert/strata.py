@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .places import (
-    PlaceCycle,
-    RamificationData,
-    shimura_dimension,
-    sigma_pow,
-    split_places,
-)
+from .places import RamificationData, shimura_dimension, split_places
 
 
 @dataclass(frozen=True)
@@ -39,29 +33,13 @@ class Stratum:
             raise ValueError("T must be a proper subset of the split places")
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Maximal backward run head, sigma^{-1} head, ..., sigma^{-m} head of occupied places."""
-
-    cycle: PlaceCycle
-    head: int
-    length: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.length != len(self.elements) or self.length < 1:
-            raise ValueError(f"chain length {self.length} disagrees with elements {self.elements}")
-        for j, elem in enumerate(self.elements):
-            if elem != sigma_pow(self.cycle, self.head, -j):
-                raise ValueError(f"chain elements {self.elements} are not a backward run from {self.head}")
-
-
-def decompose_chains(st: Stratum) -> tuple[Chain, ...]:
+def decompose_chains(st: Stratum) -> tuple[tuple[int, ...], ...]:
     """Partition s_inf | T into maximal chains, in ascending order of head place.
 
-    A head is an occupied place whose Frobenius successor is free; the chain
-    walks backwards from it while places stay occupied.  Undefined when the
-    occupied set is the whole cycle (excluded by the stratum invariants).
+    A chain is the tuple head, sigma^{-1} head, ..., of occupied places: a head
+    is an occupied place whose Frobenius successor is free, and the chain walks
+    backwards from it while places stay occupied.  Undefined when the occupied
+    set is the whole cycle (excluded by the stratum invariants).
     """
     f = st.rd.f
     occupied = st.rd.s_inf | st.t
@@ -71,38 +49,27 @@ def decompose_chains(st: Stratum) -> tuple[Chain, ...]:
     for head in sorted(occupied):
         if (head + 1) % f in occupied:
             continue
-        elements = [head]
-        while (elements[-1] - 1) % f in occupied:
-            elements.append((elements[-1] - 1) % f)
-        chains.append(
-            Chain(cycle=st.rd.cycle, head=head, length=len(elements), elements=tuple(elements))
-        )
+        chain = [head]
+        while (chain[-1] - 1) % f in occupied:
+            chain.append((chain[-1] - 1) % f)
+        chains.append(tuple(chain))
     return tuple(chains)
-
-
-def chain_augment(c: Chain, t: frozenset[int]) -> frozenset[int]:
-    """Even-size contribution of one chain: c & T, plus one extra backward step if |c & T| is odd."""
-    met = frozenset(c.elements) & frozenset(t)
-    if len(met) % 2 == 0:
-        return met
-    return met | {sigma_pow(c.cycle, c.head, -c.length)}
 
 
 def induced_ramification(st: Stratum) -> RamificationData:
     """Quaternionic datum the stratum fibers over: s_inf extended by every chain contribution.
 
-    The extension has even size, contains T, and adds only places outside
+    Each chain contributes its intersection with T, plus the place one
+    backward step past its end when that intersection has odd size.  The
+    extension has even size, contains T, and adds only places outside
     s_inf | T, so the even-ramification parity is preserved.
     """
-    t_aug: set[int] = set()
-    for c in decompose_chains(st):
-        t_aug |= chain_augment(c, st.t)
-    return RamificationData(
-        cycle=st.rd.cycle,
-        s_inf=st.rd.s_inf | t_aug,
-        s_fin_count=st.rd.s_fin_count,
-        p=st.rd.p,
-    )
+    rd, t = st.rd, st.t
+    t_aug = set(t)
+    for chain in decompose_chains(st):
+        if len(t.intersection(chain)) % 2:
+            t_aug.add((chain[-1] - 1) % rd.f)
+    return RamificationData(f=rd.f, s_inf=rd.s_inf | t_aug, s_fin_count=rd.s_fin_count, p=rd.p)
 
 
 def fiber_dimension(st: Stratum) -> int:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from gocert import (
     verify_certificate,
     verify_document,
 )
+from gocert import certificate
 from gocert.certificate import config_from_doc, error_document
 from gocert.oracle import all_ramifications
 from helpers import document_mutations
@@ -90,6 +92,8 @@ def test_tree_shape_invariants():
         dims = {node.path: node.dim for node in cert.nodes}
         for node in cert.nodes:
             assert (node.kind == "dimension_zero") == (node.dim == 0)
+            if node.dim > 0:
+                assert node.polarization_bound == 2 * node.degree_bound
             if node.path:
                 assert dims[node.path[:-1]] > node.dim
             else:
@@ -187,6 +191,31 @@ def test_verify_survives_hostile_node_structures():
     hostile = json.loads(json.dumps(doc))
     hostile["nodes"][1]["dim"] = True
     assert not verify_document(hostile)
+
+
+def test_verify_rejects_a_small_document_that_declares_a_large_tree():
+    doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
+    doc["config"]["rd"]["f"] = 40
+    doc["nodes"] = [{"dim": 40, "kind": "ordinary_locus", "path": [], "t": []}]
+    assert len(json.dumps(doc)) < 400
+    start = time.perf_counter()
+    result = verify_document(doc)
+    assert time.perf_counter() - start < 1.0
+    assert not result
+    assert result.failures == ("node count is 1, expected at least 2^40 - 1",)
+
+
+def test_verify_compares_node_count_before_rebuilding(monkeypatch):
+    doc = certificate_to_doc(build_certificate(make_ramification(6, 3), GENUS_TWO))
+    doc["config"]["rd"]["f"] = 8
+
+    def no_rebuild(*args):
+        raise AssertionError("verify rebuilt a document of the wrong size")
+
+    monkeypatch.setattr(certificate, "build_certificate", no_rebuild)
+    result = verify_document(doc)
+    assert not result
+    assert result.failures == ("node count is 495, expected 10815",)
 
 
 def test_config_parsing_rejects_malformed_documents():

@@ -8,7 +8,6 @@ from gocert import (
     hasse_constraints,
     make_ramification,
     max_degree_sum,
-    polarization_degree_bound,
     split_places,
 )
 from gocert.oracle import all_ramifications, relaxed_profile_max
@@ -106,11 +105,6 @@ def test_degree_bound_geometric_series_when_unramified():
     for p in (2, 3, 5):
         for f in range(1, 7):
             assert degree_bound(make_ramification(f, p)) == sum(p**k for k in range(f))
-
-
-def test_polarization_bound_is_twice_the_omega_bound():
-    for rd in all_ramifications(5, 3, min_dim=1):
-        assert polarization_degree_bound(rd) == 2 * degree_bound(rd)
 
 
 def test_bound_matches_enumerated_brute_force():

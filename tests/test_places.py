@@ -1,39 +1,9 @@
 import time
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from gocert import (
-    PlaceCycle,
-    make_ramification,
-    n_tau,
-    shimura_dimension,
-    sigma_pow,
-    split_places,
-)
+from gocert import CurveType, make_ramification, n_tau, shimura_dimension, split_places
 from gocert.oracle import all_ramifications
 from gocert.places import P_BOUND
-
-
-def test_sigma_pow_examples():
-    assert sigma_pow(PlaceCycle(4), 0, -1) == 3
-    assert sigma_pow(PlaceCycle(5), 2, 0) == 2
-    assert sigma_pow(PlaceCycle(3), 1, 7) == 2
-
-
-def test_sigma_pow_rejects_bad_place():
-    with pytest.raises(ValueError):
-        sigma_pow(PlaceCycle(4), 4, 1)
-    with pytest.raises(ValueError):
-        sigma_pow(PlaceCycle(4), -1, 1)
-
-
-@given(st.integers(1, 50), st.integers(-200, 200), st.integers(-200, 200))
-def test_sigma_pow_composes(f, a, b):
-    cycle = PlaceCycle(f)
-    for i in range(f):
-        assert sigma_pow(cycle, sigma_pow(cycle, i, a), b) == sigma_pow(cycle, i, a + b)
 
 
 def test_split_places_examples():
@@ -89,7 +59,7 @@ def test_dimension_monotone_under_enlarging_ramification():
 
 def test_validation_rules():
     with pytest.raises(ValueError):
-        PlaceCycle(0)
+        make_ramification(0, 2)  # no places
     with pytest.raises(ValueError):
         make_ramification(3, 2, {0})  # odd ramification set
     with pytest.raises(ValueError):
@@ -99,6 +69,17 @@ def test_validation_rules():
     with pytest.raises(ValueError):
         make_ramification(3, 2, (), s_fin_count=-2)
     assert make_ramification(3, 2, {0, 1}).s_fin_count == 0
+    # fields must be JSON integers: no float or bool is accepted
+    for bad in (
+        lambda: make_ramification(2, 3.0),
+        lambda: make_ramification(True, 3),
+        lambda: make_ramification(2, 3, [0.0, 1]),
+        lambda: make_ramification(2, 3, (), 0.0),
+        lambda: CurveType(2.0, 0),
+        lambda: CurveType(2, True),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bad()
 
 
 def test_ramified_place_listed_twice_is_rejected():

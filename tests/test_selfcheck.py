@@ -1,21 +1,22 @@
 from gocert import selfcheck
 
-# (suite, checked) for max_f=5 over the primes 2 and 3
+# (suite, checked, scope) for max_f=5 over the primes 2 and 3
 EXPECTED_COVERAGE = [
-    ("n-tau-tiling", 57),
-    ("chain-partition", 301),
-    ("induced-parity-growth", 301),
-    ("dimension-descent", 301),
-    ("degree-oracle", 114),
-    ("degree-monotone", 57),
-    ("rigidity-table", 121),
-    ("contradiction-agreement", 121),
-    ("certificate-roundtrip", 156),
+    ("n-tau-tiling", 57, "f<=5 p=2"),
+    ("chain-partition", 301, "f<=5 p=2"),
+    ("induced-parity-growth", 301, "f<=5 p=2"),
+    ("dimension-descent", 301, "f<=5 p=2"),
+    ("degree-oracle", 114, "f<=5 p in 2,3"),
+    ("degree-monotone", 57, "f<=5 p in 2,3"),
+    ("rigidity-table", 121, "g<=10 n<=10"),
+    ("contradiction-agreement", 121, "g<=10 n<=10"),
+    ("certificate-roundtrip", 156, "f<=4 p in 2,3"),
 ]
 
 
 def test_selfcheck_reports_its_coverage():
     report = selfcheck(5, [2, 3])
-    assert [(suite.name, suite.checked) for suite in report.suites] == EXPECTED_COVERAGE
+    got = [(suite.name, suite.checked, suite.scope) for suite in report.suites]
+    assert got == EXPECTED_COVERAGE
     assert all(suite.passed and suite.counterexample is None for suite in report.suites)
     assert report.ok
