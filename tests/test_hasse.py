@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gocert import (
+    CurveType,
     HasseConstraint,
+    build_certificate,
     degree_bound,
     hasse_constraints,
     make_ramification,
@@ -105,6 +107,13 @@ def test_degree_bound_geometric_series_when_unramified():
     for p in (2, 3, 5):
         for f in range(1, 7):
             assert degree_bound(make_ramification(f, p)) == sum(p**k for k in range(f))
+
+
+def test_polarization_bound_is_twice_the_omega_bound():
+    for rd in all_ramifications(5, 3, min_dim=1):
+        root = build_certificate(rd, CurveType(2, 0)).nodes[0]
+        assert root.degree_bound == degree_bound(rd)
+        assert root.polarization_bound == 2 * degree_bound(rd)
 
 
 def test_bound_matches_enumerated_brute_force():
