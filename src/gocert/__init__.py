@@ -54,7 +54,6 @@ from .selfcheck import SelfcheckReport, SuiteResult, selfcheck
 from .strata import (
     Stratum,
     decompose_chains,
-    fiber_dimension,
     induced_ramification,
     strata_children,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Stratum",
     "decompose_chains",
     "induced_ramification",
-    "fiber_dimension",
     "strata_children",
     "HasseConstraint",
     "hasse_constraints",

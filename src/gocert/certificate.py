@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ._version import __version__
 from .hasse import degree_bound
@@ -54,6 +54,9 @@ _PROSE_ROOT_SPECIAL = (
 FLAG_DERIVED_FIBER = "N-from-dimension-count"
 FLAG_EXTRAPOLATED_12 = "extrapolated-(1,2)"
 
+# Largest case split analyze builds and verify replays: at s_inf = {}, f = 9 fits and f = 10 does not.
+MAX_TREE_NODES = 100_000
+
 
 @dataclass(frozen=True)
 class NodeRecord:
@@ -82,6 +85,43 @@ class FinitenessCertificate:
     tool_version: str
 
 
+class _Split(NamedTuple):
+    dim: int
+    degree_bound: int | None
+    edges: tuple[tuple[tuple[int, ...], RamificationData, int], ...]  # (sorted t, child, fiber_dim)
+    size: int
+
+
+def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
+    """Each distinct datum below rd with its edges in strata_children order and its subtree size.
+
+    Raises ValueError once the tree is known to exceed MAX_TREE_NODES: before
+    listing the children of a datum with 2^dim - 1 > MAX_TREE_NODES (compared
+    by bit length), or when a running subtree total passes the limit.
+    """
+    too_large = f"the case split has more than {MAX_TREE_NODES} nodes"
+    table: dict[RamificationData, _Split] = {}
+
+    def walk(datum: RamificationData) -> _Split:
+        if datum in table:
+            return table[datum]
+        dim = shimura_dimension(datum)
+        if (MAX_TREE_NODES + 1).bit_length() <= dim:
+            raise ValueError(too_large)
+        edges, size = [], 1
+        for t, child in strata_children(datum) if dim else ():
+            below = walk(child)
+            size += below.size
+            if size > MAX_TREE_NODES:
+                raise ValueError(too_large)
+            edges.append((tuple(sorted(t)), child, dim - len(t) - below.dim))
+        split = table[datum] = _Split(dim, degree_bound(datum) if dim else None, tuple(edges), size)
+        return split
+
+    walk(rd)
+    return table
+
+
 def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertificate:
     """Replay the induction over the full stratum tree of rd, deterministically.
 
@@ -89,58 +129,47 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     positive dimension carry the ordinary-locus data: the anchor-maximized
     degree bound and the equal-degree comparison with filtration degree one
     and trivial determinant.  Children follow in canonical bitmask order, so
-    repeated builds serialize to identical bytes.
+    repeated builds serialize to identical bytes.  Raises ValueError when the
+    tree has more than MAX_TREE_NODES nodes.
     """
     rig = finiteness_verdict(ct)
+    table = _case_split(rd)
+    contra = contradiction_check(ct, 1, 0)
+    root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
+    root_flags = (FLAG_EXTRAPOLATED_12,) if ct == CurveType(1, 2) else ()
     nodes: list[NodeRecord] = []
 
     def visit(datum: RamificationData, path: tuple[tuple[int, ...], ...], fiber: int | None) -> None:
-        dim = shimura_dimension(datum)
-        t = frozenset(path[-1]) if path else frozenset()
-        if dim == 0:
-            kind = KIND_DIM_ZERO
-            bound = pol = None
-            contra = None
-            prose = _PROSE_DIM_ZERO
+        split = table[datum]
+        if split.dim == 0:
+            kind, prose, flags = KIND_DIM_ZERO, _PROSE_DIM_ZERO, ()
+        elif path:
+            kind, prose, flags = KIND_DESCENT, _PROSE_DESCENT, (FLAG_DERIVED_FIBER,)
         else:
-            kind = KIND_ORDINARY if not path else KIND_DESCENT
-            bound = degree_bound(datum)
-            pol = 2 * bound
-            contra = contradiction_check(ct, 1, 0)
-            prose = _PROSE_ORDINARY if kind == KIND_ORDINARY else _PROSE_DESCENT
-        flags: tuple[str, ...] = ()
-        if kind == KIND_DESCENT:
-            flags = (FLAG_DERIVED_FIBER,)
+            kind, prose, flags = KIND_ORDINARY, _PROSE_ORDINARY, ()
         if not path:
-            if is_special(ct):
-                prose = prose + _PROSE_ROOT_SPECIAL
-            if ct == CurveType(1, 2):
-                flags = flags + (FLAG_EXTRAPOLATED_12,)
+            prose, flags = prose + root_prose, flags + root_flags
+        bound = split.degree_bound
         nodes.append(
             NodeRecord(
                 path=path,
                 rd=datum,
-                t=t,
+                t=frozenset(path[-1]) if path else frozenset(),
                 kind=kind,
-                dim=dim,
+                dim=split.dim,
                 degree_bound=bound,
-                polarization_bound=pol,
+                polarization_bound=None if bound is None else 2 * bound,
                 fiber_dim=fiber,
-                contradiction=contra,
+                contradiction=contra if split.dim else None,
                 derived_flags=flags,
                 prose_steps=prose,
             )
         )
-        if dim >= 1:
-            for t_child, child in strata_children(datum):
-                n_fiber = dim - len(t_child) - shimura_dimension(child)
-                visit(child, path + (tuple(sorted(t_child)),), n_fiber)
+        for t, child, n_fiber in split.edges:
+            visit(child, path + (t,), n_fiber)
 
     visit(rd, (), None)
-    contradicted = all(
-        node.contradiction is None or node.contradiction.conclusion == "contradiction"
-        for node in nodes
-    )
+    contradicted = table[rd].dim == 0 or contra.conclusion == "contradiction"
     verdict = "finite" if rig.finite and contradicted else "inconclusive"
     return FinitenessCertificate(
         rd=rd,
@@ -288,23 +317,6 @@ def _audit_nodes(nodes: Any) -> list[str]:
     return failures
 
 
-def _tree_size(rd: RamificationData) -> int:
-    """Node count of the full case split below rd, memoized on the datum.
-
-    Repeated data make this cheap: the work is one strata_children call per
-    distinct datum, not per node.
-    """
-    memo: dict[RamificationData, int] = {}
-
-    def size(datum: RamificationData) -> int:
-        if datum not in memo:
-            below = strata_children(datum) if shimura_dimension(datum) else []
-            memo[datum] = 1 + sum(size(child) for _, child in below)
-        return memo[datum]
-
-    return size(rd)
-
-
 def _first_node_mismatch(index: int, got: Any, want: dict[str, Any]) -> str:
     where = f"nodes[{index}] path={want['path']}"
     if not isinstance(got, dict):
@@ -318,10 +330,11 @@ def _first_node_mismatch(index: int, got: Any, want: dict[str, Any]) -> str:
 def verify_document(doc: Any) -> VerifyResult:
     """Independent replay: rebuild from the embedded config and compare field by field.
 
-    The node count is checked against the expected tree size before the
-    rebuild, so a small document cannot demand a large build.  Truthy exactly
-    when the document matches a fresh build; otherwise the failures list
-    pinpoints the first divergence (by node path and field).
+    The node count is checked against the expected tree size, itself capped at
+    MAX_TREE_NODES, before the rebuild, so a small document cannot demand a
+    large build.  Truthy exactly when the document matches a fresh build;
+    otherwise the failures list pinpoints the first divergence (by node path
+    and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
@@ -351,7 +364,10 @@ def verify_document(doc: Any) -> VerifyResult:
     count, m = len(doc["nodes"]), shimura_dimension(rd)
     if (count + 1).bit_length() <= m:
         return VerifyResult(False, (f"node count is {count}, expected at least 2^{m} - 1",))
-    want_count = _tree_size(rd)
+    try:
+        want_count = _case_split(rd)[rd].size
+    except ValueError as exc:
+        return VerifyResult(False, (str(exc),))
     if count != want_count:
         return VerifyResult(False, (f"node count is {count}, expected {want_count}",))
 

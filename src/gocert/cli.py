@@ -82,12 +82,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         p, f, ram_inf, ram_fin, (g, n) = _analyze_inputs(args)
         rd = make_ramification(f=f, p=p, s_inf=ram_inf, s_fin_count=ram_fin)
-        ct = CurveType(g=g, n=n)
+        cert = build_certificate(rd, CurveType(g=g, n=n))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit(serialize_document(error_document(str(exc))), args.out)
         return 1
-    cert = build_certificate(rd, ct)
     _emit(serialize_certificate(cert), args.out)
     print(
         f"verdict: {cert.verdict} (nodes={len(cert.nodes)}, "

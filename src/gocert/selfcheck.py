@@ -25,7 +25,7 @@ from .oracle import (
 )
 from .places import make_ramification, n_tau, shimura_dimension, split_places
 from .rigidity import CurveType, classify_filtration, euler_bound, finiteness_verdict, is_special
-from .strata import Stratum, decompose_chains, fiber_dimension, induced_ramification
+from .strata import Stratum, decompose_chains, induced_ramification
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,9 @@ def _suite_dimension_descent(max_f: int, p: int) -> tuple[int, str | None]:
         label = f"f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
         parent = shimura_dimension(st.rd)
         child = shimura_dimension(induced_ramification(st))
-        n = fiber_dimension(st)
         odd = sum(1 for c in decompose_chains(st) if len(st.t.intersection(c)) % 2 == 1)
-        if child != parent - len(st.t) - n:
+        if child != parent - len(st.t) - odd:
             return checked, f"descent formula: {label}"
-        if n != odd:
-            return checked, f"fiber count vs odd chains: {label}"
         if st.t and child >= parent:
             return checked, f"no strict descent: {label}"
     return checked, None

@@ -1,4 +1,4 @@
-"""Goren-Oort stratum combinatorics: chains, the augmented ramification set, fiber counts.
+"""Goren-Oort stratum combinatorics: chains, the augmented ramification set, stratum children.
 
 A stratum is the common vanishing locus of the partial Hasse invariants
 indexed by a set T of split places.  The occupied places s_inf | T fall into
@@ -70,17 +70,6 @@ def induced_ramification(st: Stratum) -> RamificationData:
         if len(t.intersection(chain)) % 2:
             t_aug.add((chain[-1] - 1) % rd.f)
     return RamificationData(f=rd.f, s_inf=rd.s_inf | t_aug, s_fin_count=rd.s_fin_count, p=rd.p)
-
-
-def fiber_dimension(st: Stratum) -> int:
-    """Number N of projective-line factors in the fibration over the induced datum.
-
-    Computed by dimension bookkeeping (stratum dimension minus base dimension);
-    it coincides with the number of chains meeting T in an odd set.
-    """
-    parent = shimura_dimension(st.rd)
-    child = shimura_dimension(induced_ramification(st))
-    return (parent - len(st.t)) - child
 
 
 def strata_children(rd: RamificationData) -> list[tuple[frozenset[int], RamificationData]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -216,6 +217,60 @@ def test_verify_compares_node_count_before_rebuilding(monkeypatch):
     result = verify_document(doc)
     assert not result
     assert result.failures == ("node count is 495, expected 10815",)
+
+
+def test_verify_bounds_a_flat_document_that_passes_the_size_guard(monkeypatch):
+    # one root and 2^14 - 2 leaves: the shape audit and the bit-length guard
+    # pass, and the f=14 tree below the config has 393 365 759 nodes
+    doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
+    doc["config"]["rd"]["f"] = 14
+    doc["nodes"] = [{"dim": 14, "kind": "ordinary_locus", "path": [], "t": []}] + [
+        {"dim": 0, "kind": "dimension_zero", "path": [[i]], "t": [i]} for i in range(2**14 - 2)
+    ]
+
+    def no_rebuild(*args):
+        raise AssertionError("verify rebuilt a document over the size limit")
+
+    monkeypatch.setattr(certificate, "build_certificate", no_rebuild)
+    result = verify_document(doc)
+    assert not result
+    assert result.failures == (f"the case split has more than {certificate.MAX_TREE_NODES} nodes",)
+
+
+def test_build_refuses_a_case_split_over_the_limit():
+    assert certificate.MAX_TREE_NODES == 100_000
+    with pytest.raises(ValueError, match="more than 100000 nodes"):
+        build_certificate(make_ramification(10, 3), GENUS_TWO)
+    assert len(build_certificate(make_ramification(10, 3, {7, 8}), GENUS_TWO).nodes) == 10815
+
+
+def test_build_walks_each_distinct_datum_once(monkeypatch):
+    calls = {"strata_children": 0, "degree_bound": 0}
+    for name in calls:
+        original = getattr(certificate, name)
+
+        def counted(rd, name=name, original=original):
+            calls[name] += 1
+            return original(rd)
+
+        monkeypatch.setattr(certificate, name, counted)
+    cert = build_certificate(make_ramification(7, 3), GENUS_TWO)
+    distinct = {node.rd for node in cert.nodes if node.dim > 0}
+    assert len(cert.nodes) == 1723 and len(distinct) == 29
+    assert calls == {"strata_children": 29, "degree_bound": 29}
+
+
+@pytest.mark.parametrize(
+    "f, p, s_inf, curve, sha256",
+    [
+        (6, 3, (), GENUS_TWO, "c68a3bb693a1c98abdda1230376ff42cc7042139b07e379c1b46d2139bac6e91"),
+        (5, 2, (1, 2), FOUR_PUNCTURED, "de606ab00fc604efcebd50e430e15fba882d02cdbdb09fc3855da360d7a7070c"),
+        (4, 5, (), CurveType(3, 0), "ce0dcd97c4e2d120d40000ef770403b29902c815454924f99496205d11aedfc4"),
+    ],
+)
+def test_certificate_bytes_are_pinned(f, p, s_inf, curve, sha256):
+    blob = serialize_certificate(build_certificate(make_ramification(f, p, s_inf), curve))
+    assert hashlib.sha256(blob.encode()).hexdigest() == sha256
 
 
 def test_config_parsing_rejects_malformed_documents():

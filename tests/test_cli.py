@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,17 @@ def test_analyze_rejects_bad_parity(capsys):
     assert code == 1
     assert json.loads(out)["verdict"] == "error"
     assert "even number" in err
+
+
+def test_analyze_refuses_a_case_split_over_the_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "--p", "3", "--f", "40", "--curve", "2,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "error"
+    assert doc["error"] == "the case split has more than 100000 nodes"
+    assert "more than 100000 nodes" in err
 
 
 def test_analyze_rejects_repeated_ramified_place(capsys):

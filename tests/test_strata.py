@@ -5,7 +5,6 @@ import pytest
 from gocert import (
     Stratum,
     decompose_chains,
-    fiber_dimension,
     induced_ramification,
     make_ramification,
     shimura_dimension,
@@ -65,10 +64,16 @@ def test_induced_ramification_examples():
     assert induced_ramification(_stratum(4, set(), {0, 2})).s_inf == frozenset({0, 1, 2, 3})
 
 
-def test_fiber_dimension_examples():
-    assert fiber_dimension(_stratum(4, {1, 2}, set())) == 0
-    assert fiber_dimension(_stratum(5, {1, 2}, {4})) == 1
-    assert fiber_dimension(_stratum(4, set(), {0, 3})) == 0
+def _odd_chains(st):
+    return sum(1 for c in decompose_chains(st) if len(st.t.intersection(c)) % 2 == 1)
+
+
+def test_odd_chain_count_examples():
+    # the (P^1)^N fiber count N, and the dimension it takes off the descent
+    examples = ((_stratum(4, {1, 2}, set()), 0), (_stratum(5, {1, 2}, {4}), 1), (_stratum(4, set(), {0, 3}), 0))
+    for st, n in examples:
+        assert _odd_chains(st) == n
+        assert shimura_dimension(st.rd) - len(st.t) - shimura_dimension(induced_ramification(st)) == n
 
 
 def test_strata_children_examples():
@@ -115,10 +120,7 @@ def test_descent_is_strict_and_counts_odd_chains():
         for t in all_vanishing_sets(rd):
             st = Stratum(rd=rd, t=t)
             child = shimura_dimension(induced_ramification(st))
-            n = fiber_dimension(st)
-            odd = sum(1 for c in decompose_chains(st) if len(t.intersection(c)) % 2 == 1)
-            assert n == odd
-            assert child == parent - len(t) - n
+            assert child == parent - len(t) - _odd_chains(st)
             if t:
                 assert child < parent
 
