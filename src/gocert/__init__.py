@@ -18,13 +18,10 @@ from .certificate import (
     build_certificate,
     certificate_to_doc,
     serialize_certificate,
-    verify_certificate,
     verify_document,
 )
 from .hasse import (
-    HasseConstraint,
     degree_bound,
-    hasse_constraints,
     max_degree_sum,
 )
 from .ledger import (
@@ -42,9 +39,7 @@ from .places import (
 )
 from .rigidity import (
     CurveType,
-    HodgeSolution,
     RigidityVerdict,
-    classify_filtration,
     euler_bound,
     finiteness_verdict,
     is_special,
@@ -70,15 +65,11 @@ __all__ = [
     "decompose_chains",
     "induced_ramification",
     "strata_children",
-    "HasseConstraint",
-    "hasse_constraints",
     "max_degree_sum",
     "degree_bound",
     "CurveType",
-    "HodgeSolution",
     "RigidityVerdict",
     "euler_bound",
-    "classify_filtration",
     "square_root_count",
     "is_special",
     "finiteness_verdict",
@@ -92,7 +83,6 @@ __all__ = [
     "build_certificate",
     "certificate_to_doc",
     "serialize_certificate",
-    "verify_certificate",
     "verify_document",
     "SelfcheckReport",
     "SuiteResult",

@@ -16,6 +16,7 @@ field is caught.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, NamedTuple
@@ -58,6 +59,22 @@ FLAG_EXTRAPOLATED_12 = "extrapolated-(1,2)"
 MAX_TREE_NODES = 100_000
 
 
+def _min_tree_size(dim: int) -> int:
+    """Fewest nodes the case split of any datum of dimension dim can have.
+
+    A datum of dimension d has 2^d - 2 children, and each of its d singleton
+    vanishing sets descends to dimension exactly d - 2, so the tree has at
+    least L(d) = 2^d - 1 + d * (L(d - 2) - 1) nodes, with L(0) = L(1) = 1.
+    """
+    if dim < 2:
+        return 1
+    return 2**dim - 1 + dim * (_min_tree_size(dim - 2) - 1)
+
+
+# Least dimension whose case split is known to exceed MAX_TREE_NODES before any walk: 12.
+_REFUSAL_DIM = next(d for d in itertools.count() if _min_tree_size(d) > MAX_TREE_NODES)
+
+
 @dataclass(frozen=True)
 class NodeRecord:
     """One datum of the case split, addressed by the chain of vanishing sets from the root."""
@@ -96,8 +113,8 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     """Each distinct datum below rd with its edges in strata_children order and its subtree size.
 
     Raises ValueError once the tree is known to exceed MAX_TREE_NODES: before
-    listing the children of a datum with 2^dim - 1 > MAX_TREE_NODES (compared
-    by bit length), or when a running subtree total passes the limit.
+    listing the children of a datum of dimension _REFUSAL_DIM or more, or when
+    a running subtree total passes the limit.
     """
     too_large = f"the case split has more than {MAX_TREE_NODES} nodes"
     table: dict[RamificationData, _Split] = {}
@@ -106,7 +123,7 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
         if datum in table:
             return table[datum]
         dim = shimura_dimension(datum)
-        if (MAX_TREE_NODES + 1).bit_length() <= dim:
+        if dim >= _REFUSAL_DIM:
             raise ValueError(too_large)
         edges, size = [], 1
         for t, child in strata_children(datum) if dim else ():
@@ -381,8 +398,3 @@ def verify_document(doc: Any) -> VerifyResult:
             failures.append(_first_node_mismatch(i, got, want))
             break
     return VerifyResult(not failures, tuple(failures))
-
-
-def verify_certificate(cert: FinitenessCertificate) -> VerifyResult:
-    """Verify an in-memory certificate through its canonical document form."""
-    return verify_document(certificate_to_doc(cert))

@@ -11,38 +11,7 @@ p-powers along the cycle, and the total caps the polarization degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .places import RamificationData, n_tau, split_places
-
-
-@dataclass(frozen=True)
-class HasseConstraint:
-    """deg(source) <= p^exponent * deg(target) with target = sigma^{-exponent}(source)."""
-
-    source: int
-    target: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.exponent < 1:
-            raise ValueError(f"constraint exponent must be positive, got {self.exponent}")
-
-
-def hasse_constraints(rd: RamificationData) -> list[HasseConstraint]:
-    """One constraint per split place, ascending by source.
-
-    Targets are split as well, and following source -> target traverses all
-    split places in a single directed cycle (self-loop when only one splits).
-    """
-    splits = split_places(rd)
-    if not splits:
-        raise ValueError("no split places: the Hasse constraint cycle is empty")
-    constraints = []
-    for tau in splits:
-        n = n_tau(rd, tau)
-        constraints.append(HasseConstraint(source=tau, target=(tau - n) % rd.f, exponent=n))
-    return constraints
+from .places import RamificationData, split_places
 
 
 def max_degree_sum(rd: RamificationData, anchor: int) -> int:

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own algorithms: chains are recovered as
 connected components of the cycle graph, augmented sets by replaying the
 even/odd recipe on those components, Hasse constraints by a backward scan of
-their definition, and degree maxima by a downward fixpoint of those scanned
-constraints.
+their definition, degree maxima by a downward fixpoint of those scanned
+constraints, and admissible Hodge degrees by a direct scan of their inequality.
 """
 
 from __future__ import annotations
@@ -106,3 +106,13 @@ def relaxed_profile_max(rd: RamificationData, anchor: int) -> int:
                 degrees[src] = allowed
                 changed = True
     return sum(degrees.values())
+
+
+def hodge_degrees(g: int, n: int) -> list[tuple[int, bool]]:
+    """(d, forced_iso) for every admissible Hodge degree 0 < d <= (2g - 2 + n) - d, ascending.
+
+    forced_iso marks 2d = 2g - 2 + n, where the nonzero Higgs map joins line
+    bundles of equal degree and so is an isomorphism.
+    """
+    bound = 2 * g - 2 + n
+    return [(d, 2 * d == bound) for d in range(1, bound + 1) if d <= bound - d]

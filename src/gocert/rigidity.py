@@ -20,8 +20,8 @@ from .places import is_json_int
 class CurveType:
     """Smooth curve of genus g with n punctures carrying unipotent local monodromy.
 
-    The rigidity arguments concern hyperbolic types (2g - 2 + n > 0); the
-    degree formulas themselves make sense for every g, n >= 0.
+    The rigidity arguments concern types with 2g - 2 + n > 0; the degree
+    formulas themselves make sense for every g, n >= 0.
     """
 
     g: int
@@ -33,29 +33,6 @@ class CurveType:
                 raise ValueError(f"curve {name} must be an integer, got {value!r}")
         if self.g < 0 or self.n < 0:
             raise ValueError(f"genus and puncture count must be nonnegative, got ({self.g}, {self.n})")
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return 2 * self.g - 2 + self.n > 0
-
-
-@dataclass(frozen=True)
-class HodgeSolution:
-    """An admissible Hodge subbundle degree d, with the forced-isomorphism flag.
-
-    count is the number of Higgs bundles realizing d when that number is
-    pinned down (the forced-isomorphism case), and None otherwise.
-    """
-
-    d: int
-    higgs_iso: bool
-    count: int | None
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"Hodge degree must be positive, got {self.d}")
-        if self.count is not None and self.count < 0:
-            raise ValueError(f"count must be nonnegative, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -83,22 +60,6 @@ def square_root_count(g: int, target_degree: int) -> int:
     if target_degree % 2 != 0:
         return 0
     return 2 ** (2 * g)
-
-
-def classify_filtration(ct: CurveType) -> tuple[HodgeSolution, ...]:
-    """All admissible Hodge degrees 0 < d <= (2g - 2 + n) - d, ascending.
-
-    Empty when no rank-two variation with nontrivial filtration can exist.
-    The top degree (when 2d hits the bound exactly) forces the Higgs map to be
-    an isomorphism and carries the pinned Higgs-bundle count.
-    """
-    bound = euler_bound(ct)
-    solutions = []
-    for d in range(1, bound // 2 + 1):
-        iso = 2 * d == bound
-        count = square_root_count(ct.g, bound) if iso else None
-        solutions.append(HodgeSolution(d=d, higgs_iso=iso, count=count))
-    return tuple(solutions)
 
 
 def is_special(ct: CurveType) -> bool:

