@@ -5,13 +5,15 @@ induction bounding curves that carry nontrivial pulled-back local systems.  At
 each datum the generically ordinary case is settled by a degree bound together
 with an equal-degree contradiction; the non-ordinary case descends through
 every Goren-Oort stratum to a strictly smaller datum; dimension zero is
-automatic.  Steps delegated to the literature are listed verbatim as prose so
-an auditor sees exactly what is cited rather than computed.
+automatic.  Nodes carry only what varies per datum.  Steps delegated to the
+literature are listed verbatim as prose, once per node kind under "steps", so
+an auditor sees exactly what is cited rather than computed; the equal-degree
+comparison every node of positive dimension applies is stated once.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  Verification replays the whole build from
-the embedded configuration and compares node by node, so any single altered
-field is caught.
+the embedded configuration and compares block by block and node by node, so
+any single altered field is caught.
 """
 
 from __future__ import annotations
@@ -52,8 +54,18 @@ _PROSE_ROOT_SPECIAL = (
     "curve-count: finiteness of the curves themselves is delegated to the Arakelov equality, Viehweg-Zuo Shimura-curve covers, and Takeuchi finiteness of arithmetic Fuchsian groups of bounded genus",
 )
 
-FLAG_DERIVED_FIBER = "N-from-dimension-count"
-FLAG_EXTRAPOLATED_12 = "extrapolated-(1,2)"
+
+class Steps(NamedTuple):
+    prose: tuple[str, ...]
+    flags: tuple[str, ...]
+
+
+# What every node of a kind cites; each certificate adds "root", the root's curve-dependent extras.
+KIND_STEPS = {
+    KIND_ORDINARY: Steps(_PROSE_ORDINARY, ()),
+    KIND_DESCENT: Steps(_PROSE_DESCENT, ("N-from-dimension-count",)),
+    KIND_DIM_ZERO: Steps(_PROSE_DIM_ZERO, ()),
+}
 
 # Largest case split analyze builds and verify replays: at s_inf = {}, f = 9 fits and f = 10 does not.
 MAX_TREE_NODES = 100_000
@@ -81,15 +93,11 @@ class NodeRecord:
 
     path: tuple[tuple[int, ...], ...]
     rd: RamificationData
-    t: frozenset[int]
     kind: str
     dim: int
     degree_bound: int | None
     polarization_bound: int | None
     fiber_dim: int | None
-    contradiction: ContradictionVerdict | None
-    derived_flags: tuple[str, ...]
-    prose_steps: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,8 @@ class FinitenessCertificate:
     rd: RamificationData
     curve: CurveType
     rigidity: RigidityVerdict
+    contradiction: ContradictionVerdict
+    steps: dict[str, Steps]
     nodes: tuple[NodeRecord, ...]
     verdict: str
     tool_version: str
@@ -143,43 +153,32 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     """Replay the induction over the full stratum tree of rd, deterministically.
 
     The root (reached by the empty vanishing set) and every descended datum of
-    positive dimension carry the ordinary-locus data: the anchor-maximized
-    degree bound and the equal-degree comparison with filtration degree one
-    and trivial determinant.  Children follow in canonical bitmask order, so
-    repeated builds serialize to identical bytes.  Raises ValueError when the
-    tree has more than MAX_TREE_NODES nodes.
+    positive dimension carry the anchor-maximized degree bound; the one
+    equal-degree comparison, with filtration degree one and trivial
+    determinant, applies to each of them.  Children follow in canonical
+    bitmask order, so repeated builds serialize to identical bytes.  Raises
+    ValueError when the tree has more than MAX_TREE_NODES nodes.
     """
     rig = finiteness_verdict(ct)
     table = _case_split(rd)
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
-    root_flags = (FLAG_EXTRAPOLATED_12,) if ct == CurveType(1, 2) else ()
+    root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
     nodes: list[NodeRecord] = []
 
     def visit(datum: RamificationData, path: tuple[tuple[int, ...], ...], fiber: int | None) -> None:
         split = table[datum]
-        if split.dim == 0:
-            kind, prose, flags = KIND_DIM_ZERO, _PROSE_DIM_ZERO, ()
-        elif path:
-            kind, prose, flags = KIND_DESCENT, _PROSE_DESCENT, (FLAG_DERIVED_FIBER,)
-        else:
-            kind, prose, flags = KIND_ORDINARY, _PROSE_ORDINARY, ()
-        if not path:
-            prose, flags = prose + root_prose, flags + root_flags
+        kind = KIND_DIM_ZERO if split.dim == 0 else KIND_DESCENT if path else KIND_ORDINARY
         bound = split.degree_bound
         nodes.append(
             NodeRecord(
                 path=path,
                 rd=datum,
-                t=frozenset(path[-1]) if path else frozenset(),
                 kind=kind,
                 dim=split.dim,
                 degree_bound=bound,
                 polarization_bound=None if bound is None else 2 * bound,
                 fiber_dim=fiber,
-                contradiction=contra if split.dim else None,
-                derived_flags=flags,
-                prose_steps=prose,
             )
         )
         for t, child, n_fiber in split.edges:
@@ -192,6 +191,8 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
         rd=rd,
         curve=ct,
         rigidity=rig,
+        contradiction=contra,
+        steps={**KIND_STEPS, "root": root_steps},
         nodes=tuple(nodes),
         verdict=verdict,
         tool_version=TOOL_VERSION,
@@ -202,9 +203,7 @@ def _rd_doc(rd: RamificationData) -> dict[str, Any]:
     return {"f": rd.f, "p": rd.p, "s_fin_count": rd.s_fin_count, "s_inf": sorted(rd.s_inf)}
 
 
-def _contradiction_doc(verdict: ContradictionVerdict | None) -> dict[str, Any] | None:
-    if verdict is None:
-        return None
+def _contradiction_doc(verdict: ContradictionVerdict) -> dict[str, Any]:
     return {
         "conclusion": verdict.conclusion,
         "deg_hom": verdict.deg_hom,
@@ -215,17 +214,13 @@ def _contradiction_doc(verdict: ContradictionVerdict | None) -> dict[str, Any] |
 
 def _node_doc(node: NodeRecord) -> dict[str, Any]:
     return {
-        "contradiction": _contradiction_doc(node.contradiction),
         "degree_bound": node.degree_bound,
-        "derived_flags": list(node.derived_flags),
         "dim": node.dim,
         "fiber_dim": node.fiber_dim,
         "kind": node.kind,
         "path": [list(step) for step in node.path],
         "polarization_bound": node.polarization_bound,
-        "prose_steps": list(node.prose_steps),
         "rd": _rd_doc(node.rd),
-        "t": sorted(node.t),
     }
 
 
@@ -235,6 +230,7 @@ def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
             "curve": {"g": cert.curve.g, "n": cert.curve.n},
             "rd": _rd_doc(cert.rd),
         },
+        "contradiction": _contradiction_doc(cert.contradiction),
         "nodes": [_node_doc(node) for node in cert.nodes],
         "rigidity": {
             "count": cert.rigidity.count,
@@ -242,6 +238,7 @@ def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
             "euler_bound": euler_bound(cert.curve),
             "finite": cert.rigidity.finite,
         },
+        "steps": {key: {"flags": list(s.flags), "prose": list(s.prose)} for key, s in cert.steps.items()},
         "tool_version": cert.tool_version,
         "verdict": cert.verdict,
     }
@@ -308,12 +305,10 @@ def _audit_nodes(nodes: Any) -> list[str]:
             path = tuple(tuple(step) for step in node["path"])
             dim = node["dim"]
             kind = node["kind"]
-            t = list(node["t"])
         except (KeyError, TypeError):
             return [f"nodes[{i}] is structurally malformed"]
         if not all(is_json_int(v) for step in path for v in step):
             return [f"nodes[{i}] path entries must be integers"]
-        step_sorted = sorted(path[-1]) if path else []
         if not is_json_int(dim):
             return [f"nodes[{i}] dim is not an integer"]
         if (kind == KIND_DIM_ZERO) != (dim == 0):
@@ -326,22 +321,19 @@ def _audit_nodes(nodes: Any) -> list[str]:
                 failures.append(
                     f"nodes[{i}] path={list(map(list, path))}: dimension {dim} not smaller than parent {seen[parent]}"
                 )
-            if t != step_sorted:
-                failures.append(f"nodes[{i}] path={list(map(list, path))}: t disagrees with the last path step")
-        elif t:
-            failures.append(f"nodes[{i}]: root node must have empty t")
         seen[path] = dim
     return failures
 
 
-def _first_node_mismatch(index: int, got: Any, want: dict[str, Any]) -> str:
-    where = f"nodes[{index}] path={want['path']}"
-    if not isinstance(got, dict):
-        return f"{where}: node is not an object"
-    for key in sorted(set(got) | set(want)):
-        if got.get(key) != want.get(key):
-            return f"{where}: field {key!r} is {got.get(key)!r}, expected {want.get(key)!r}"
-    return f"{where}: nodes differ"
+def _first_mismatch(where: str, got: Any, want: Any) -> str:
+    """Name the first differing field of two unequal objects, or the whole values otherwise."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(set(got) | set(want)):
+            if key not in got or key not in want:
+                return f"{where}: field {key!r} is {'missing' if key in want else 'unexpected'}"
+            if got[key] != want[key]:
+                return f"{where}: field {key!r} is {got[key]!r}, expected {want[key]!r}"
+    return f"{where} is {got!r}, expected {want!r}"
 
 
 def verify_document(doc: Any) -> VerifyResult:
@@ -349,13 +341,14 @@ def verify_document(doc: Any) -> VerifyResult:
 
     The node count is checked against the expected tree size, itself capped at
     MAX_TREE_NODES, before the rebuild, so a small document cannot demand a
-    large build.  Truthy exactly when the document matches a fresh build;
-    otherwise the failures list pinpoints the first divergence (by node path
-    and field).
+    large build.  Every other top-level block (contradiction, steps, rigidity
+    and the rest) must equal the rebuilt one.  Truthy exactly when the document
+    matches a fresh build; otherwise the failures name each differing block and
+    the first differing node (by node path and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
-    expected_keys = {"config", "nodes", "rigidity", "tool_version", "verdict"}
+    expected_keys = {"config", "contradiction", "nodes", "rigidity", "steps", "tool_version", "verdict"}
     if set(doc) != expected_keys:
         missing = sorted(expected_keys - set(doc))
         extra = sorted(set(doc) - expected_keys)
@@ -389,12 +382,11 @@ def verify_document(doc: Any) -> VerifyResult:
         return VerifyResult(False, (f"node count is {count}, expected {want_count}",))
 
     expected = certificate_to_doc(build_certificate(rd, ct))
-    if doc["verdict"] != expected["verdict"]:
-        failures.append(f"verdict is {doc['verdict']!r}, expected {expected['verdict']!r}")
-    if doc["rigidity"] != expected["rigidity"]:
-        failures.append(f"rigidity block is {doc['rigidity']!r}, expected {expected['rigidity']!r}")
+    for key in sorted(expected_keys - {"nodes"}):
+        if doc[key] != expected[key]:
+            failures.append(_first_mismatch(key, doc[key], expected[key]))
     for i, (got, want) in enumerate(zip(doc["nodes"], expected["nodes"], strict=True)):
         if got != want:
-            failures.append(_first_node_mismatch(i, got, want))
+            failures.append(_first_mismatch(f"nodes[{i}] path={want['path']}", got, want))
             break
     return VerifyResult(not failures, tuple(failures))

@@ -21,7 +21,7 @@ from .certificate import (
     verify_document,
 )
 from .places import make_ramification
-from .rigidity import CurveType
+from .rigidity import CurveType, euler_bound
 from .selfcheck import selfcheck
 
 
@@ -39,9 +39,17 @@ def _parse_curve(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
+def _read_json(path: str) -> Any:
+    """Parse a JSON file; raises OSError or ValueError (bad UTF-8, bad JSON, nesting too deep)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def _load_config_file(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     allowed = {"p", "f", "ram_inf", "ram_fin", "curve"}
@@ -83,13 +91,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         p, f, ram_inf, ram_fin, (g, n) = _analyze_inputs(args)
         rd = make_ramification(f=f, p=p, s_inf=ram_inf, s_fin_count=ram_fin)
         cert = build_certificate(rd, CurveType(g=g, n=n))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit(serialize_document(error_document(str(exc))), args.out)
         return 1
     _emit(serialize_certificate(cert), args.out)
+    # finite exactly when 2g - 2 + n = 2: the Higgs map is forced and every ordinary locus is contradicted
+    cause = "" if cert.verdict == "finite" else f"2g-2+n = {euler_bound(cert.curve)}, not 2; "
     print(
-        f"verdict: {cert.verdict} (nodes={len(cert.nodes)}, "
+        f"verdict: {cert.verdict} ({cause}nodes={len(cert.nodes)}, "
         f"root degree bound={cert.nodes[0].degree_bound})",
         file=sys.stderr,
     )
@@ -98,9 +108,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        with open(args.infile, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = _read_json(args.infile)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     result = verify_document(doc)
@@ -113,7 +122,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    report = selfcheck(args.max_f, _parse_int_list(args.primes))
+    try:
+        report = selfcheck(args.max_f, _parse_int_list(args.primes))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not report.suites:
         print(f"no suites to run for max_f={args.max_f}")
         return 0
@@ -151,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(run=_cmd_verify)
 
     check = sub.add_parser("selfcheck", help="run the exhaustive invariant suites")
-    check.add_argument("--max-f", type=int, default=4, help="largest place count to enumerate")
+    check.add_argument("--max-f", type=int, default=4, help="largest place count to enumerate, at most 12")
     check.add_argument("--primes", default="2,3", help="comma list of primes")
     check.set_defaults(run=_cmd_selfcheck)
 

@@ -27,6 +27,9 @@ from .places import make_ramification, n_tau, shimura_dimension, split_places
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Stratum, decompose_chains, induced_ramification
 
+# Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 took 60 s on a 2-core VM.
+MAX_SELFCHECK_F = 12
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -199,7 +202,7 @@ def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> tuple[i
 def _scope(max_f: int, primes: tuple[int, ...]) -> str:
     if len(primes) == 1:
         return f"f<={max_f} p={primes[0]}"
-    return f"f<={max_f} p in {','.join(map(str, primes)) or 'none'}"
+    return f"f<={max_f} p in {','.join(map(str, primes))}"
 
 
 def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
@@ -208,11 +211,19 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     The stratum suites use the first prime only (the place combinatorics does
     not depend on p), and the certificate round trip stops at f <= 4 and the
     first two primes because each check builds and verifies a whole tree.
+    Raises ValueError, before any suite runs, for an empty prime list, a p
+    that make_ramification rejects, or max_f above MAX_SELFCHECK_F.
     """
     prime_tuple = tuple(primes)
+    if not prime_tuple:
+        raise ValueError("need at least one prime")
+    for p in prime_tuple:
+        make_ramification(1, p)  # the same rule as every datum: an integer prime below P_BOUND
+    if max_f > MAX_SELFCHECK_F:
+        raise ValueError(f"max_f must be at most {MAX_SELFCHECK_F}, got {max_f}")
     if max_f < 1:
         return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=())
-    base_p = prime_tuple[0] if prime_tuple else 2
+    base_p = prime_tuple[0]
     base = _scope(max_f, (base_p,))
     every = _scope(max_f, prime_tuple)
     curves = "g<=10 n<=10"

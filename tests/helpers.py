@@ -56,6 +56,7 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
 
     nodes = doc["nodes"]
     root = nodes[0]
+    steps, contradiction = doc["steps"], doc["contradiction"]
     recipes: list[tuple[str, Callable[[dict[str, Any]], None]]] = [
         ("verdict-flip", lambda d: set_in(d, ["verdict"], "inconclusive" if d["verdict"] == "finite" else "finite")),
         ("verdict-error", lambda d: set_in(d, ["verdict"], "error")),
@@ -82,31 +83,27 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
         ("root-dim", lambda d: set_in(d, ["nodes", 0, "dim"], root["dim"] + 1)),
         ("root-kind", lambda d: set_in(d, ["nodes", 0, "kind"], "stratum_descent" if root["kind"] == "ordinary_locus" else "ordinary_locus")),
         ("root-rd-p", lambda d: set_in(d, ["nodes", 0, "rd", "p"], _NEXT_PRIME[root["rd"]["p"]])),
-        ("root-flags", lambda d: set_in(d, ["nodes", 0, "derived_flags"], root["derived_flags"] + ["unchecked"])),
-        ("root-prose-drop", lambda d: set_in(d, ["nodes", 0, "prose_steps"], root["prose_steps"][1:])),
+        ("root-flags", lambda d: set_in(d, ["steps", "root", "flags"], steps["root"]["flags"] + ["unchecked"])),
+        ("root-prose-drop", lambda d: set_in(d, ["steps", root["kind"], "prose"], steps[root["kind"]]["prose"][1:])),
+        ("root-extra-prose-drop", lambda d: set_in(d, ["steps", "root", "prose"], steps["root"]["prose"][1:])),
+        ("descent-flags-drop", lambda d: set_in(d, ["steps", "stratum_descent", "flags"], [])),
+        ("contradiction-conclusion", lambda d: set_in(
+            d, ["contradiction", "conclusion"],
+            "inconclusive" if contradiction["conclusion"] == "contradiction" else "contradiction",
+        )),
+        ("contradiction-hom", lambda d: set_in(d, ["contradiction", "deg_hom"], contradiction["deg_hom"] + 1)),
+        ("contradiction-tangent", lambda d: set_in(
+            d, ["contradiction", "deg_tangent"], contradiction["deg_tangent"] - 1
+        )),
+        ("contradiction-forced", lambda d: set_in(
+            d, ["contradiction", "forced_iso"], not contradiction["forced_iso"]
+        )),
     ]
-    if root["contradiction"] is not None:
-        recipes += [
-            ("contradiction-conclusion", lambda d: set_in(
-                d, ["nodes", 0, "contradiction", "conclusion"],
-                "inconclusive" if root["contradiction"]["conclusion"] == "contradiction" else "contradiction",
-            )),
-            ("contradiction-hom", lambda d: set_in(
-                d, ["nodes", 0, "contradiction", "deg_hom"], root["contradiction"]["deg_hom"] + 1
-            )),
-            ("contradiction-tangent", lambda d: set_in(
-                d, ["nodes", 0, "contradiction", "deg_tangent"], root["contradiction"]["deg_tangent"] - 1
-            )),
-            ("contradiction-forced", lambda d: set_in(
-                d, ["nodes", 0, "contradiction", "forced_iso"], not root["contradiction"]["forced_iso"]
-            )),
-        ]
     if len(nodes) >= 2:
         child = nodes[1]
         recipes += [
             ("child-dim-not-smaller", lambda d: set_in(d, ["nodes", 1, "dim"], root["dim"])),
             ("child-fiber", lambda d: set_in(d, ["nodes", 1, "fiber_dim"], (child["fiber_dim"] or 0) + 1)),
-            ("child-t", lambda d: set_in(d, ["nodes", 1, "t"], child["t"] + [child["rd"]["f"] - 1])),
             ("child-path-truncated", lambda d: set_in(d, ["nodes", 1, "path"], [])),
             ("child-rd-sinf", lambda d: set_in(d, ["nodes", 1, "rd", "s_inf"], child["rd"]["s_inf"][1:])),
         ]

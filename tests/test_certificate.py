@@ -21,6 +21,7 @@ from helpers import document_mutations
 
 GENUS_TWO = CurveType(2, 0)
 FOUR_PUNCTURED = CurveType(0, 4)
+NODE_KEYS = ["degree_bound", "dim", "fiber_dim", "kind", "path", "polarization_bound", "rd"]
 
 
 def test_worked_example_quadratic_field():
@@ -30,13 +31,13 @@ def test_worked_example_quadratic_field():
     root, left, right = cert.nodes
     assert root.kind == "ordinary_locus" and root.dim == 2
     assert root.degree_bound == 4 and root.polarization_bound == 8
-    assert root.contradiction is not None and root.contradiction.conclusion == "contradiction"
-    assert (root.contradiction.deg_tangent, root.contradiction.deg_hom) == (-2, -2)
+    assert cert.contradiction.conclusion == "contradiction"
+    assert (cert.contradiction.deg_tangent, cert.contradiction.deg_hom) == (-2, -2)
     for node, t in ((left, (0,)), (right, (1,))):
         assert node.kind == "dimension_zero" and node.dim == 0
-        assert node.path == (t,) and node.t == frozenset(t)
+        assert node.path == (t,)
         assert node.fiber_dim == 1
-        assert node.degree_bound is None and node.contradiction is None
+        assert node.degree_bound is None and node.polarization_bound is None
 
 
 def test_worked_example_single_place():
@@ -45,16 +46,16 @@ def test_worked_example_single_place():
     (node,) = cert.nodes
     assert node.kind == "ordinary_locus"
     assert node.degree_bound == 1 and node.polarization_bound == 2
-    assert (node.contradiction.deg_tangent, node.contradiction.deg_hom) == (-2, -2)
+    assert (cert.contradiction.deg_tangent, cert.contradiction.deg_hom) == (-2, -2)
 
 
 def test_worked_example_nonspecial_curve():
     cert = build_certificate(make_ramification(2, 3), CurveType(3, 0))
     assert cert.verdict == "inconclusive"
     assert cert.rigidity.finite is False
-    root = cert.nodes[0]
-    assert root.contradiction.conclusion == "inconclusive"
-    assert (root.contradiction.deg_tangent, root.contradiction.deg_hom) == (-4, -2)
+    assert cert.contradiction.conclusion == "inconclusive"
+    assert (cert.contradiction.deg_tangent, cert.contradiction.deg_hom) == (-4, -2)
+    assert cert.steps["root"] == ((), ())
 
 
 def test_descent_nodes_carry_their_own_ordinary_data():
@@ -64,18 +65,21 @@ def test_descent_nodes_carry_their_own_ordinary_data():
     assert descents, "expected positive-dimensional children"
     for node in descents:
         assert node.dim >= 1
-        assert node.degree_bound is not None and node.contradiction is not None
-        assert "N-from-dimension-count" in node.derived_flags
+        assert node.degree_bound is not None
         assert node.fiber_dim is not None
+    assert cert.contradiction.conclusion == "contradiction"
+    assert "N-from-dimension-count" in cert.steps["stratum_descent"].flags
+    assert "N-from-dimension-count" not in cert.steps["ordinary_locus"].flags
 
 
 def test_extrapolated_type_is_flagged_but_finite():
     cert = build_certificate(make_ramification(2, 3), CurveType(1, 2))
     assert cert.verdict == "finite"
     assert cert.rigidity.count == 4
-    assert "extrapolated-(1,2)" in cert.nodes[0].derived_flags
+    assert "extrapolated-(1,2)" in cert.steps["root"].flags
     plain = build_certificate(make_ramification(2, 3), GENUS_TWO)
-    assert "extrapolated-(1,2)" not in plain.nodes[0].derived_flags
+    assert "extrapolated-(1,2)" not in plain.steps["root"].flags
+    assert plain.steps["root"].prose and plain.steps["root"].prose == cert.steps["root"].prose
 
 
 def test_dimension_zero_root():
@@ -97,8 +101,21 @@ def test_tree_shape_invariants():
                 assert node.polarization_bound == 2 * node.degree_bound
             if node.path:
                 assert dims[node.path[:-1]] > node.dim
-            else:
-                assert node.t == frozenset()
+                assert node.path[-1] == tuple(sorted(set(node.path[-1])))
+        assert {node.kind for node in cert.nodes} <= set(certificate.KIND_STEPS)
+        assert cert.steps == {**certificate.KIND_STEPS, "root": cert.steps["root"]}
+
+
+def test_nodes_carry_only_per_datum_fields_and_steps_appear_once():
+    for f in (3, 7):
+        cert = build_certificate(make_ramification(f, 3), GENUS_TWO)
+        text = serialize_certificate(cert)
+        doc = json.loads(text)
+        assert all(sorted(node) == NODE_KEYS for node in doc["nodes"])
+        for steps in certificate.KIND_STEPS.values():
+            assert text.count(json.dumps(list(steps.prose), separators=(",", ":"))) == 1
+        assert text.count('"prose"') == 4 and text.count('"deg_tangent"') == 1
+    assert len(cert.nodes) == 1723 and len(text) < 350_000
 
 
 def test_serialization_is_canonical_and_integer_only():
@@ -180,6 +197,15 @@ def test_verify_rejects_error_documents_and_junk():
     assert not verify_document(error_document("bad input"))
     assert not verify_document([])
     assert not verify_document({"verdict": "finite"})
+    # the earlier format, with the contradiction in every node, has no reader
+    old = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
+    contradiction = old.pop("contradiction")
+    del old["steps"]
+    for node in old["nodes"]:
+        node["contradiction"] = contradiction if node["dim"] else None
+    assert verify_document(old).failures == (
+        "document keys are wrong (missing ['contradiction', 'steps'], extra [])",
+    )
 
 
 def test_verify_survives_hostile_node_structures():
@@ -192,12 +218,24 @@ def test_verify_survives_hostile_node_structures():
     hostile = json.loads(json.dumps(doc))
     hostile["nodes"][1]["dim"] = True
     assert not verify_document(hostile)
+    # a missing field whose expected value is null, and a node that is not an object
+    hostile = json.loads(json.dumps(doc))
+    del hostile["nodes"][0]["fiber_dim"]
+    hostile["nodes"][0]["extra"] = None
+    assert verify_document(hostile).failures == ("nodes[0] path=[]: field 'extra' is unexpected",)
+    del hostile["nodes"][0]["extra"]
+    assert verify_document(hostile).failures == ("nodes[0] path=[]: field 'fiber_dim' is missing",)
+    hostile["steps"]["root"]["flags"] = ["unchecked"]
+    steps_failure, node_failure = verify_document(hostile).failures
+    assert steps_failure.startswith("steps: field 'root' is {'flags': ['unchecked'], 'prose': [")
+    assert node_failure == "nodes[0] path=[]: field 'fiber_dim' is missing"
 
 
 def test_verify_rejects_a_small_document_that_declares_a_large_tree():
     doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
     doc["config"]["rd"]["f"] = 40
-    doc["nodes"] = [{"dim": 40, "kind": "ordinary_locus", "path": [], "t": []}]
+    doc["contradiction"], doc["steps"] = {}, {}  # compared only after the rebuild
+    doc["nodes"] = [{"dim": 40, "kind": "ordinary_locus", "path": []}]
     assert len(json.dumps(doc)) < 400
     start = time.perf_counter()
     result = verify_document(doc)
@@ -224,8 +262,8 @@ def test_verify_bounds_a_flat_document_that_passes_the_size_guard(monkeypatch):
     # pass, and the f=14 tree below the config has 393 365 759 nodes
     doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
     doc["config"]["rd"]["f"] = 14
-    doc["nodes"] = [{"dim": 14, "kind": "ordinary_locus", "path": [], "t": []}] + [
-        {"dim": 0, "kind": "dimension_zero", "path": [[i]], "t": [i]} for i in range(2**14 - 2)
+    doc["nodes"] = [{"dim": 14, "kind": "ordinary_locus", "path": []}] + [
+        {"dim": 0, "kind": "dimension_zero", "path": [[i]]} for i in range(2**14 - 2)
     ]
 
     def no_rebuild(*args):
@@ -287,9 +325,9 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
 @pytest.mark.parametrize(
     "f, p, s_inf, curve, sha256",
     [
-        (6, 3, (), GENUS_TWO, "c68a3bb693a1c98abdda1230376ff42cc7042139b07e379c1b46d2139bac6e91"),
-        (5, 2, (1, 2), FOUR_PUNCTURED, "de606ab00fc604efcebd50e430e15fba882d02cdbdb09fc3855da360d7a7070c"),
-        (4, 5, (), CurveType(3, 0), "ce0dcd97c4e2d120d40000ef770403b29902c815454924f99496205d11aedfc4"),
+        (6, 3, (), GENUS_TWO, "6bec000afc114a0e10b554fc0d93241b2ef506d8502dacad55b8e6f0ce9e9d2c"),
+        (5, 2, (1, 2), FOUR_PUNCTURED, "d69f3da73fb02aad778080b00c9eb5d71aae1bc8fec1b251094357a5c55b1025"),
+        (4, 5, (), CurveType(3, 0), "df4d7684c98d272be082fa11e4947f469b8448f958c27510c80664e851ffce1a"),
     ],
 )
 def test_certificate_bytes_are_pinned(f, p, s_inf, curve, sha256):

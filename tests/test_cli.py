@@ -36,6 +36,17 @@ def test_analyze_inconclusive_exit_code(capsys):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
+def test_analyze_names_the_cause_of_an_inconclusive_verdict(capsys):
+    for curve, cause in (("3,0", "2g-2+n = 4, not 2"), ("0,3", "2g-2+n = 1, not 2")):
+        code, out, err = run_cli(capsys, "analyze", "--p", "3", "--f", "2", "--curve", curve)
+        assert code == 2
+        assert f"verdict: inconclusive ({cause}" in err
+        # the cause goes to stderr only: the certificate names no cause
+        assert "2g-2+n" not in out
+    code, _, err = run_cli(capsys, "analyze", "--p", "3", "--f", "2", "--curve", "2,0")
+    assert code == 0 and "2g-2+n" not in err
+
+
 def test_analyze_with_ramification_flags(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -144,6 +155,38 @@ def test_verify_handles_unreadable_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--in", str(target))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000], ids=["non-utf8", "deeply-nested"]
+)
+def test_unreadable_files_are_reported_without_a_traceback(tmp_path, capsys, content):
+    target = tmp_path / "input.json"
+    target.write_bytes(content)
+    code, out, err = run_cli(capsys, "verify", "--in", str(target))
+    assert code == 1 and err.startswith("error: ") and out == ""
+    code, out, err = run_cli(capsys, "analyze", "--config", str(target))
+    assert code == 1 and err.startswith("error: ")
+    assert json.loads(out)["verdict"] == "error"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--primes", ""], "need at least one prime"),
+        (["--primes", "x"], "invalid literal"),
+        (["--primes", "2,4"], "p must be a prime, got 4"),
+        (["--max-f", "40"], "max_f must be at most 12, got 40"),
+        (["--max-f", "13", "--primes", "2"], "max_f must be at most 12"),
+    ],
+)
+def test_selfcheck_rejects_bad_inputs(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "selfcheck", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert out == ""
 
 
 def test_selfcheck_small(capsys):

@@ -1,4 +1,7 @@
+import pytest
+
 from gocert import selfcheck
+from gocert.selfcheck import MAX_SELFCHECK_F
 
 # (suite, checked, scope) for max_f=5 over the primes 2 and 3
 EXPECTED_COVERAGE = [
@@ -20,3 +23,16 @@ def test_selfcheck_reports_its_coverage():
     assert got == EXPECTED_COVERAGE
     assert all(suite.passed and suite.counterexample is None for suite in report.suites)
     assert report.ok
+
+
+def test_selfcheck_validates_its_inputs_before_running():
+    assert MAX_SELFCHECK_F == 12
+    for primes, max_f, message in (
+        ([], 3, "need at least one prime"),
+        ([2, 9], 3, "p must be a prime, got 9"),
+        ([2], MAX_SELFCHECK_F + 1, "max_f must be at most 12"),
+        ([1], 0, "p must be a prime, got 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            selfcheck(max_f, primes)
+    assert selfcheck(0, [2]).suites == ()
