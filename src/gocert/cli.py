@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any
@@ -25,15 +26,19 @@ from .rigidity import CurveType, euler_bound
 from .selfcheck import selfcheck
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """Comma list of integers; a bad entry raises ValueError naming the flag."""
     text = text.strip()
     if not text:
         return []
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_curve(text: str) -> tuple[int, int]:
-    parts = _parse_int_list(text)
+    parts = _parse_int_list(text, "--curve")
     if len(parts) != 2:
         raise ValueError(f"curve must be 'g,n', got {text!r}")
     return parts[0], parts[1]
@@ -75,7 +80,7 @@ def _analyze_inputs(args: argparse.Namespace) -> tuple[int, int, list[int], int,
     missing = [flag for flag, value in (("--p", args.p), ("--f", args.f), ("--curve", args.curve)) if value is None]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (or use --config)")
-    return args.p, args.f, _parse_int_list(args.ram_inf), args.ram_fin, _parse_curve(args.curve)
+    return args.p, args.f, _parse_int_list(args.ram_inf, "--ram-inf"), args.ram_fin, _parse_curve(args.curve)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -123,10 +128,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     try:
-        report = selfcheck(args.max_f, _parse_int_list(args.primes))
+        report = selfcheck(args.max_f, _parse_int_list(args.primes, "--primes"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        doc = {
+            "max_f": report.max_f,
+            "primes": list(report.primes),
+            "ok": report.ok,
+            "suites": [dataclasses.asdict(suite) for suite in report.suites],
+        }
+        sys.stdout.write(serialize_document(doc))
+        return 0 if report.ok else 1
     if not report.suites:
         print(f"no suites to run for max_f={args.max_f}")
         return 0
@@ -166,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("selfcheck", help="run the exhaustive invariant suites")
     check.add_argument("--max-f", type=int, default=4, help="largest place count to enumerate, at most 12")
     check.add_argument("--primes", default="2,3", help="comma list of primes")
+    check.add_argument("--json", action="store_true", help="print the report as one JSON object")
     check.set_defaults(run=_cmd_selfcheck)
 
     return parser

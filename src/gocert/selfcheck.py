@@ -5,13 +5,16 @@ bound and checks an invariant against an independent computation from the
 oracle module (connectivity-based chain finding, fixpoint relaxation of the
 Hasse constraints scanned from their definition, or a direct scan of the Hodge
 degree inequality).  Failures carry the first counterexample found.
+
+The three stratum suites share one walk: each stratum is built, split into
+chains and descended once, and each suite counts and stops as if it walked alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .certificate import build_certificate, certificate_to_doc, verify_document
 from .hasse import degree_bound, max_degree_sum
@@ -23,16 +26,20 @@ from .oracle import (
     hodge_degrees,
     relaxed_profile_max,
 )
-from .places import make_ramification, n_tau, shimura_dimension, split_places
+from .places import RamificationData, make_ramification, n_tau, shimura_dimension, split_places
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Stratum, decompose_chains, induced_ramification
 
-# Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 took 60 s on a 2-core VM.
+# Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 takes
+# 33 s on a 2-core VM, and each step of f near there costs about 2.75 times the one before.
 MAX_SELFCHECK_F = 12
 
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """seconds is wall time; the three stratum suites share one walk and each report
+    a third of its seconds, so the seconds of all suites still sum to the time spent."""
+
     name: str
     passed: bool
     checked: int
@@ -52,12 +59,6 @@ class SelfcheckReport:
         return all(suite.passed for suite in self.suites)
 
 
-def _all_strata(max_f: int, p: int) -> Iterator[Stratum]:
-    for rd in all_ramifications(max_f, p, min_dim=1):
-        for t in all_vanishing_sets(rd):
-            yield Stratum(rd=rd, t=t)
-
-
 def _suite_n_tau_tiling(max_f: int, p: int) -> tuple[int, str | None]:
     checked = 0
     for rd in all_ramifications(max_f, p, min_dim=1):
@@ -67,61 +68,82 @@ def _suite_n_tau_tiling(max_f: int, p: int) -> tuple[int, str | None]:
     return checked, None
 
 
-def _suite_chain_partition(max_f: int, p: int) -> tuple[int, str | None]:
-    checked = 0
-    for st in _all_strata(max_f, p):
-        checked += 1
-        occupied = st.rd.s_inf | st.t
-        chains = decompose_chains(st)
-        covered: set[int] = set()
-        for c in chains:
-            if covered.intersection(c):
-                return checked, f"overlap: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-            covered.update(c)
-            head_next = (c[0] + 1) % st.rd.f
-            tail_prev = (c[-1] - 1) % st.rd.f
-            if head_next in occupied or tail_prev in occupied:
-                return checked, f"not maximal: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-        if covered != occupied:
-            return checked, f"not covering: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-        if {frozenset(c) for c in chains} != set(
-            cycle_components(st.rd.f, frozenset(occupied))
-        ):
-            return checked, f"component mismatch: f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-    return checked, None
+# A stratum check sees the stratum, its chains, its induced datum and its datum's
+# dimension, and returns the kind of its first failure, or None.
+Chains = tuple[tuple[int, ...], ...]
 
 
-def _suite_induced_parity_growth(max_f: int, p: int) -> tuple[int, str | None]:
-    checked = 0
-    for st in _all_strata(max_f, p):
-        checked += 1
-        induced = induced_ramification(st)
-        t_new = induced.s_inf - st.rd.s_inf
-        label = f"f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-        if (len(induced.s_inf) + induced.s_fin_count) % 2 != 0:
-            return checked, f"parity: {label}"
-        if not st.t <= (st.rd.s_inf | t_new):
-            return checked, f"T not contained in the augmented set: {label}"
-        if len(t_new | st.t) % 2 != 0:
-            return checked, f"odd augmented set: {label}"
-        if (t_new - st.t) & (st.rd.s_inf | st.t):
-            return checked, f"augmentation not disjoint: {label}"
-    return checked, None
+def _chain_partition(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+    occupied = st.rd.s_inf | st.t
+    covered: set[int] = set()
+    for c in chains:
+        if covered.intersection(c):
+            return "overlap"
+        covered.update(c)
+        head_next = (c[0] + 1) % st.rd.f
+        tail_prev = (c[-1] - 1) % st.rd.f
+        if head_next in occupied or tail_prev in occupied:
+            return "not maximal"
+    if covered != occupied:
+        return "not covering"
+    if {frozenset(c) for c in chains} != set(cycle_components(st.rd.f, frozenset(occupied))):
+        return "component mismatch"
+    return None
 
 
-def _suite_dimension_descent(max_f: int, p: int) -> tuple[int, str | None]:
-    checked = 0
-    for st in _all_strata(max_f, p):
-        checked += 1
-        label = f"f={st.rd.f} s_inf={sorted(st.rd.s_inf)} t={sorted(st.t)}"
-        parent = shimura_dimension(st.rd)
-        child = shimura_dimension(induced_ramification(st))
-        odd = sum(1 for c in decompose_chains(st) if len(st.t.intersection(c)) % 2 == 1)
-        if child != parent - len(st.t) - odd:
-            return checked, f"descent formula: {label}"
-        if st.t and child >= parent:
-            return checked, f"no strict descent: {label}"
-    return checked, None
+def _induced_parity_growth(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+    t_new = induced.s_inf - st.rd.s_inf
+    if (len(induced.s_inf) + induced.s_fin_count) % 2 != 0:
+        return "parity"
+    if not st.t <= (st.rd.s_inf | t_new):
+        return "T not contained in the augmented set"
+    if len(t_new | st.t) % 2 != 0:
+        return "odd augmented set"
+    if (t_new - st.t) & (st.rd.s_inf | st.t):
+        return "augmentation not disjoint"
+    return None
+
+
+def _dimension_descent(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+    child = shimura_dimension(induced)
+    odd = sum(1 for c in chains if len(st.t.intersection(c)) % 2 == 1)
+    if child != parent - len(st.t) - odd:
+        return "descent formula"
+    if st.t and child >= parent:
+        return "no strict descent"
+    return None
+
+
+STRATUM_SUITES = (
+    ("chain-partition", _chain_partition),
+    ("induced-parity-growth", _induced_parity_growth),
+    ("dimension-descent", _dimension_descent),
+)
+
+
+def _suite_strata(max_f: int, p: int) -> list[tuple[int, str | None]]:
+    """(checked, counterexample) of each of STRATUM_SUITES, from one walk of the strata.
+
+    A suite stops at its first counterexample while the others go on, so its
+    count and message are those of a walk of its own; the walk ends once all fail.
+    """
+    checked = [0] * len(STRATUM_SUITES)
+    found: list[str | None] = [None] * len(STRATUM_SUITES)
+    for rd in all_ramifications(max_f, p, min_dim=1):
+        parent = shimura_dimension(rd)
+        for t in all_vanishing_sets(rd):
+            st = Stratum(rd=rd, t=t)
+            chains = decompose_chains(st)
+            induced = induced_ramification(st)
+            for i, (_, check) in enumerate(STRATUM_SUITES):
+                if found[i] is None:
+                    checked[i] += 1
+                    problem = check(st, chains, induced, parent)
+                    if problem is not None:
+                        found[i] = f"{problem}: f={rd.f} s_inf={sorted(rd.s_inf)} t={sorted(t)}"
+            if None not in found:
+                return list(zip(checked, found))
+    return list(zip(checked, found))
 
 
 def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> tuple[int, str | None]:
@@ -229,32 +251,32 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     curves = "g<=10 n<=10"
     trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
     suites: list[SuiteResult] = []
-    runs: list[tuple[str, str, Callable[[], tuple[int, str | None]]]] = [
-        ("n-tau-tiling", base, lambda: _suite_n_tau_tiling(max_f, base_p)),
-        ("chain-partition", base, lambda: _suite_chain_partition(max_f, base_p)),
-        ("induced-parity-growth", base, lambda: _suite_induced_parity_growth(max_f, base_p)),
-        ("dimension-descent", base, lambda: _suite_dimension_descent(max_f, base_p)),
-        ("degree-oracle", every, lambda: _suite_degree_oracle(max_f, prime_tuple)),
-        ("degree-monotone", every, lambda: _suite_degree_monotone(max_f, prime_tuple)),
-        ("rigidity-table", curves, _suite_rigidity_table),
-        ("contradiction-agreement", curves, _suite_contradiction_agreement),
+    runs: list[tuple[tuple[str, ...], str, Callable[[], list[tuple[int, str | None]]]]] = [
+        (("n-tau-tiling",), base, lambda: [_suite_n_tau_tiling(max_f, base_p)]),
+        (tuple(name for name, _ in STRATUM_SUITES), base, lambda: _suite_strata(max_f, base_p)),
+        (("degree-oracle",), every, lambda: [_suite_degree_oracle(max_f, prime_tuple)]),
+        (("degree-monotone",), every, lambda: [_suite_degree_monotone(max_f, prime_tuple)]),
+        (("rigidity-table",), curves, lambda: [_suite_rigidity_table()]),
+        (("contradiction-agreement",), curves, lambda: [_suite_contradiction_agreement()]),
         (
-            "certificate-roundtrip",
+            ("certificate-roundtrip",),
             _scope(trip_f, trip_primes),
-            lambda: _suite_certificate_roundtrip(trip_f, trip_primes),
+            lambda: [_suite_certificate_roundtrip(trip_f, trip_primes)],
         ),
     ]
-    for name, scope, run in runs:
+    for names, scope, run in runs:
         start = time.perf_counter()
-        checked, counterexample = run()
-        suites.append(
-            SuiteResult(
-                name=name,
-                passed=counterexample is None,
-                checked=checked,
-                scope=scope,
-                counterexample=counterexample,
-                seconds=time.perf_counter() - start,
+        results = run()
+        seconds = (time.perf_counter() - start) / len(names)
+        for name, (checked, counterexample) in zip(names, results, strict=True):
+            suites.append(
+                SuiteResult(
+                    name=name,
+                    passed=counterexample is None,
+                    checked=checked,
+                    scope=scope,
+                    counterexample=counterexample,
+                    seconds=seconds,
+                )
             )
-        )
     return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=tuple(suites))

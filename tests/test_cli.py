@@ -189,6 +189,50 @@ def test_selfcheck_rejects_bad_inputs(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--ram-inf", "x", "--curve", "2,0"], "--ram-inf"),
+        (["--curve", "2,x"], "--curve"),
+    ],
+)
+def test_analyze_names_the_flag_of_a_bad_integer(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "analyze", "--p", "3", "--f", "2", *argv)
+    assert code == 1
+    message = f"{flag}: invalid literal for int() with base 10: 'x'"
+    assert err == f"error: {message}\n"
+    doc = json.loads(out)
+    assert doc["verdict"] == "error" and doc["error"] == message
+
+
+def test_selfcheck_json(capsys):
+    code, out, err = run_cli(capsys, "selfcheck", "--max-f", "3", "--primes", "2,3", "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (doc["max_f"], doc["primes"], doc["ok"]) == (3, [2, 3], True)
+    assert [suite["name"] for suite in doc["suites"]] == [
+        "n-tau-tiling",
+        "chain-partition",
+        "induced-parity-growth",
+        "dimension-descent",
+        "degree-oracle",
+        "degree-monotone",
+        "rigidity-table",
+        "contradiction-agreement",
+        "certificate-roundtrip",
+    ]
+    assert all(
+        set(suite) == {"name", "passed", "checked", "scope", "counterexample", "seconds"}
+        and suite["passed"]
+        for suite in doc["suites"]
+    )
+    # errors stay on stderr, with nothing on stdout
+    code, out, err = run_cli(capsys, "selfcheck", "--primes", "2,x", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --primes: invalid literal")
+
+
 def test_selfcheck_small(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--max-f", "3", "--primes", "2,3")
     assert code == 0

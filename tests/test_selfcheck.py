@@ -1,7 +1,13 @@
+import importlib
+from collections import Counter
+
 import pytest
 
-from gocert import selfcheck
+from gocert import RamificationData, selfcheck
 from gocert.selfcheck import MAX_SELFCHECK_F
+
+# the module, not the function the package exports under the same name
+SELFCHECK = importlib.import_module("gocert.selfcheck")
 
 # (suite, checked, scope) for max_f=5 over the primes 2 and 3
 EXPECTED_COVERAGE = [
@@ -36,3 +42,41 @@ def test_selfcheck_validates_its_inputs_before_running():
         with pytest.raises(ValueError, match=message):
             selfcheck(max_f, primes)
     assert selfcheck(0, [2]).suites == ()
+
+
+def test_selfcheck_walks_each_stratum_once(monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("Stratum", "decompose_chains", "induced_ramification"):
+        monkeypatch.setattr(SELFCHECK, name, counted(name, getattr(SELFCHECK, name)))
+    assert selfcheck(5, [2]).ok
+    # 301 strata at f <= 5: one of each per stratum, shared by the three stratum suites
+    assert calls == {"Stratum": 301, "decompose_chains": 301, "induced_ramification": 301}
+
+
+def test_stratum_suites_fail_independently(monkeypatch):
+    def unaugmented(st):
+        # drops the extra place of every odd chain: s_inf | T only
+        rd = st.rd
+        return RamificationData(f=rd.f, s_inf=rd.s_inf | st.t, s_fin_count=rd.s_fin_count, p=rd.p)
+
+    monkeypatch.setattr(SELFCHECK, "induced_ramification", unaugmented)
+    report = selfcheck(5, [2, 3])
+    failures = {
+        "induced-parity-growth": "parity: f=2 s_inf=[] t=[0]",
+        "dimension-descent": "descent formula: f=2 s_inf=[] t=[0]",
+    }
+    expected = [
+        (name, name not in failures, 3 if name in failures else checked, scope, failures.get(name))
+        for name, checked, scope in EXPECTED_COVERAGE
+    ]
+    got = [(s.name, s.passed, s.checked, s.scope, s.counterexample) for s in report.suites]
+    assert got == expected
+    assert not report.ok
