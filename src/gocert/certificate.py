@@ -145,11 +145,19 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
         split = table[datum] = _Split(dim, degree_bound(datum) if dim else None, tuple(edges), size)
         return split
 
-    walk(rd)
+    # walk reaches itself through its closure; dropping the name breaks that
+    # cycle, so the table is freed by reference counting once its caller is
+    # done with it rather than whenever the cyclic collector next runs.
+    try:
+        walk(rd)
+    finally:
+        del walk
     return table
 
 
-def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertificate:
+def build_certificate(
+    rd: RamificationData, ct: CurveType, *, split: dict[RamificationData, _Split] | None = None
+) -> FinitenessCertificate:
     """Replay the induction over the full stratum tree of rd, deterministically.
 
     The root (reached by the empty vanishing set) and every descended datum of
@@ -157,10 +165,12 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     equal-degree comparison, with filtration degree one and trivial
     determinant, applies to each of them.  Children follow in canonical
     bitmask order, so repeated builds serialize to identical bytes.  Raises
-    ValueError when the tree has more than MAX_TREE_NODES nodes.
+    ValueError when the tree has more than MAX_TREE_NODES nodes.  A caller
+    that has already walked rd passes the table _case_split(rd) returned as
+    split, and the tree is expanded from it without a second walk.
     """
     rig = finiteness_verdict(ct)
-    table = _case_split(rd)
+    table = _case_split(rd) if split is None else split
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
     root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
@@ -185,6 +195,7 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
             visit(child, path + (t,), n_fiber)
 
     visit(rd, (), None)
+    del visit  # as in _case_split: no cycle keeps the node list alive
     contradicted = table[rd].dim == 0 or contra.conclusion == "contradiction"
     verdict = "finite" if rig.finite and contradicted else "inconclusive"
     return FinitenessCertificate(
@@ -341,10 +352,11 @@ def verify_document(doc: Any) -> VerifyResult:
 
     The node count is checked against the expected tree size, itself capped at
     MAX_TREE_NODES, before the rebuild, so a small document cannot demand a
-    large build.  Every other top-level block (contradiction, steps, rigidity
-    and the rest) must equal the rebuilt one.  Truthy exactly when the document
-    matches a fresh build; otherwise the failures name each differing block and
-    the first differing node (by node path and field).
+    large build; the rebuild reuses that one walk of the case split.  Every
+    other top-level block (contradiction, steps, rigidity and the rest) must
+    equal the rebuilt one.  Truthy exactly when the document matches a fresh
+    build; otherwise the failures name each differing block and the first
+    differing node (by node path and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
@@ -375,13 +387,13 @@ def verify_document(doc: Any) -> VerifyResult:
     if (count + 1).bit_length() <= m:
         return VerifyResult(False, (f"node count is {count}, expected at least 2^{m} - 1",))
     try:
-        want_count = _case_split(rd)[rd].size
+        table = _case_split(rd)
     except ValueError as exc:
         return VerifyResult(False, (str(exc),))
-    if count != want_count:
-        return VerifyResult(False, (f"node count is {count}, expected {want_count}",))
+    if count != table[rd].size:
+        return VerifyResult(False, (f"node count is {count}, expected {table[rd].size}",))
 
-    expected = certificate_to_doc(build_certificate(rd, ct))
+    expected = certificate_to_doc(build_certificate(rd, ct, split=table))
     for key in sorted(expected_keys - {"nodes"}):
         if doc[key] != expected[key]:
             failures.append(_first_mismatch(key, doc[key], expected[key]))

@@ -50,5 +50,19 @@ def degree_bound(rd: RamificationData) -> int:
     splits = split_places(rd)
     if not splits:
         raise ValueError("degree bound needs at least one split place")
-    return max(max_degree_sum(rd, anchor) for anchor in splits)
+    # g_i is the gap from the i-th split place to the next one round the cycle,
+    # so the m gaps sum to f.  The sum anchored at the i-th place has m terms,
+    # S_i = 1 + p^{g_i} + p^{g_i + g_{i+1}} + ..., hence (indices mod m)
+    # S_i = 1 + p^{g_i} * S_{i+1} - p^f: the direct sum S_0 gives all the
+    # others, in one pass over the gaps instead of one walk per anchor.
+    gaps = [b - a for a, b in zip(splits, splits[1:])] + [splits[0] + rd.f - splits[-1]]
+    total = running = 1
+    for gap in gaps[:-1]:
+        running *= rd.p**gap
+        total += running
+    best, cycle = total, rd.p**rd.f
+    for gap in reversed(gaps[1:]):
+        total = 1 + rd.p**gap * total - cycle
+        best = max(best, total)
+    return best
 

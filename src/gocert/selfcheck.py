@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .certificate import build_certificate, certificate_to_doc, verify_document
+from .certificate import _case_split, build_certificate, certificate_to_doc, verify_document
 from .hasse import degree_bound, max_degree_sum
 from .ledger import contradiction_check
 from .oracle import (
@@ -210,9 +210,10 @@ def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> tuple[i
     curves = (CurveType(2, 0), CurveType(0, 4), CurveType(3, 0))
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
+            split = _case_split(rd)  # one walk serves the builds for every curve
             for ct in curves:
                 checked += 1
-                result = verify_document(certificate_to_doc(build_certificate(rd, ct)))
+                result = verify_document(certificate_to_doc(build_certificate(rd, ct, split=split)))
                 if not result:
                     return checked, (
                         f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)} curve=({ct.g},{ct.n}): "

@@ -23,13 +23,13 @@ class Stratum:
     t: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", frozenset(self.t))
-        splits = set(split_places(self.rd))
-        if not self.t <= splits:
-            raise ValueError(
-                f"T {sorted(self.t)} must consist of split places {sorted(splits)}"
-            )
-        if self.t == splits:
+        t, rd = frozenset(self.t), self.rd
+        object.__setattr__(self, "t", t)
+        # The split places are the places off s_inf, so T within them is proper
+        # exactly when T and s_inf together leave a place free.
+        if not (t.isdisjoint(rd.s_inf) and t.issubset(range(rd.f))):
+            raise ValueError(f"T {sorted(t)} must consist of split places {split_places(rd)}")
+        if len(t) + len(rd.s_inf) >= rd.f:
             raise ValueError("T must be a proper subset of the split places")
 
 

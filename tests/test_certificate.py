@@ -322,6 +322,22 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
     assert calls == {"strata_children": 29, "degree_bound": 29}
 
 
+def test_verify_walks_each_distinct_datum_once(monkeypatch):
+    # the node-count check and the rebuild share one walk of the case split
+    doc = certificate_to_doc(build_certificate(make_ramification(7, 3), GENUS_TWO))
+    calls = {"strata_children": 0, "degree_bound": 0}
+    for name in calls:
+        original = getattr(certificate, name)
+
+        def counted(rd, name=name, original=original):
+            calls[name] += 1
+            return original(rd)
+
+        monkeypatch.setattr(certificate, name, counted)
+    assert verify_document(doc)
+    assert calls == {"strata_children": 29, "degree_bound": 29}
+
+
 @pytest.mark.parametrize(
     "f, p, s_inf, curve, sha256",
     [

@@ -119,6 +119,16 @@ def test_bound_matches_fixpoint_oracle_on_larger_grid():
             )
 
 
+def test_one_pass_bound_is_the_largest_anchored_sum():
+    # every datum with f <= 9 at three primes: 3 039 data
+    checked = 0
+    for p in (2, 3, 5):
+        for rd in all_ramifications(9, p, min_dim=1):
+            checked += 1
+            assert degree_bound(rd) == max(max_degree_sum(rd, a) for a in split_places(rd)), rd
+    assert checked == 3039
+
+
 def test_degree_bound_monotone_in_p():
     for lo, hi in ((2, 3), (3, 5)):
         for rd in all_ramifications(5, lo, min_dim=1):

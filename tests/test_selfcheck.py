@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from gocert import RamificationData, selfcheck
+from gocert import RamificationData, certificate, selfcheck
 from gocert.selfcheck import MAX_SELFCHECK_F
 
 # the module, not the function the package exports under the same name
@@ -59,6 +59,22 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
     assert selfcheck(5, [2]).ok
     # 301 strata at f <= 5: one of each per stratum, shared by the three stratum suites
     assert calls == {"Stratum": 301, "decompose_chains": 301, "induced_ramification": 301}
+
+
+def test_certificate_roundtrip_shares_one_walk_among_its_builds(monkeypatch):
+    calls = 0
+    original = certificate.strata_children
+
+    def counted(rd):
+        nonlocal calls
+        calls += 1
+        return original(rd)
+
+    monkeypatch.setattr(certificate, "strata_children", counted)
+    assert selfcheck(4, [2, 3]).ok
+    # 90 calls walk every datum of the round trip once: one walk shared by the
+    # three curves' builds, and one in each of the three verifies
+    assert calls == 4 * 90
 
 
 def test_stratum_suites_fail_independently(monkeypatch):

@@ -44,6 +44,10 @@ def test_stratum_rejects_improper_t():
         Stratum(rd=rd, t=frozenset({0, 3}))  # the whole split set
     with pytest.raises(ValueError):
         Stratum(rd=make_ramification(2, 2, {0, 1}), t=frozenset())  # no split places at all
+    with pytest.raises(ValueError, match=r"T \[7\] must consist of split places \[0, 3\]"):
+        Stratum(rd=rd, t=frozenset({7}))  # a place out of range
+    with pytest.raises(ValueError, match=r"T \[-1\] must consist of split places \[0, 3\]"):
+        Stratum(rd=rd, t=frozenset({-1}))  # a negative place
 
 
 def test_decompose_rejects_full_cycle():
