@@ -255,9 +255,14 @@ def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
     }
 
 
-def serialize_certificate(cert: FinitenessCertificate) -> str:
+def serialize_document(doc: dict[str, Any]) -> str:
     """Canonical text form: sorted keys, compact separators, newline-terminated."""
-    return json.dumps(certificate_to_doc(cert), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def serialize_certificate(cert: FinitenessCertificate) -> str:
+    """The certificate's document in canonical text form."""
+    return serialize_document(certificate_to_doc(cert))
 
 
 def error_document(message: str) -> dict[str, Any]:
@@ -265,16 +270,14 @@ def error_document(message: str) -> dict[str, Any]:
     return {"error": message, "tool_version": TOOL_VERSION, "verdict": "error"}
 
 
-def serialize_document(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+def parse_config(config: Any) -> tuple[RamificationData, CurveType]:
+    """Parse a configuration block, the one input format; raises ValueError when malformed.
 
-
-def config_from_doc(doc: dict[str, Any]) -> tuple[RamificationData, CurveType]:
-    """Parse the embedded configuration; raises ValueError when malformed.
-
+    The block is what a certificate carries under "config":
+    {"curve": {"g", "n"}, "rd": {"f", "p", "s_fin_count", "s_inf"}}.  The
+    command line's flags and config files reach the pipeline through here too.
     Only the shape is checked here; make_ramification and CurveType check the values.
     """
-    config = doc.get("config")
     if not isinstance(config, dict) or set(config) != {"curve", "rd"}:
         raise ValueError("config must be an object with exactly the keys 'curve' and 'rd'")
     rd_doc = config["rd"]
@@ -371,7 +374,7 @@ def verify_document(doc: Any) -> VerifyResult:
     if doc["tool_version"] != TOOL_VERSION:
         failures.append(f"tool_version {doc['tool_version']!r} does not match {TOOL_VERSION!r}")
     try:
-        rd, ct = config_from_doc(doc)
+        rd, ct = parse_config(doc["config"])
     except (ValueError, TypeError) as exc:
         failures.append(f"config: {exc}")
         return VerifyResult(False, tuple(failures))

@@ -17,11 +17,12 @@ from typing import Any
 from .certificate import (
     build_certificate,
     error_document,
+    parse_config,
     serialize_certificate,
     serialize_document,
     verify_document,
 )
-from .places import make_ramification
+from .places import RamificationData
 from .rigidity import CurveType, euler_bound
 from .selfcheck import selfcheck
 
@@ -40,7 +41,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _parse_curve(text: str) -> tuple[int, int]:
     parts = _parse_int_list(text, "--curve")
     if len(parts) != 2:
-        raise ValueError(f"curve must be 'g,n', got {text!r}")
+        raise ValueError(f"--curve: must be 'g,n', got {text!r}")
     return parts[0], parts[1]
 
 
@@ -53,34 +54,25 @@ def _read_json(path: str) -> Any:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
-def _load_config_file(path: str) -> dict[str, Any]:
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    allowed = {"p", "f", "ram_inf", "ram_fin", "curve"}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}; allowed: {sorted(allowed)}")
-    return doc
-
-
-def _analyze_inputs(args: argparse.Namespace) -> tuple[int, int, list[int], int, tuple[int, int]]:
+def _analyze_inputs(args: argparse.Namespace) -> tuple[RamificationData, CurveType]:
+    """The configuration from --config or from the value flags, through the one parser."""
+    flags = {"--p": args.p, "--f": args.f, "--ram-inf": args.ram_inf, "--ram-fin": args.ram_fin, "--curve": args.curve}
     if args.config is not None:
-        doc = _load_config_file(args.config)
-        for key in ("p", "f"):
-            if key not in doc:
-                raise ValueError(f"config file is missing {key!r}")
-        doc = {"ram_inf": [], "ram_fin": 0, **doc}
-        ram_inf, curve = doc["ram_inf"], doc.get("curve")
-        if not isinstance(ram_inf, list):
-            raise ValueError("config ram_inf must be a list")
-        if not (isinstance(curve, list) and len(curve) == 2):
-            raise ValueError("config curve must be a two-element list [g, n]")
-        return doc["p"], doc["f"], ram_inf, doc["ram_fin"], (curve[0], curve[1])
-    missing = [flag for flag, value in (("--p", args.p), ("--f", args.f), ("--curve", args.curve)) if value is None]
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ValueError(f"--config cannot be combined with {', '.join(given)}")
+        return parse_config(_read_json(args.config))
+    missing = [flag for flag in ("--p", "--f", "--curve") if flags[flag] is None]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (or use --config)")
-    return args.p, args.f, _parse_int_list(args.ram_inf, "--ram-inf"), args.ram_fin, _parse_curve(args.curve)
+    g, n = _parse_curve(args.curve)
+    rd = {
+        "f": args.f,
+        "p": args.p,
+        "s_fin_count": 0 if args.ram_fin is None else args.ram_fin,
+        "s_inf": _parse_int_list(args.ram_inf or "", "--ram-inf"),
+    }
+    return parse_config({"curve": {"g": g, "n": n}, "rd": rd})
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -93,9 +85,7 @@ def _emit(payload: str, out: str | None) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        p, f, ram_inf, ram_fin, (g, n) = _analyze_inputs(args)
-        rd = make_ramification(f=f, p=p, s_inf=ram_inf, s_fin_count=ram_fin)
-        cert = build_certificate(rd, CurveType(g=g, n=n))
+        cert = build_certificate(*_analyze_inputs(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit(serialize_document(error_document(str(exc))), args.out)
@@ -166,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="build a finiteness certificate")
     analyze.add_argument("--p", type=int, help="inert prime")
     analyze.add_argument("--f", type=int, help="number of archimedean places")
-    analyze.add_argument("--ram-inf", default="", help="comma list of ramified archimedean places")
-    analyze.add_argument("--ram-fin", type=int, default=0, help="count of ramified finite places")
+    analyze.add_argument("--ram-inf", help="comma list of ramified archimedean places (default none)")
+    analyze.add_argument("--ram-fin", type=int, help="count of ramified finite places (default 0)")
     analyze.add_argument("--curve", help="curve type as 'g,n'")
-    analyze.add_argument("--config", help="JSON config file instead of flags")
+    analyze.add_argument("--config", help="JSON config block, as in a certificate's 'config', instead of flags")
     analyze.add_argument("--out", help="write the certificate to this path instead of stdout")
     analyze.set_defaults(run=_cmd_analyze)
 

@@ -15,7 +15,7 @@ from gocert import (
     verify_document,
 )
 from gocert import certificate
-from gocert.certificate import config_from_doc, error_document
+from gocert.certificate import error_document, parse_config
 from gocert.oracle import all_ramifications
 from helpers import document_mutations
 
@@ -353,20 +353,20 @@ def test_certificate_bytes_are_pinned(f, p, s_inf, curve, sha256):
 
 def test_config_parsing_rejects_malformed_documents():
     good = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
-    rd, ct = config_from_doc(good)
+    rd, ct = parse_config(good["config"])
     assert (rd.f, rd.p, ct.g, ct.n) == (2, 3, 2, 0)
     bad = json.loads(json.dumps(good))
     bad["config"]["rd"]["s_inf"] = [True]
     with pytest.raises(ValueError):
-        config_from_doc(bad)
+        parse_config(bad["config"])
     bad = json.loads(json.dumps(good))
     bad["config"]["rd"].pop("p")
     with pytest.raises(ValueError):
-        config_from_doc(bad)
+        parse_config(bad["config"])
     bad = json.loads(json.dumps(good))
     bad["config"]["curve"]["g"] = "two"
     with pytest.raises(ValueError):
-        config_from_doc(bad)
+        parse_config(bad["config"])
 
 
 def test_finite_verdict_over_every_small_datum():

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -109,26 +110,67 @@ def test_analyze_writes_out_file(tmp_path, capsys):
     assert verify_document(doc)
 
 
+GOOD_CONFIG = {"curve": {"g": 2, "n": 0}, "rd": {"f": 2, "p": 3, "s_fin_count": 0, "s_inf": []}}
+
+
 def test_analyze_from_config_file(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps({"p": 3, "f": 2, "ram_inf": [], "ram_fin": 0, "curve": [2, 0]})
-    )
+    config.write_text(json.dumps(GOOD_CONFIG))
     code, out, _ = run_cli(capsys, "analyze", "--config", str(config))
     assert code == 0
     assert json.loads(out)["verdict"] == "finite"
 
-    config.write_text(json.dumps({"p": 3, "f": 2, "curve": [2, 0], "bogus": 1}))
-    code, out, err = run_cli(capsys, "analyze", "--config", str(config))
-    assert code == 1
-    assert "unknown config keys" in err
+    def rejected(doc):
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(config))
+        assert code == 1
+        assert json.loads(out)["verdict"] == "error"
+        return err
 
+    rd, curve = GOOD_CONFIG["rd"], GOOD_CONFIG["curve"]
+    assert "exactly the keys 'curve' and 'rd'" in rejected({**GOOD_CONFIG, "bogus": 1})
+    assert "config.rd must carry exactly" in rejected({**GOOD_CONFIG, "rd": {**rd, "bogus": 1}})
+    assert "config.rd must carry exactly" in rejected({**GOOD_CONFIG, "rd": {k: v for k, v in rd.items() if k != "p"}})
     # values must be JSON integers: no float, bool or string is coerced
-    config.write_text(json.dumps({"p": 3.9, "f": True, "curve": ["2", 0]}))
-    code, out, err = run_cli(capsys, "analyze", "--config", str(config))
-    assert code == 1
-    assert json.loads(out)["verdict"] == "error"
-    assert "must be an integer" in err
+    assert "must be an integer" in rejected({**GOOD_CONFIG, "rd": {**rd, "p": 3.9}})
+    assert "must be an integer" in rejected({**GOOD_CONFIG, "rd": {**rd, "f": True}})
+    assert "must be an integer" in rejected({**GOOD_CONFIG, "curve": {**curve, "g": "2"}})
+    # the earlier flat file format is not read
+    old = {"p": 3, "f": 2, "ram_inf": [], "ram_fin": 0, "curve": [2, 0]}
+    assert "exactly the keys 'curve' and 'rd'" in rejected(old)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--p", "3", "--f", "2", "--curve", "2,0"], 0),
+        (["--p", "2", "--f", "4", "--ram-inf", "1,2", "--curve", "0,4"], 0),
+        (["--p", "5", "--f", "3", "--ram-inf", "0", "--ram-fin", "1", "--curve", "3,0"], 2),
+        (["--p", "3", "--f", "4", "--ram-fin", "2", "--curve", "1,2"], 0),
+    ],
+)
+def test_a_certificates_config_block_analyzes_to_the_same_bytes(tmp_path, capsys, argv, code):
+    got, cert, _ = run_cli(capsys, "analyze", *argv)
+    assert got == code
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads(cert)["config"]))
+    assert run_cli(capsys, "analyze", "--config", str(config))[:2] == (code, cert)
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--p", "5", "--f", "9", "--curve", "3,0", "--ram-inf", "0"], "--p, --f, --ram-inf, --curve"),
+        (["--ram-fin", "0"], "--ram-fin"),
+    ],
+)
+def test_analyze_rejects_config_mixed_with_value_flags(tmp_path, capsys, flags, named):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(GOOD_CONFIG))
+    code, out, err = run_cli(capsys, "analyze", "--config", str(config), *flags)
+    message = f"--config cannot be combined with {named}"
+    assert code == 1 and err == f"error: {message}\n"
+    assert json.loads(out) == {"error": message, "tool_version": TOOL_VERSION, "verdict": "error"}
 
 
 def test_verify_roundtrip_and_tamper(tmp_path, capsys):
@@ -205,6 +247,15 @@ def test_analyze_names_the_flag_of_a_bad_integer(capsys, argv, flag):
     assert doc["verdict"] == "error" and doc["error"] == message
 
 
+@pytest.mark.parametrize("curve", ["2", "1,2,3"])
+def test_analyze_names_the_flag_of_a_curve_of_wrong_length(capsys, curve):
+    code, out, err = run_cli(capsys, "analyze", "--p", "3", "--f", "2", "--curve", curve)
+    assert code == 1
+    message = f"--curve: must be 'g,n', got {curve!r}"
+    assert err == f"error: {message}\n"
+    assert json.loads(out)["error"] == message
+
+
 def test_selfcheck_json(capsys):
     code, out, err = run_cli(capsys, "selfcheck", "--max-f", "3", "--primes", "2,3", "--json")
     assert code == 0 and err == ""
@@ -267,3 +318,18 @@ def test_cross_process_determinism(tmp_path, runs):
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_readme_command_line_examples_run(tmp_path):
+    # the fenced sh block under "## Command line", with gocert the package this process imported
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    package_root = str(Path(gocert.__file__).resolve().parent.parent)
+    script = f'gocert() {{ {shlex.quote(sys.executable)} -m gocert "$@"; }}\n{block}'
+    proc = subprocess.run(
+        ["bash", "-e", "-c", script],
+        cwd=tmp_path,
+        capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
