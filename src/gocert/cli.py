@@ -1,9 +1,9 @@
 """Command line front end: analyze a configuration, verify a certificate, run self checks.
 
 Exit codes: 0 for a finite verdict or a successful verification, 2 for an
-inconclusive verdict, 1 for errors (including rejected certificates and
-failed self checks).  Certificates go to stdout or --out; diagnostics go to
-stderr.
+inconclusive verdict, 1 for errors (including usage errors, rejected
+certificates and failed self checks).  Certificates go to stdout or --out;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from .certificate import (
     build_certificate,
@@ -27,15 +28,16 @@ from .rigidity import CurveType, euler_bound
 from .selfcheck import selfcheck
 
 
+def _parse_int(text: str, flag: str) -> int:
+    """A decimal integer: an optional '-' and ASCII digits; anything else raises ValueError naming the flag."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{flag}: invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
-    """Comma list of integers; a bad entry raises ValueError naming the flag."""
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+    """Comma list of decimal integers, empty for empty text; a bad entry raises ValueError naming the flag."""
+    return [_parse_int(part, flag) for part in text.split(",")] if text else []
 
 
 def _parse_curve(text: str) -> tuple[int, int]:
@@ -67,9 +69,9 @@ def _analyze_inputs(args: argparse.Namespace) -> tuple[RamificationData, CurveTy
         raise ValueError(f"missing {', '.join(missing)} (or use --config)")
     g, n = _parse_curve(args.curve)
     rd = {
-        "f": args.f,
-        "p": args.p,
-        "s_fin_count": 0 if args.ram_fin is None else args.ram_fin,
+        "f": _parse_int(args.f, "--f"),
+        "p": _parse_int(args.p, "--p"),
+        "s_fin_count": 0 if args.ram_fin is None else _parse_int(args.ram_fin, "--ram-fin"),
         "s_inf": _parse_int_list(args.ram_inf or "", "--ram-inf"),
     }
     return parse_config({"curve": {"g": g, "n": n}, "rd": rd})
@@ -118,7 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     try:
-        report = selfcheck(args.max_f, _parse_int_list(args.primes, "--primes"))
+        report = selfcheck(_parse_int(args.max_f, "--max-f"), _parse_int_list(args.primes, "--primes"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -132,7 +134,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         sys.stdout.write(serialize_document(doc))
         return 0 if report.ok else 1
     if not report.suites:
-        print(f"no suites to run for max_f={args.max_f}")
+        print(f"no suites to run for max_f={report.max_f}")
         return 0
     for suite in report.suites:
         status = "PASS" if suite.passed else "FAIL"
@@ -145,8 +147,16 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other error, so that exit code 2 means only "inconclusive"."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gocert",
         description="Stratum recursion, Hasse degree bounds, and finiteness certificates "
         "for quaternionic Shimura data.",
@@ -154,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analyze = sub.add_parser("analyze", help="build a finiteness certificate")
-    analyze.add_argument("--p", type=int, help="inert prime")
-    analyze.add_argument("--f", type=int, help="number of archimedean places")
+    analyze.add_argument("--p", help="inert prime")
+    analyze.add_argument("--f", help="number of archimedean places")
     analyze.add_argument("--ram-inf", help="comma list of ramified archimedean places (default none)")
-    analyze.add_argument("--ram-fin", type=int, help="count of ramified finite places (default 0)")
+    analyze.add_argument("--ram-fin", help="count of ramified finite places (default 0)")
     analyze.add_argument("--curve", help="curve type as 'g,n'")
     analyze.add_argument("--config", help="JSON config block, as in a certificate's 'config', instead of flags")
     analyze.add_argument("--out", help="write the certificate to this path instead of stdout")
@@ -168,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(run=_cmd_verify)
 
     check = sub.add_parser("selfcheck", help="run the exhaustive invariant suites")
-    check.add_argument("--max-f", type=int, default=4, help="largest place count to enumerate, at most 12")
+    check.add_argument("--max-f", default="4", help="largest place count to enumerate, at most 12")
     check.add_argument("--primes", default="2,3", help="comma list of primes")
     check.add_argument("--json", action="store_true", help="print the report as one JSON object")
     check.set_defaults(run=_cmd_selfcheck)

@@ -117,3 +117,51 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
         produced = variant(label, mutate)
         if produced is not None:
             yield produced
+
+
+# Strings that can stand in for each other: node kinds, verdicts, contradiction conclusions.
+_STRING_FAMILIES = (
+    ("ordinary_locus", "stratum_descent", "dimension_zero"),
+    ("finite", "inconclusive"),
+    ("contradiction", "inconclusive"),
+)
+
+
+def _scalar_variants(value: Any) -> list[Any]:
+    """Other values for one JSON scalar: the next integer, the flipped bool, or another string."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1]
+    if value is None:
+        return [0]
+    others = [s for family in _STRING_FAMILIES if value in family for s in family if s != value]
+    return others or [value + "x"]
+
+
+def leaf_mutations(doc: Any) -> Iterator[list[Any]]:
+    """Replace each scalar leaf of doc, in turn, by each of its variants.
+
+    Yields the location (keys and indices from the top) of the replaced leaf
+    while doc holds the one changed value; the leaf is restored when the
+    generator resumes, so a consumer must not keep doc across iterations.
+    """
+
+    def leaves(value: Any, where: list[Any]) -> Iterator[tuple[list[Any], Any]]:
+        if isinstance(value, dict):
+            for key in sorted(value):
+                yield from leaves(value[key], where + [key])
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from leaves(item, where + [i])
+        else:
+            yield where, value
+
+    for where, value in list(leaves(doc, [])):
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        for other in _scalar_variants(value):
+            parent[where[-1]] = other
+            yield where
+        parent[where[-1]] = value

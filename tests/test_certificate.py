@@ -17,7 +17,7 @@ from gocert import (
 from gocert import certificate
 from gocert.certificate import error_document, parse_config
 from gocert.oracle import all_ramifications
-from helpers import document_mutations
+from helpers import document_mutations, leaf_mutations
 
 GENUS_TWO = CurveType(2, 0)
 FOUR_PUNCTURED = CurveType(0, 4)
@@ -170,6 +170,26 @@ def test_verify_rejects_every_mutation():
     assert count >= 25
 
 
+def test_verify_rejects_every_single_leaf_mutation_at_its_field():
+    # the comparison with the rebuild is the only node check: a changed path,
+    # dim or kind is reported as a differing field like any other value
+    checked = 0
+    for rd in all_ramifications(4, 3):
+        for ct in (GENUS_TWO, CurveType(3, 0)):
+            doc = certificate_to_doc(build_certificate(rd, ct))
+            assert verify_document(doc)
+            paths = [str(node["path"]) for node in doc["nodes"]]
+            for where in leaf_mutations(doc):
+                checked += 1
+                result = verify_document(doc)
+                assert not result, where
+                if where[0] == "nodes":
+                    i, key = where[1], where[2]
+                    prefix = f"nodes[{i}] path={paths[i]}: field {key!r} "
+                    assert result.failures[0].startswith(prefix), (where, result.failures)
+    assert checked == 4698
+
+
 def test_verify_reports_the_node_path_of_a_decremented_bound():
     doc = certificate_to_doc(build_certificate(make_ramification(3, 2), GENUS_TWO))
     doc["nodes"][2]["degree_bound"] -= 1
@@ -183,7 +203,7 @@ def test_verify_rejects_non_decreasing_child_dimension():
     doc["nodes"][1]["dim"] = doc["nodes"][0]["dim"]
     result = verify_document(doc)
     assert not result
-    assert any("not smaller" in f for f in result.failures)
+    assert result.failures == ("nodes[1] path=[[0]]: field 'dim' is 2, expected 0",)
 
 
 def test_verify_rejects_foreign_tool_version():
@@ -258,8 +278,8 @@ def test_verify_compares_node_count_before_rebuilding(monkeypatch):
 
 
 def test_verify_bounds_a_flat_document_that_passes_the_size_guard(monkeypatch):
-    # one root and 2^14 - 2 leaves: the shape audit and the bit-length guard
-    # pass, and the f=14 tree below the config has 393 365 759 nodes
+    # one root and 2^14 - 2 leaves: the non-empty node list and the bit-length
+    # guard pass, and the f=14 tree below the config has 393 365 759 nodes
     doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
     doc["config"]["rd"]["f"] = 14
     doc["nodes"] = [{"dim": 14, "kind": "ordinary_locus", "path": []}] + [

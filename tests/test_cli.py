@@ -220,6 +220,10 @@ def test_unreadable_files_are_reported_without_a_traceback(tmp_path, capsys, con
         (["--primes", "2,4"], "p must be a prime, got 4"),
         (["--max-f", "40"], "max_f must be at most 12, got 40"),
         (["--max-f", "13", "--primes", "2"], "max_f must be at most 12"),
+        (["--max-f", "x"], "--max-f: invalid literal for int() with base 10: 'x'"),
+        (["--max-f", "4.0"], "--max-f: invalid literal for int() with base 10: '4.0'"),
+        (["--primes", "1_1"], "--primes: invalid literal for int() with base 10: '1_1'"),
+        (["--primes", "2,\uff13"], "--primes: invalid literal for int() with base 10: '\uff13'"),
     ],
 )
 def test_selfcheck_rejects_bad_inputs(capsys, argv, message):
@@ -245,6 +249,44 @@ def test_analyze_names_the_flag_of_a_bad_integer(capsys, argv, flag):
     assert err == f"error: {message}\n"
     doc = json.loads(out)
     assert doc["verdict"] == "error" and doc["error"] == message
+
+
+@pytest.mark.parametrize(
+    "flag, text, bad",
+    [
+        ("--p", "3.9", "3.9"),
+        ("--p", "\uff13", "\uff13"),  # a full-width digit
+        ("--f", " 2", " 2"),
+        ("--f", "1_1", "1_1"),
+        ("--ram-fin", "+0", "+0"),
+        ("--ram-inf", "1_1", "1_1"),
+        ("--curve", "2,+0", "+0"),
+    ],
+)
+def test_analyze_accepts_only_decimal_digits_in_an_integer_flag(capsys, flag, text, bad):
+    values = {"--p": "3", "--f": "2", "--curve": "2,0", flag: text}
+    code, out, err = run_cli(capsys, "analyze", *[item for pair in values.items() for item in pair])
+    message = f"{flag}: invalid literal for int() with base 10: {bad!r}"
+    assert code == 1 and err == f"error: {message}\n"
+    assert json.loads(out) == {"error": message, "tool_version": TOOL_VERSION, "verdict": "error"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--p", "3", "--f", "2", "--curve", "2,0", "--bogus", "1"],
+        [],
+        ["verify"],
+        ["selfcheck", "--max-f"],
+    ],
+    ids=["unknown-flag", "no-command", "missing-required", "missing-value"],
+)
+def test_usage_errors_exit_1_not_the_inconclusive_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: " in err
 
 
 @pytest.mark.parametrize("curve", ["2", "1,2,3"])
