@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from ._version import __version__
@@ -87,8 +86,7 @@ def _min_tree_size(dim: int) -> int:
 _REFUSAL_DIM = next(d for d in itertools.count() if _min_tree_size(d) > MAX_TREE_NODES)
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     """One datum of the case split, addressed by the chain of vanishing sets from the root."""
 
     path: tuple[tuple[int, ...], ...]
@@ -100,8 +98,7 @@ class NodeRecord:
     fiber_dim: int | None
 
 
-@dataclass(frozen=True)
-class FinitenessCertificate:
+class FinitenessCertificate(NamedTuple):
     rd: RamificationData
     curve: CurveType
     rigidity: RigidityVerdict
@@ -256,8 +253,12 @@ def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
 
 
 def serialize_document(doc: dict[str, Any]) -> str:
-    """Canonical text form: sorted keys, compact separators, newline-terminated."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical text form: sorted keys, compact separators, newline-terminated.
+
+    Every document written is a tree of dicts and lists, built here or by
+    json.loads, so the encoder's cycle check only costs time.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def serialize_certificate(cert: FinitenessCertificate) -> str:
@@ -297,8 +298,7 @@ def parse_config(config: Any) -> tuple[RamificationData, CurveType]:
     return rd, CurveType(g=curve_doc["g"], n=curve_doc["n"])
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

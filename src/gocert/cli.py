@@ -9,7 +9,6 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -129,7 +128,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
             "max_f": report.max_f,
             "primes": list(report.primes),
             "ok": report.ok,
-            "suites": [dataclasses.asdict(suite) for suite in report.suites],
+            "suites": [suite._asdict() for suite in report.suites],
         }
         sys.stdout.write(serialize_document(doc))
         return 0 if report.ok else 1

@@ -25,17 +25,18 @@ def max_degree_sum(rd: RamificationData, anchor: int) -> int:
     splits = set(split_places(rd))
     if anchor not in splits:
         raise ValueError(f"anchor {anchor} is not a split place")
+    f, p = rd.f, rd.p
     total = 1
     running = 1
     x = anchor
     while True:
         gap = 1
-        while (x + gap) % rd.f not in splits:
+        while (x + gap) % f not in splits:
             gap += 1
-        x = (x + gap) % rd.f
+        x = (x + gap) % f
         if x == anchor:
             break
-        running *= rd.p ** gap
+        running *= p**gap
         total += running
     return total
 
@@ -55,14 +56,15 @@ def degree_bound(rd: RamificationData) -> int:
     # S_i = 1 + p^{g_i} + p^{g_i + g_{i+1}} + ..., hence (indices mod m)
     # S_i = 1 + p^{g_i} * S_{i+1} - p^f: the direct sum S_0 gives all the
     # others, in one pass over the gaps instead of one walk per anchor.
-    gaps = [b - a for a, b in zip(splits, splits[1:])] + [splits[0] + rd.f - splits[-1]]
+    f, p = rd.f, rd.p
+    gaps = [b - a for a, b in zip(splits, splits[1:])] + [splits[0] + f - splits[-1]]
     total = running = 1
     for gap in gaps[:-1]:
-        running *= rd.p**gap
+        running *= p**gap
         total += running
-    best, cycle = total, rd.p**rd.f
+    best, cycle = total, p**f
     for gap in reversed(gaps[1:]):
-        total = 1 + rd.p**gap * total - cycle
+        total = 1 + p**gap * total - cycle
         best = max(best, total)
     return best
 

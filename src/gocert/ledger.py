@@ -11,13 +11,12 @@ filtration-preserving family to vanish, contradicting its nontriviality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rigidity import CurveType
 
 
-@dataclass(frozen=True)
-class ContradictionVerdict:
+class ContradictionVerdict(NamedTuple):
     """Degree comparison underlying the contradiction step."""
 
     deg_tangent: int

@@ -10,8 +10,7 @@ itself never ramifies, and finite places matter only through parity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 
 # Miller-Rabin with the first twelve primes as bases is exact below P_BOUND,
@@ -49,8 +48,7 @@ def is_json_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(NamedTuple):
     """The f places Z/f together with the ramification set of a quaternion algebra.
 
     s_inf holds the ramified archimedean places; s_fin_count is the number of
@@ -103,7 +101,8 @@ def make_ramification(
 
 def split_places(rd: RamificationData) -> list[int]:
     """Ascending list of archimedean places where the algebra splits."""
-    return [i for i in range(rd.f) if i not in rd.s_inf]
+    s_inf = rd.s_inf
+    return [i for i in range(rd.f) if i not in s_inf]
 
 
 def n_tau(rd: RamificationData, tau: int) -> int:
@@ -112,12 +111,13 @@ def n_tau(rd: RamificationData, tau: int) -> int:
     The smallest n >= 1 such that sigma^{-1} tau, ..., sigma^{-(n-1)} tau are
     all ramified while sigma^{-n} tau splits.  Undefined on ramified places.
     """
-    if not 0 <= tau < rd.f:
-        raise ValueError(f"place {tau} out of range for f={rd.f}")
-    if tau in rd.s_inf:
+    f, s_inf = rd.f, rd.s_inf
+    if not 0 <= tau < f:
+        raise ValueError(f"place {tau} out of range for f={f}")
+    if tau in s_inf:
         raise ValueError(f"n_tau is undefined on the ramified place {tau}")
     n = 1
-    while (tau - n) % rd.f in rd.s_inf:
+    while (tau - n) % f in s_inf:
         n += 1
     return n
 

@@ -11,32 +11,40 @@ curve carries exactly 2^(2g) square roots of any fixed even-degree bundle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .places import is_json_int
 
 
-@dataclass(frozen=True)
-class CurveType:
+class _CurveFields(NamedTuple):
+    g: int
+    n: int
+
+
+class CurveType(_CurveFields):
     """Smooth curve of genus g with n punctures carrying unipotent local monodromy.
 
     The rigidity arguments concern types with 2g - 2 + n > 0; the degree
     formulas themselves make sense for every g, n >= 0.
     """
 
-    g: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in (("g", self.g), ("n", self.n)):
+    def __new__(cls, g: int, n: int) -> CurveType:
+        for name, value in (("g", g), ("n", n)):
             if not is_json_int(value):
                 raise ValueError(f"curve {name} must be an integer, got {value!r}")
-        if self.g < 0 or self.n < 0:
-            raise ValueError(f"genus and puncture count must be nonnegative, got ({self.g}, {self.n})")
+        if g < 0 or n < 0:
+            raise ValueError(f"genus and puncture count must be nonnegative, got ({g}, {n})")
+        return tuple.__new__(cls, (g, n))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> CurveType:
+        # NamedTuple's _make, and _replace through it, would skip __new__'s checks.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(NamedTuple):
     """Outcome of the rigidity argument for one curve type."""
 
     finite: bool

@@ -13,8 +13,7 @@ chains and descended once, and each suite counts and stops as if it walked alone
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .certificate import _case_split, build_certificate, certificate_to_doc, verify_document
 from .hasse import degree_bound, max_degree_sum
@@ -35,8 +34,7 @@ from .strata import Stratum, decompose_chains, induced_ramification
 MAX_SELFCHECK_F = 12
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """seconds is wall time; the three stratum suites share one walk and each report
     a third of its seconds, so the seconds of all suites still sum to the time spent."""
 
@@ -48,8 +46,7 @@ class SuiteResult:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SelfcheckReport:
+class SelfcheckReport(NamedTuple):
     max_f: int
     primes: tuple[int, ...]
     suites: tuple[SuiteResult, ...]
@@ -74,42 +71,44 @@ Chains = tuple[tuple[int, ...], ...]
 
 
 def _chain_partition(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
-    occupied = st.rd.s_inf | st.t
+    f, occupied = st.rd.f, st.rd.s_inf | st.t
     covered: set[int] = set()
     for c in chains:
         if covered.intersection(c):
             return "overlap"
         covered.update(c)
-        head_next = (c[0] + 1) % st.rd.f
-        tail_prev = (c[-1] - 1) % st.rd.f
+        head_next = (c[0] + 1) % f
+        tail_prev = (c[-1] - 1) % f
         if head_next in occupied or tail_prev in occupied:
             return "not maximal"
     if covered != occupied:
         return "not covering"
-    if {frozenset(c) for c in chains} != set(cycle_components(st.rd.f, frozenset(occupied))):
+    if {frozenset(c) for c in chains} != set(cycle_components(f, frozenset(occupied))):
         return "component mismatch"
     return None
 
 
 def _induced_parity_growth(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
-    t_new = induced.s_inf - st.rd.s_inf
+    s_inf, t = st.rd.s_inf, st.t
+    t_new = induced.s_inf - s_inf
     if (len(induced.s_inf) + induced.s_fin_count) % 2 != 0:
         return "parity"
-    if not st.t <= (st.rd.s_inf | t_new):
+    if not t <= (s_inf | t_new):
         return "T not contained in the augmented set"
-    if len(t_new | st.t) % 2 != 0:
+    if len(t_new | t) % 2 != 0:
         return "odd augmented set"
-    if (t_new - st.t) & (st.rd.s_inf | st.t):
+    if (t_new - t) & (s_inf | t):
         return "augmentation not disjoint"
     return None
 
 
 def _dimension_descent(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
     child = shimura_dimension(induced)
-    odd = sum(1 for c in chains if len(st.t.intersection(c)) % 2 == 1)
-    if child != parent - len(st.t) - odd:
+    t = st.t
+    odd = sum(1 for c in chains if len(t.intersection(c)) % 2 == 1)
+    if child != parent - len(t) - odd:
         return "descent formula"
-    if st.t and child >= parent:
+    if t and child >= parent:
         return "no strict descent"
     return None
 

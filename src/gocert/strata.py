@@ -10,27 +10,35 @@ set the stratum is a (P^1)^N-bundle, with one projective line per odd chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any, Iterable, NamedTuple
 
 from .places import RamificationData, shimura_dimension, split_places
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """A ramification datum with a proper subset T of its split places."""
-
+class _StratumFields(NamedTuple):
     rd: RamificationData
     t: frozenset[int]
 
-    def __post_init__(self) -> None:
-        t, rd = frozenset(self.t), self.rd
-        object.__setattr__(self, "t", t)
+
+class Stratum(_StratumFields):
+    """A ramification datum with a proper subset T of its split places."""
+
+    __slots__ = ()
+
+    def __new__(cls, rd: RamificationData, t: Iterable[int]) -> Stratum:
+        t = frozenset(t)
         # The split places are the places off s_inf, so T within them is proper
         # exactly when T and s_inf together leave a place free.
         if not (t.isdisjoint(rd.s_inf) and t.issubset(range(rd.f))):
             raise ValueError(f"T {sorted(t)} must consist of split places {split_places(rd)}")
         if len(t) + len(rd.s_inf) >= rd.f:
             raise ValueError("T must be a proper subset of the split places")
+        return tuple.__new__(cls, (rd, t))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Stratum:
+        # NamedTuple's _make, and _replace through it, would skip __new__'s checks.
+        return cls(*iterable)
 
 
 def decompose_chains(st: Stratum) -> tuple[tuple[int, ...], ...]:
