@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from typing import Any, NamedTuple
 
 from ._version import __version__
@@ -116,14 +117,27 @@ class _Split(NamedTuple):
     size: int
 
 
+def _more_digits(n: int, digits: int) -> bool:
+    """True when the natural number n has more than digits decimal digits.
+
+    Below 2^(3 digits) < 10^digits it cannot, so most calls stop at the bit length.
+    """
+    return n.bit_length() > 3 * digits and n >= 10**digits
+
+
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     """Each distinct datum below rd with its edges in strata_children order and its subtree size.
 
     Raises ValueError once the tree is known to exceed MAX_TREE_NODES: before
     listing the children of a datum of dimension _REFUSAL_DIM or more, or when
-    a running subtree total passes the limit.
+    a running subtree total passes the limit.  Raises ValueError as well for a
+    datum whose polarization bound has more digits than the interpreter converts
+    to or from text (sys.get_int_max_str_digits), since json could neither write
+    nor read it.
     """
     too_large = f"the case split has more than {MAX_TREE_NODES} nodes"
+    # 0, and a Python without the setting, mean no limit
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     table: dict[RamificationData, _Split] = {}
 
     def walk(datum: RamificationData) -> _Split:
@@ -139,7 +153,13 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
             if size > MAX_TREE_NODES:
                 raise ValueError(too_large)
             edges.append((tuple(sorted(t)), child, dim - len(t) - below.dim))
-        split = table[datum] = _Split(dim, degree_bound(datum) if dim else None, tuple(edges), size)
+        bound = degree_bound(datum) if dim else None
+        if digits and bound is not None and _more_digits(2 * bound, digits):
+            raise ValueError(
+                f"the polarization bound at f={datum.f} has more than {digits} digits, "
+                "the interpreter's limit for integers in JSON"
+            )
+        split = table[datum] = _Split(dim, bound, tuple(edges), size)
         return split
 
     # walk reaches itself through its closure; dropping the name breaks that

@@ -76,12 +76,18 @@ def _analyze_inputs(args: argparse.Namespace) -> tuple[RamificationData, CurveTy
     return parse_config({"curve": {"g": g, "n": n}, "rd": rd})
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+def _emit(payload: str, out: str | None) -> bool:
+    """Write payload to --out, or to stdout without it; a write that fails is an error line and False."""
+    try:
+        if out is None:
+            sys.stdout.write(payload)
+        else:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -91,7 +97,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _emit(serialize_document(error_document(str(exc))), args.out)
         return 1
-    _emit(serialize_certificate(cert), args.out)
+    if not _emit(serialize_certificate(cert), args.out):
+        return 1
     # finite exactly when 2g - 2 + n = 2: the Higgs map is forced and every ordinary locus is contradicted
     cause = "" if cert.verdict == "finite" else f"2g-2+n = {euler_bound(cert.curve)}, not 2; "
     print(

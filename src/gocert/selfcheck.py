@@ -7,7 +7,9 @@ Hasse constraints scanned from their definition, or a direct scan of the Hodge
 degree inequality).  Failures carry the first counterexample found.
 
 The three stratum suites share one walk: each stratum is built, split into
-chains and descended once, and each suite counts and stops as if it walked alone.
+chains once, and descended with those chains, and each suite counts and stops as
+if it walked alone.  The oracle's components of an occupied set s_inf | T are
+computed once per place count f and occupied set, not once per stratum.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .oracle import (
 )
 from .places import RamificationData, make_ramification, n_tau, shimura_dimension, split_places
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
-from .strata import Stratum, decompose_chains, induced_ramification
+from .strata import Chains, Stratum, decompose_chains, induced_ramification
 
 # Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 takes
-# 33 s on a 2-core VM, and each step of f near there costs about 2.75 times the one before.
+# 18 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
 MAX_SELFCHECK_F = 12
 
 
@@ -65,16 +67,18 @@ def _suite_n_tau_tiling(max_f: int, p: int) -> tuple[int, str | None]:
     return checked, None
 
 
-# A stratum check sees the stratum, its chains, its induced datum and its datum's
-# dimension, and returns the kind of its first failure, or None.
-Chains = tuple[tuple[int, ...], ...]
+# A stratum check sees the stratum, its chains, its induced datum, its datum's dimension
+# and the oracle's components of s_inf | T, and returns the kind of its first failure, or None.
+Components = set[frozenset[int]]
 
 
-def _chain_partition(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+def _chain_partition(
+    st: Stratum, chains: Chains, induced: RamificationData, parent: int, components: Components
+) -> str | None:
     f, occupied = st.rd.f, st.rd.s_inf | st.t
     covered: set[int] = set()
     for c in chains:
-        if covered.intersection(c):
+        if not covered.isdisjoint(c):
             return "overlap"
         covered.update(c)
         head_next = (c[0] + 1) % f
@@ -83,12 +87,14 @@ def _chain_partition(st: Stratum, chains: Chains, induced: RamificationData, par
             return "not maximal"
     if covered != occupied:
         return "not covering"
-    if {frozenset(c) for c in chains} != set(cycle_components(f, frozenset(occupied))):
+    if {frozenset(c) for c in chains} != components:
         return "component mismatch"
     return None
 
 
-def _induced_parity_growth(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+def _induced_parity_growth(
+    st: Stratum, chains: Chains, induced: RamificationData, parent: int, components: Components
+) -> str | None:
     s_inf, t = st.rd.s_inf, st.t
     t_new = induced.s_inf - s_inf
     if (len(induced.s_inf) + induced.s_fin_count) % 2 != 0:
@@ -102,7 +108,9 @@ def _induced_parity_growth(st: Stratum, chains: Chains, induced: RamificationDat
     return None
 
 
-def _dimension_descent(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+def _dimension_descent(
+    st: Stratum, chains: Chains, induced: RamificationData, parent: int, components: Components
+) -> str | None:
     child = shimura_dimension(induced)
     t = st.t
     odd = sum(1 for c in chains if len(t.intersection(c)) % 2 == 1)
@@ -125,19 +133,31 @@ def _suite_strata(max_f: int, p: int) -> list[tuple[int, str | None]]:
 
     A suite stops at its first counterexample while the others go on, so its
     count and message are those of a walk of its own; the walk ends once all fail.
+    Each stratum's chains are decomposed once and handed to induced_ramification.
+    The oracle's components depend only on f and the occupied set s_inf | T, which
+    many strata share, so they are kept per occupied set while f stays the same.
     """
     checked = [0] * len(STRATUM_SUITES)
     found: list[str | None] = [None] * len(STRATUM_SUITES)
+    memo: dict[frozenset[int], Components] = {}
+    f = 0
     for rd in all_ramifications(max_f, p, min_dim=1):
-        parent = shimura_dimension(rd)
+        if rd.f != f:
+            f = rd.f
+            memo.clear()
+        s_inf, parent = rd.s_inf, shimura_dimension(rd)
         for t in all_vanishing_sets(rd):
             st = Stratum(rd=rd, t=t)
             chains = decompose_chains(st)
-            induced = induced_ramification(st)
+            induced = induced_ramification(st, chains=chains)
+            occupied = s_inf | t
+            components = memo.get(occupied)
+            if components is None:
+                components = memo[occupied] = set(cycle_components(f, occupied))
             for i, (_, check) in enumerate(STRATUM_SUITES):
                 if found[i] is None:
                     checked[i] += 1
-                    problem = check(st, chains, induced, parent)
+                    problem = check(st, chains, induced, parent, components)
                     if problem is not None:
                         found[i] = f"{problem}: f={rd.f} s_inf={sorted(rd.s_inf)} t={sorted(t)}"
             if None not in found:

@@ -15,6 +15,10 @@ from typing import Any, Iterable, NamedTuple
 from .places import RamificationData, shimura_dimension, split_places
 
 
+# Chains of places, each walking backwards from its head, as decompose_chains returns them.
+Chains = tuple[tuple[int, ...], ...]
+
+
 class _StratumFields(NamedTuple):
     rd: RamificationData
     t: frozenset[int]
@@ -41,7 +45,7 @@ class Stratum(_StratumFields):
         return cls(*iterable)
 
 
-def decompose_chains(st: Stratum) -> tuple[tuple[int, ...], ...]:
+def decompose_chains(st: Stratum) -> Chains:
     """Partition s_inf | T into maximal chains, in ascending order of head place.
 
     A chain is the tuple head, sigma^{-1} head, ..., of occupied places: a head
@@ -53,31 +57,42 @@ def decompose_chains(st: Stratum) -> tuple[tuple[int, ...], ...]:
     occupied = st.rd.s_inf | st.t
     if len(occupied) == f:
         raise ValueError("chain decomposition is undefined when s_inf and T cover every place")
+    occ = 0
+    for place in occupied:
+        occ |= 1 << place
+    # heads: occupied places whose successor is free, bit i of the right rotation being bit i + 1
+    heads = occ & ~((occ >> 1) | ((occ & 1) << (f - 1)))
     chains = []
-    for head in sorted(occupied):
-        if (head + 1) % f in occupied:
-            continue
-        chain = [head]
-        while (chain[-1] - 1) % f in occupied:
-            chain.append((chain[-1] - 1) % f)
+    while heads:
+        low = heads & -heads
+        heads ^= low
+        place = low.bit_length() - 1
+        chain = [place]
+        place = (place - 1) % f
+        while occ >> place & 1:
+            chain.append(place)
+            place = (place - 1) % f
         chains.append(tuple(chain))
     return tuple(chains)
 
 
-def induced_ramification(st: Stratum) -> RamificationData:
+def induced_ramification(st: Stratum, *, chains: Chains | None = None) -> RamificationData:
     """Quaternionic datum the stratum fibers over: s_inf extended by every chain contribution.
 
     Each chain contributes its intersection with T, plus the place one
     backward step past its end when that intersection has odd size.  The
     extension has even size, contains T, and adds only places outside
-    s_inf | T, so the even-ramification parity is preserved.
+    s_inf | T, so the even-ramification parity is preserved.  A caller that
+    already holds decompose_chains(st) passes it as chains.
     """
     rd, t = st.rd, st.t
+    if chains is None:
+        chains = decompose_chains(st)
     t_aug = set(t)
-    for chain in decompose_chains(st):
+    for chain in chains:
         if len(t.intersection(chain)) % 2:
             t_aug.add((chain[-1] - 1) % rd.f)
-    return RamificationData(f=rd.f, s_inf=rd.s_inf | t_aug, s_fin_count=rd.s_fin_count, p=rd.p)
+    return RamificationData(rd.f, rd.s_inf | t_aug, rd.s_fin_count, rd.p)
 
 
 def strata_children(rd: RamificationData) -> list[tuple[frozenset[int], RamificationData]]:
@@ -88,10 +103,9 @@ def strata_children(rd: RamificationData) -> list[tuple[frozenset[int], Ramifica
     """
     if shimura_dimension(rd) < 1:
         raise ValueError("strata enumeration needs at least one split place")
-    splits = split_places(rd)
-    m = len(splits)
-    children = []
-    for mask in range(1, (1 << m) - 1):
-        t = frozenset(splits[j] for j in range(m) if mask >> j & 1)
-        children.append((t, induced_ramification(Stratum(rd=rd, t=t))))
-    return children
+    # doubling the list for each split place in turn appends the masks with its bit set
+    subsets: list[frozenset[int]] = [frozenset()]
+    for place in split_places(rd):
+        single = frozenset((place,))
+        subsets += [t | single for t in subsets]
+    return [(t, induced_ramification(Stratum(rd=rd, t=t))) for t in subsets[1:-1]]

@@ -110,6 +110,54 @@ def test_analyze_writes_out_file(tmp_path, capsys):
     assert verify_document(doc)
 
 
+def test_analyze_reports_an_unwritable_out_path(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "cert.json")
+    for argv in (("--curve", "2,0"), ("--curve", "2,0", "--ram-inf", "0")):
+        code, out, err = run_cli(capsys, "analyze", "--p", "3", "--f", "3", *argv, "--out", target)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: [Errno 2] No such file or directory: {target!r}\n")
+        assert "Traceback" not in err
+
+
+@pytest.fixture
+def default_int_digits():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer string conversion")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_analyze_refuses_integers_json_cannot_hold(tmp_path, capsys, default_int_digits):
+    target = tmp_path / "cert.json"
+    ram_inf = ",".join(map(str, range(2, 10000)))
+    argv = ("analyze", "--f", "10000", "--p", "3", "--ram-inf", ram_inf, "--curve", "2,0")
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    message = (
+        "the polarization bound at f=10000 has more than 4300 digits, "
+        "the interpreter's limit for integers in JSON"
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    doc = json.loads(target.read_text())
+    assert doc == {"error": message, "tool_version": TOOL_VERSION, "verdict": "error"}
+
+
+def test_the_digit_limit_refuses_exactly_what_json_cannot_write(capsys, default_int_digits):
+    # at s_inf = {2, ..., f - 1} and p = 3 the root's polarization bound has 4300 digits at
+    # f = 9012 and 4301 at f = 9013
+    for f, ram_fin, written in ((9012, "0", True), (9013, "1", False)):
+        ram_inf = ",".join(map(str, range(2, f)))
+        code, out, _ = run_cli(
+            capsys, "analyze", "--f", str(f), "--p", "3", "--ram-inf", ram_inf, "--ram-fin", ram_fin, "--curve", "2,0"
+        )
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == ((0, "finite") if written else (1, "error"))
+        if written:
+            assert len(str(doc["nodes"][0]["polarization_bound"])) == 4300
+            assert verify_document(doc)
+
+
 GOOD_CONFIG = {"curve": {"g": 2, "n": 0}, "rd": {"f": 2, "p": 3, "s_fin_count": 0, "s_inf": []}}
 
 
@@ -324,6 +372,14 @@ def test_selfcheck_json(capsys):
     code, out, err = run_cli(capsys, "selfcheck", "--primes", "2,x", "--json")
     assert (code, out) == (1, "")
     assert err.startswith("error: --primes: invalid literal")
+
+
+def test_selfcheck_counts_at_max_f_8(capsys):
+    code, out, _ = run_cli(capsys, "selfcheck", "--max-f", "8", "--primes", "2,3,5", "--json")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert [suite["checked"] for suite in suites] == [502, 9330, 9330, 9330, 1506, 1004, 121, 121, 156]
+    assert all(suite["passed"] for suite in suites)
 
 
 def test_selfcheck_small(capsys):

@@ -78,7 +78,7 @@ def test_certificate_roundtrip_shares_one_walk_among_its_builds(monkeypatch):
 
 
 def test_stratum_suites_fail_independently(monkeypatch):
-    def unaugmented(st):
+    def unaugmented(st, chains=None):
         # drops the extra place of every odd chain: s_inf | T only
         rd = st.rd
         return RamificationData(f=rd.f, s_inf=rd.s_inf | st.t, s_fin_count=rd.s_fin_count, p=rd.p)
@@ -96,3 +96,45 @@ def test_stratum_suites_fail_independently(monkeypatch):
     got = [(s.name, s.passed, s.checked, s.scope, s.counterexample) for s in report.suites]
     assert got == expected
     assert not report.ok
+
+
+def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("Stratum", "decompose_chains", "induced_ramification", "cycle_components"):
+        monkeypatch.setattr(SELFCHECK, name, counted(name, getattr(SELFCHECK, name)))
+    assert selfcheck(5, [2]).ok
+    # the occupied sets s_inf | T at f <= 5 are the proper subsets of Z/f: 1 + 3 + 7 + 15 + 31
+    assert calls == {
+        "Stratum": 301,
+        "decompose_chains": 301,
+        "induced_ramification": 301,
+        "cycle_components": 57,
+    }
+
+
+def test_chain_partition_catches_merged_chains(monkeypatch):
+    original = SELFCHECK.decompose_chains
+
+    def merged(st):
+        # one chain holding every occupied place: disjoint, covering, and free at both
+        # ends, so only the comparison with the oracle's components can tell
+        chains = original(st)
+        return (sum(chains, ()),) if chains else ()
+
+    monkeypatch.setattr(SELFCHECK, "decompose_chains", merged)
+    report = selfcheck(5, [2, 3])
+    failures = {"chain-partition": (32, "component mismatch: f=4 s_inf=[] t=[0, 2]")}
+    expected = [
+        (name, name not in failures, *failures.get(name, (checked, None)), scope)
+        for name, checked, scope in EXPECTED_COVERAGE
+    ]
+    got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
+    assert got == expected

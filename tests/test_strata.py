@@ -138,3 +138,37 @@ def test_children_enumerate_all_proper_nonempty_subsets():
         assert len(set(seen)) == len(seen)
         for t, child in children:
             assert child == induced_ramification(Stratum(rd=rd, t=t))
+
+
+def test_kernel_matches_the_oracle_for_every_datum_up_to_f9():
+    # the bit-scan chains and the doubled subset list against the set-based oracle
+    for rd in all_ramifications(9, 2):
+        f, s_inf = rd.f, rd.s_inf
+        for t in all_vanishing_sets(rd):
+            chains = decompose_chains(Stratum(rd=rd, t=t))
+            heads = [c[0] for c in chains]
+            assert heads == sorted(heads)
+            assert all((a - 1) % f == b for c in chains for a, b in zip(c, c[1:]))
+            assert {frozenset(c) for c in chains} == set(cycle_components(f, s_inf | t))
+        if shimura_dimension(rd) == 0:
+            continue
+        splits = split_places(rd)
+        m = len(splits)
+        in_mask_order = [
+            frozenset(splits[j] for j in range(m) if mask >> j & 1) for mask in range(1, (1 << m) - 1)
+        ]
+        children = strata_children(rd)
+        assert [t for t, _ in children] == in_mask_order
+        for t, child in children:
+            assert child == rd._replace(s_inf=s_inf | replay_augmented_set(f, s_inf, t))
+
+
+def test_induced_ramification_uses_the_chains_it_is_given():
+    for rd in all_ramifications(8, 2):
+        for t in all_vanishing_sets(rd):
+            st = Stratum(rd=rd, t=t)
+            assert induced_ramification(st, chains=decompose_chains(st)) == induced_ramification(st)
+    # the chains are used as given, not decomposed again: T meets the two
+    # chains (0,) and (2,) merged into one twice, so no place is added
+    st = _stratum(4, set(), {0, 2})
+    assert induced_ramification(st, chains=((2, 0),)).s_inf == frozenset({0, 2})
