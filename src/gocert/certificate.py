@@ -12,8 +12,9 @@ comparison every node of positive dimension applies is stated once.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  Verification replays the whole build from
-the embedded configuration and compares block by block and node by node, so
-any single altered field is caught.
+the embedded configuration, compares block by block, then compares the nodes in
+document order and stops at the first differing node, so any single altered
+field is caught.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from typing import Any, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from ._version import __version__
 from .hasse import degree_bound
@@ -191,24 +192,22 @@ def build_certificate(
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
     root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
+    # Each datum's node fields are worked out once.  Only the kind depends on
+    # where a datum sits: a root of positive dimension is the ordinary locus,
+    # and no other node repeats the root's datum, since every descent lowers
+    # the dimension.
+    rows: dict[RamificationData, tuple[tuple[Any, ...], tuple[Any, ...]]] = {}
+    for datum, entry in table.items():
+        kind = KIND_DIM_ZERO if entry.dim == 0 else KIND_ORDINARY if datum == rd else KIND_DESCENT
+        bound = entry.degree_bound
+        fields = (datum, kind, entry.dim, bound, None if bound is None else 2 * bound)
+        rows[datum] = fields, entry.edges
     nodes: list[NodeRecord] = []
 
     def visit(datum: RamificationData, path: tuple[tuple[int, ...], ...], fiber: int | None) -> None:
-        split = table[datum]
-        kind = KIND_DIM_ZERO if split.dim == 0 else KIND_DESCENT if path else KIND_ORDINARY
-        bound = split.degree_bound
-        nodes.append(
-            NodeRecord(
-                path=path,
-                rd=datum,
-                kind=kind,
-                dim=split.dim,
-                degree_bound=bound,
-                polarization_bound=None if bound is None else 2 * bound,
-                fiber_dim=fiber,
-            )
-        )
-        for t, child, n_fiber in split.edges:
+        fields, edges = rows[datum]
+        nodes.append(NodeRecord(path, *fields, fiber))
+        for t, child, n_fiber in edges:
             visit(child, path + (t,), n_fiber)
 
     visit(rd, (), None)
@@ -240,26 +239,36 @@ def _contradiction_doc(verdict: ContradictionVerdict) -> dict[str, Any]:
     }
 
 
-def _node_doc(node: NodeRecord) -> dict[str, Any]:
-    return {
-        "degree_bound": node.degree_bound,
-        "dim": node.dim,
-        "fiber_dim": node.fiber_dim,
-        "kind": node.kind,
-        "path": [list(step) for step in node.path],
-        "polarization_bound": node.polarization_bound,
-        "rd": _rd_doc(node.rd),
-    }
+def _node_docs(nodes: Iterable[NodeRecord]) -> Iterator[dict[str, Any]]:
+    """The document of each node, in order.
+
+    Each distinct datum's fields are worked out once per call, but every node
+    gets dicts and lists of its own, so editing one node never changes another.
+    """
+    rd_docs: dict[RamificationData, dict[str, Any]] = {}
+    for path, rd, kind, dim, bound, polarization, fiber in nodes:
+        rd_doc = rd_docs.get(rd)
+        if rd_doc is None:
+            rd_doc = rd_docs[rd] = _rd_doc(rd)
+        yield {
+            "degree_bound": bound,
+            "dim": dim,
+            "fiber_dim": fiber,
+            "kind": kind,
+            "path": [list(step) for step in path],
+            "polarization_bound": polarization,
+            "rd": {**rd_doc, "s_inf": rd_doc["s_inf"].copy()},
+        }
 
 
-def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
+def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
+    """Every top-level block of the certificate's document except "nodes"."""
     return {
         "config": {
             "curve": {"g": cert.curve.g, "n": cert.curve.n},
             "rd": _rd_doc(cert.rd),
         },
         "contradiction": _contradiction_doc(cert.contradiction),
-        "nodes": [_node_doc(node) for node in cert.nodes],
         "rigidity": {
             "count": cert.rigidity.count,
             "d": cert.rigidity.d,
@@ -270,6 +279,10 @@ def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
         "tool_version": cert.tool_version,
         "verdict": cert.verdict,
     }
+
+
+def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
+    return {**_blocks_doc(cert), "nodes": list(_node_docs(cert.nodes))}
 
 
 def serialize_document(doc: dict[str, Any]) -> str:
@@ -345,9 +358,11 @@ def verify_document(doc: Any) -> VerifyResult:
     length against the root's 2^m - 2 children and then against the bounded
     walk of the case split (capped at MAX_TREE_NODES), so a small document
     cannot demand a large build; the rebuild from that walk's table.  The one
-    check on content is then the exact comparison with the rebuild.  Truthy
-    exactly when every block and node is equal; otherwise the failures name
-    each differing block and the first differing node (by node path and field).
+    check on content is then the exact comparison with the rebuild: every
+    top-level block, then the nodes in document order, each encoded from the
+    rebuild only when it is reached, stopping at the first differing node.
+    Truthy exactly when every block and node is equal; otherwise the failures
+    name each differing block and the first differing node (by node path and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
@@ -375,13 +390,12 @@ def verify_document(doc: Any) -> VerifyResult:
     if count != table[rd].size:
         return VerifyResult(False, (f"node count is {count}, expected {table[rd].size}",))
 
-    expected = certificate_to_doc(build_certificate(rd, ct, split=table))
+    cert = build_certificate(rd, ct, split=table)
+    blocks = _blocks_doc(cert)
     failures = [
-        _first_mismatch(key, doc[key], expected[key])
-        for key in sorted(expected_keys - {"nodes"})
-        if doc[key] != expected[key]
+        _first_mismatch(key, doc[key], want) for key, want in sorted(blocks.items()) if doc[key] != want
     ]
-    for i, (got, want) in enumerate(zip(nodes, expected["nodes"], strict=True)):
+    for i, (got, want) in enumerate(zip(nodes, _node_docs(cert.nodes), strict=True)):
         if got != want:
             failures.append(_first_mismatch(f"nodes[{i}] path={want['path']}", got, want))
             break

@@ -16,11 +16,16 @@ from .places import RamificationData, make_ramification
 
 
 def all_ramifications(max_f: int, p: int, *, min_dim: int = 0) -> Iterator[RamificationData]:
-    """All (f, s_inf) with f <= max_f and at least min_dim split places; s_fin_count fixes parity."""
+    """All (f, s_inf) with f <= max_f and at least min_dim split places; s_fin_count fixes parity.
+
+    p is checked once, at the first next(), by make_ramification's rule; every
+    datum enumerated is then valid by construction and built without a check.
+    """
+    make_ramification(1, p)
     for f in range(1, max_f + 1):
         for r in range(f + 1 - min_dim):
             for s in itertools.combinations(range(f), r):
-                yield make_ramification(f, p, s, len(s) % 2)
+                yield RamificationData(f, frozenset(s), r % 2, p)
 
 
 def all_vanishing_sets(rd: RamificationData) -> Iterator[frozenset[int]]:

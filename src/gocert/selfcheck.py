@@ -186,7 +186,7 @@ def _suite_degree_monotone(max_f: int, primes: tuple[int, ...]) -> tuple[int, st
     for lo, hi in zip(ordered, ordered[1:]):
         for rd_lo in all_ramifications(max_f, lo, min_dim=1):
             checked += 1
-            rd_hi = make_ramification(rd_lo.f, hi, rd_lo.s_inf, rd_lo.s_fin_count)
+            rd_hi = rd_lo._replace(p=hi)  # selfcheck() has checked hi
             if degree_bound(rd_lo) > degree_bound(rd_hi):
                 return checked, f"p={lo}->{hi} f={rd_lo.f} s_inf={sorted(rd_lo.s_inf)}"
     return checked, None
@@ -254,13 +254,18 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     not depend on p), and the certificate round trip stops at f <= 4 and the
     first two primes because each check builds and verifies a whole tree.
     Raises ValueError, before any suite runs, for an empty prime list, a p
-    that make_ramification rejects, or max_f above MAX_SELFCHECK_F.
+    that make_ramification rejects, a p listed twice (it would be counted as
+    coverage twice), or max_f above MAX_SELFCHECK_F.
     """
     prime_tuple = tuple(primes)
     if not prime_tuple:
         raise ValueError("need at least one prime")
+    seen: set[int] = set()
     for p in prime_tuple:
         make_ramification(1, p)  # the same rule as every datum: an integer prime below P_BOUND
+        if p in seen:
+            raise ValueError(f"p={p} is listed twice")
+        seen.add(p)
     if max_f > MAX_SELFCHECK_F:
         raise ValueError(f"max_f must be at most {MAX_SELFCHECK_F}, got {max_f}")
     if max_f < 1:

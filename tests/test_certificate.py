@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -116,6 +117,21 @@ def test_nodes_carry_only_per_datum_fields_and_steps_appear_once():
             assert text.count(json.dumps(list(steps.prose), separators=(",", ":"))) == 1
         assert text.count('"prose"') == 4 and text.count('"deg_tangent"') == 1
     assert len(cert.nodes) == 1723 and len(text) < 350_000
+
+
+def test_documents_share_no_mutable_objects_between_nodes():
+    # the node encoder works out each datum's fields once; no node may hand its
+    # lists or dicts to another, since callers edit documents in place
+    cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
+    doc, fresh = certificate_to_doc(cert), certificate_to_doc(cert)
+    nodes = doc["nodes"]
+    occurs = Counter(json.dumps(node["rd"]) for node in nodes)
+    i = next(i for i, node in enumerate(nodes) if node["path"] and occurs[json.dumps(node["rd"])] > 2)
+    nodes[i]["rd"]["s_inf"].append(99)
+    nodes[i]["rd"]["extra"] = True
+    nodes[i]["path"][0][0] += 1
+    assert nodes[i] != fresh["nodes"][i]
+    assert nodes[:i] + nodes[i + 1 :] == fresh["nodes"][:i] + fresh["nodes"][i + 1 :]
 
 
 def test_serialization_is_canonical_and_integer_only():

@@ -272,6 +272,7 @@ def test_unreadable_files_are_reported_without_a_traceback(tmp_path, capsys, con
         (["--max-f", "4.0"], "--max-f: invalid literal for int() with base 10: '4.0'"),
         (["--primes", "1_1"], "--primes: invalid literal for int() with base 10: '1_1'"),
         (["--primes", "2,\uff13"], "--primes: invalid literal for int() with base 10: '\uff13'"),
+        (["--max-f", "3", "--primes", "2,2,3"], "p=2 is listed twice"),
     ],
 )
 def test_selfcheck_rejects_bad_inputs(capsys, argv, message):

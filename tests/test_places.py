@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -46,6 +47,20 @@ def test_all_n_tau_one_iff_no_ramified_place():
     for rd in all_ramifications(6, 2, min_dim=1):
         all_one = all(n_tau(rd, tau) == 1 for tau in split_places(rd))
         assert all_one == (not rd.s_inf)
+
+
+def test_all_ramifications_checks_p_once_and_builds_valid_data():
+    for p in (2, 3, 1000000007):
+        built = [
+            make_ramification(f, p, s, len(s) % 2)
+            for f in range(1, 7)
+            for r in range(f + 1)
+            for s in itertools.combinations(range(f), r)
+        ]
+        assert list(all_ramifications(6, p)) == built
+    data = all_ramifications(0, 9)
+    with pytest.raises(ValueError, match="p must be a prime, got 9"):
+        next(data)
 
 
 def test_dimension_monotone_under_enlarging_ramification():
