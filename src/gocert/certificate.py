@@ -11,7 +11,10 @@ an auditor sees exactly what is cited rather than computed; the equal-degree
 comparison every node of positive dimension applies is stated once.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
-terminating newline, integers only.  Verification replays the whole build from
+terminating newline, integers only.  serialize_certificate writes that text
+from one node template per distinct datum, with each node's fiber count and
+path written in; certificate_to_doc gives the same document as dicts, and a
+test pins the two texts equal.  Verification replays the whole build from
 the embedded configuration, compares block by block, then compares the nodes in
 document order and stops at the first differing node, so any single altered
 field is caught.
@@ -239,6 +242,21 @@ def _contradiction_doc(verdict: ContradictionVerdict) -> dict[str, Any]:
     }
 
 
+def _node_doc(
+    path: Any, rd_doc: dict[str, Any], kind: str, dim: int, bound: int | None, polarization: int | None, fiber: Any
+) -> dict[str, Any]:
+    """The one layout of a node's document: what _node_docs fills and the serializer's templates encode."""
+    return {
+        "degree_bound": bound,
+        "dim": dim,
+        "fiber_dim": fiber,
+        "kind": kind,
+        "path": path,
+        "polarization_bound": polarization,
+        "rd": rd_doc,
+    }
+
+
 def _node_docs(nodes: Iterable[NodeRecord]) -> Iterator[dict[str, Any]]:
     """The document of each node, in order.
 
@@ -250,15 +268,15 @@ def _node_docs(nodes: Iterable[NodeRecord]) -> Iterator[dict[str, Any]]:
         rd_doc = rd_docs.get(rd)
         if rd_doc is None:
             rd_doc = rd_docs[rd] = _rd_doc(rd)
-        yield {
-            "degree_bound": bound,
-            "dim": dim,
-            "fiber_dim": fiber,
-            "kind": kind,
-            "path": [list(step) for step in path],
-            "polarization_bound": polarization,
-            "rd": {**rd_doc, "s_inf": rd_doc["s_inf"].copy()},
-        }
+        yield _node_doc(
+            [list(step) for step in path],
+            {**rd_doc, "s_inf": rd_doc["s_inf"].copy()},
+            kind,
+            dim,
+            bound,
+            polarization,
+            fiber,
+        )
 
 
 def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
@@ -285,18 +303,62 @@ def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
     return {**_blocks_doc(cert), "nodes": list(_node_docs(cert.nodes))}
 
 
+# built once: json.dumps given any option builds an encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def serialize_document(doc: dict[str, Any]) -> str:
     """Canonical text form: sorted keys, compact separators, newline-terminated.
 
     Every document written is a tree of dicts and lists, built here or by
     json.loads, so the encoder's cycle check only costs time.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    return _ENCODER.encode(doc) + "\n"
+
+
+# Strings no field holds (JSON writes the NUL as \u0000), put in a template
+# where per-node text goes and found again in the encoded text.
+_FIBER_SLOT, _PATH_SLOT, _NODES_SLOT = "\0fiber_dim", "\0path", "\0nodes"
+_FIBER_TEXT, _PATH_TEXT, _NODES_TEXT = (_ENCODER.encode(slot) for slot in (_FIBER_SLOT, _PATH_SLOT, _NODES_SLOT))
 
 
 def serialize_certificate(cert: FinitenessCertificate) -> str:
-    """The certificate's document in canonical text form."""
-    return serialize_document(certificate_to_doc(cert))
+    """The certificate's document in canonical text form.
+
+    The text equals serialize_document(certificate_to_doc(cert)), but no
+    node's dicts are built.  Only fiber_dim and path differ between nodes of
+    one datum, so each distinct datum's node is encoded once, with slots for
+    those two, and split at the slots into the text around them.  A node's
+    text is that template with its fiber count and path written in; each
+    fiber count and vanishing set is encoded once.
+    """
+    templates: dict[tuple[Any, ...], tuple[str, str, str]] = {}
+    encoded: dict[Any, str] = {}
+    get = encoded.get
+    texts = []
+    for path, rd, kind, dim, bound, polarization, fiber in cert.nodes:
+        key = rd, kind, dim, bound, polarization
+        template = templates.get(key)
+        if template is None:
+            doc = _node_doc(_PATH_SLOT, _rd_doc(rd), kind, dim, bound, polarization, _FIBER_SLOT)
+            head, _, after = _ENCODER.encode(doc).partition(_FIBER_TEXT)
+            mid, _, tail = after.partition(_PATH_TEXT)
+            template = templates[key] = head, mid, tail
+        # a plain loop: on Python 3.11 a comprehension runs in a frame of its own,
+        # which costs more than its body here
+        steps = []
+        for step in path:
+            text = get(step)
+            if text is None:
+                text = encoded[step] = _ENCODER.encode(step)
+            steps.append(text)
+        fiber_text = get(fiber)
+        if fiber_text is None:
+            fiber_text = encoded[fiber] = _ENCODER.encode(fiber)
+        head, mid, tail = template
+        texts.append(f"{head}{fiber_text}{mid}[{','.join(steps)}]{tail}")
+    before, _, after = serialize_document({**_blocks_doc(cert), "nodes": _NODES_SLOT}).partition(_NODES_TEXT)
+    return f"{before}[{','.join(texts)}]{after}"
 
 
 def error_document(message: str) -> dict[str, Any]:

@@ -101,11 +101,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     # finite exactly when 2g - 2 + n = 2: the Higgs map is forced and every ordinary locus is contradicted
     cause = "" if cert.verdict == "finite" else f"2g-2+n = {euler_bound(cert.curve)}, not 2; "
-    print(
-        f"verdict: {cert.verdict} ({cause}nodes={len(cert.nodes)}, "
-        f"root degree bound={cert.nodes[0].degree_bound})",
-        file=sys.stderr,
-    )
+    bound = cert.nodes[0].degree_bound
+    root = "dimension-zero root, no degree bound" if bound is None else f"root degree bound={bound}"
+    print(f"verdict: {cert.verdict} ({cause}nodes={len(cert.nodes)}, {root})", file=sys.stderr)
     return 0 if cert.verdict == "finite" else 2
 
 

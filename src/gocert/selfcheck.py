@@ -170,13 +170,12 @@ def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> tuple[int, str 
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
             checked += 1
-            label = f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
             per_anchor = {anchor: relaxed_profile_max(rd, anchor) for anchor in split_places(rd)}
             if degree_bound(rd) != max(per_anchor.values()):
-                return checked, label
+                return checked, f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
             for anchor, expected in per_anchor.items():
                 if max_degree_sum(rd, anchor) != expected:
-                    return checked, f"anchor {anchor}: {label}"
+                    return checked, f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
     return checked, None
 
 

@@ -16,7 +16,7 @@ from gocert import (
     verify_document,
 )
 from gocert import certificate
-from gocert.certificate import error_document, parse_config
+from gocert.certificate import error_document, parse_config, serialize_document
 from gocert.oracle import all_ramifications
 from helpers import document_mutations, leaf_mutations
 
@@ -152,6 +152,27 @@ def test_serialization_is_canonical_and_integer_only():
                 walk(v)
 
     walk(doc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000000007])
+def test_serialized_text_equals_the_encoded_document(p):
+    # analyze writes the text from per-datum templates; certificate_to_doc is the reference
+    curves = [GENUS_TWO, FOUR_PUNCTURED, CurveType(3, 0), CurveType(1, 2), CurveType(1, 1)]
+    for rd in all_ramifications(6, p):
+        for curve in curves:
+            cert = build_certificate(rd, curve)
+            assert serialize_certificate(cert) == serialize_document(certificate_to_doc(cert)), (rd, curve)
+
+
+def test_serialization_builds_no_node_documents(monkeypatch):
+    cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
+    expected = serialize_certificate(cert)
+
+    def refuse(nodes):
+        raise AssertionError("serialize_certificate built the node documents")
+
+    monkeypatch.setattr(certificate, "_node_docs", refuse)
+    assert serialize_certificate(cert) == expected
 
 
 def test_repeated_builds_are_byte_identical():

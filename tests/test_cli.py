@@ -48,6 +48,17 @@ def test_analyze_names_the_cause_of_an_inconclusive_verdict(capsys):
     assert code == 0 and "2g-2+n" not in err
 
 
+def test_analyze_reports_a_dimension_zero_root_without_a_bound(capsys):
+    for curve, code in (("2,0", 0), ("3,0", 2)):
+        got, out, err = run_cli(capsys, "analyze", "--p", "3", "--f", "2", "--ram-inf", "0,1", "--curve", curve)
+        assert got == code
+        assert "nodes=1, dimension-zero root, no degree bound)" in err
+        assert "None" not in err
+        assert json.loads(out)["nodes"][0]["degree_bound"] is None
+    _, _, err = run_cli(capsys, "analyze", "--p", "3", "--f", "2", "--curve", "2,0")
+    assert "root degree bound=4)" in err
+
+
 def test_analyze_with_ramification_flags(capsys):
     code, out, _ = run_cli(
         capsys,

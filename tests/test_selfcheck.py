@@ -121,6 +121,20 @@ def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
     }
 
 
+@pytest.mark.parametrize(
+    "name, counterexample",
+    [
+        ("degree_bound", "p=2 f=1 s_inf=[]"),
+        ("max_degree_sum", "anchor 0: p=2 f=1 s_inf=[]"),
+    ],
+)
+def test_degree_oracle_names_its_counterexample(monkeypatch, name, counterexample):
+    original = getattr(SELFCHECK, name)
+    monkeypatch.setattr(SELFCHECK, name, lambda *args: original(*args) + 1)
+    (suite,) = [s for s in selfcheck(3, [2, 3]).suites if s.name == "degree-oracle"]
+    assert (suite.passed, suite.checked, suite.counterexample) == (False, 1, counterexample)
+
+
 def test_chain_partition_catches_merged_chains(monkeypatch):
     original = SELFCHECK.decompose_chains
 
