@@ -10,14 +10,20 @@ literature are listed verbatim as prose, once per node kind under "steps", so
 an auditor sees exactly what is cited rather than computed; the equal-degree
 comparison every node of positive dimension applies is stated once.
 
+A certificate keeps the case split as its walk computed it: a table of the
+distinct data below the root, each with its edges, a DAG of which the
+document's tree is the preorder expansion.  The serializer and the verifier
+walk that table; only certificate_to_doc and the nodes property list a record
+per tree node.
+
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  serialize_certificate writes that text
 from one node template per distinct datum, with each node's fiber count and
 path written in; certificate_to_doc gives the same document as dicts, and a
-test pins the two texts equal.  Verification replays the whole build from
-the embedded configuration, compares block by block, then compares the nodes in
-document order and stops at the first differing node, so any single altered
-field is caught.
+test pins the two texts equal.  Verification replays the case split from the
+embedded configuration, compares block by block, then compares the nodes in
+document order with the replayed table walked in preorder and stops at the
+first differing node, so any single altered field is caught.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import json
 import sys
 from typing import Any, Iterable, Iterator, NamedTuple
 
+from . import places
 from ._version import __version__
 from .hasse import degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
@@ -103,22 +110,56 @@ class NodeRecord(NamedTuple):
     fiber_dim: int | None
 
 
-class FinitenessCertificate(NamedTuple):
-    rd: RamificationData
-    curve: CurveType
-    rigidity: RigidityVerdict
-    contradiction: ContradictionVerdict
-    steps: dict[str, Steps]
-    nodes: tuple[NodeRecord, ...]
-    verdict: str
-    tool_version: str
-
-
 class _Split(NamedTuple):
     dim: int
     degree_bound: int | None
     edges: tuple[tuple[tuple[int, ...], RamificationData, int], ...]  # (sorted t, child, fiber_dim)
     size: int
+
+
+def _kind(datum: RamificationData, root: RamificationData, dim: int) -> str:
+    """A node's kind: a root of positive dimension is the ordinary locus.
+
+    Only the kind depends on where a datum sits, and no other node repeats the
+    root's datum, since every descent lowers the dimension.
+    """
+    return KIND_DIM_ZERO if dim == 0 else KIND_ORDINARY if datum == root else KIND_DESCENT
+
+
+class FinitenessCertificate(NamedTuple):
+    """A certificate as its case-split table: each distinct datum below rd once, with its edges.
+
+    split is the table _case_split(rd) returns.  The tree it describes is
+    listed by the nodes property, which expands it afresh on every access (42 667
+    records at f = 9), so a caller that reads it more than once binds it once.
+    """
+
+    rd: RamificationData
+    curve: CurveType
+    rigidity: RigidityVerdict
+    contradiction: ContradictionVerdict
+    steps: dict[str, Steps]
+    split: dict[RamificationData, _Split]
+    verdict: str
+    tool_version: str
+
+    @property
+    def nodes(self) -> tuple[NodeRecord, ...]:
+        """Every node of the case-split tree in preorder, children in strata_children order."""
+        table, root = self.split, self.rd
+        nodes: list[NodeRecord] = []
+
+        def visit(datum: RamificationData, path: tuple[tuple[int, ...], ...], fiber: int | None) -> None:
+            entry = table[datum]
+            bound = entry.degree_bound
+            polarization = None if bound is None else 2 * bound
+            nodes.append(NodeRecord(path, datum, _kind(datum, root, entry.dim), entry.dim, bound, polarization, fiber))
+            for t, child, n_fiber in entry.edges:
+                visit(child, path + (t,), n_fiber)
+
+        visit(root, (), None)
+        del visit  # as in _case_split: no cycle keeps the node list alive
+        return tuple(nodes)
 
 
 def _more_digits(n: int, digits: int) -> bool:
@@ -185,36 +226,17 @@ def build_certificate(
     positive dimension carry the anchor-maximized degree bound; the one
     equal-degree comparison, with filtration degree one and trivial
     determinant, applies to each of them.  Children follow in canonical
-    bitmask order, so repeated builds serialize to identical bytes.  Raises
+    bitmask order, so repeated builds serialize to identical bytes.  The
+    certificate keeps the case-split table and lists no nodes.  Raises
     ValueError when the tree has more than MAX_TREE_NODES nodes.  A caller
     that has already walked rd passes the table _case_split(rd) returned as
-    split, and the tree is expanded from it without a second walk.
+    split, and no second walk is made.
     """
     rig = finiteness_verdict(ct)
     table = _case_split(rd) if split is None else split
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
     root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
-    # Each datum's node fields are worked out once.  Only the kind depends on
-    # where a datum sits: a root of positive dimension is the ordinary locus,
-    # and no other node repeats the root's datum, since every descent lowers
-    # the dimension.
-    rows: dict[RamificationData, tuple[tuple[Any, ...], tuple[Any, ...]]] = {}
-    for datum, entry in table.items():
-        kind = KIND_DIM_ZERO if entry.dim == 0 else KIND_ORDINARY if datum == rd else KIND_DESCENT
-        bound = entry.degree_bound
-        fields = (datum, kind, entry.dim, bound, None if bound is None else 2 * bound)
-        rows[datum] = fields, entry.edges
-    nodes: list[NodeRecord] = []
-
-    def visit(datum: RamificationData, path: tuple[tuple[int, ...], ...], fiber: int | None) -> None:
-        fields, edges = rows[datum]
-        nodes.append(NodeRecord(path, *fields, fiber))
-        for t, child, n_fiber in edges:
-            visit(child, path + (t,), n_fiber)
-
-    visit(rd, (), None)
-    del visit  # as in _case_split: no cycle keeps the node list alive
     contradicted = table[rd].dim == 0 or contra.conclusion == "contradiction"
     verdict = "finite" if rig.finite and contradicted else "inconclusive"
     return FinitenessCertificate(
@@ -223,7 +245,7 @@ def build_certificate(
         rigidity=rig,
         contradiction=contra,
         steps={**KIND_STEPS, "root": root_steps},
-        nodes=tuple(nodes),
+        split=table,
         verdict=verdict,
         tool_version=TOOL_VERSION,
     )
@@ -245,7 +267,7 @@ def _contradiction_doc(verdict: ContradictionVerdict) -> dict[str, Any]:
 def _node_doc(
     path: Any, rd_doc: dict[str, Any], kind: str, dim: int, bound: int | None, polarization: int | None, fiber: Any
 ) -> dict[str, Any]:
-    """The one layout of a node's document: what _node_docs fills and the serializer's templates encode."""
+    """The one layout of a node's document: what _node_docs and _entry_doc fill."""
     return {
         "degree_bound": bound,
         "dim": dim,
@@ -255,6 +277,13 @@ def _node_doc(
         "polarization_bound": polarization,
         "rd": rd_doc,
     }
+
+
+def _entry_doc(datum: RamificationData, entry: _Split, root: RamificationData, path: Any, fiber: Any) -> dict[str, Any]:
+    """The document of a node of datum below root, from datum's case-split entry, with the path and fiber given."""
+    bound = entry.degree_bound
+    kind = _kind(datum, root, entry.dim)
+    return _node_doc(path, _rd_doc(datum), kind, entry.dim, bound, None if bound is None else 2 * bound, fiber)
 
 
 def _node_docs(nodes: Iterable[NodeRecord]) -> Iterator[dict[str, Any]]:
@@ -326,37 +355,40 @@ def serialize_certificate(cert: FinitenessCertificate) -> str:
     """The certificate's document in canonical text form.
 
     The text equals serialize_document(certificate_to_doc(cert)), but no
-    node's dicts are built.  Only fiber_dim and path differ between nodes of
-    one datum, so each distinct datum's node is encoded once, with slots for
-    those two, and split at the slots into the text around them.  A node's
-    text is that template with its fiber count and path written in; each
-    fiber count and vanishing set is encoded once.
+    node's dicts are built: the case-split table is walked in preorder.  Only
+    fiber_dim and path differ between nodes of one datum, so each distinct
+    datum's node is encoded once, with slots for those two, and split at the
+    slots into the text around them; each vanishing set and fiber count is
+    encoded once too.  A node's text is its datum's template with its fiber
+    count and path written in, and the walk hands each child its path text
+    as the parent's plus one step.
     """
-    templates: dict[tuple[Any, ...], tuple[str, str, str]] = {}
+    table, root = cert.split, cert.rd
     encoded: dict[Any, str] = {}
-    get = encoded.get
-    texts = []
-    for path, rd, kind, dim, bound, polarization, fiber in cert.nodes:
-        key = rd, kind, dim, bound, polarization
-        template = templates.get(key)
-        if template is None:
-            doc = _node_doc(_PATH_SLOT, _rd_doc(rd), kind, dim, bound, polarization, _FIBER_SLOT)
-            head, _, after = _ENCODER.encode(doc).partition(_FIBER_TEXT)
-            mid, _, tail = after.partition(_PATH_TEXT)
-            template = templates[key] = head, mid, tail
-        # a plain loop: on Python 3.11 a comprehension runs in a frame of its own,
-        # which costs more than its body here
-        steps = []
-        for step in path:
-            text = get(step)
-            if text is None:
-                text = encoded[step] = _ENCODER.encode(step)
-            steps.append(text)
-        fiber_text = get(fiber)
-        if fiber_text is None:
-            fiber_text = encoded[fiber] = _ENCODER.encode(fiber)
-        head, mid, tail = template
-        texts.append(f"{head}{fiber_text}{mid}[{','.join(steps)}]{tail}")
+
+    def encode(value: Any) -> str:
+        text = encoded.get(value)
+        if text is None:
+            text = encoded[value] = _ENCODER.encode(value)
+        return text
+
+    rows: dict[RamificationData, tuple[str, str, str, tuple[tuple[str, RamificationData, str], ...]]] = {}
+    for datum, entry in table.items():
+        head, _, after = _ENCODER.encode(_entry_doc(datum, entry, root, _PATH_SLOT, _FIBER_SLOT)).partition(_FIBER_TEXT)
+        mid, _, tail = after.partition(_PATH_TEXT)
+        rows[datum] = head, mid, tail, tuple((encode(t), child, encode(fiber)) for t, child, fiber in entry.edges)
+    texts: list[str] = []
+
+    def write(datum: RamificationData, steps: str, fiber: str) -> None:
+        # steps is the path's text without its brackets
+        head, mid, tail, edges = rows[datum]
+        texts.append(f"{head}{fiber}{mid}[{steps}]{tail}")
+        prefix = f"{steps}," if steps else ""
+        for step, child, child_fiber in edges:
+            write(child, prefix + step, child_fiber)
+
+    write(root, "", encode(None))
+    del write  # as in _case_split: no cycle keeps the texts alive
     before, _, after = serialize_document({**_blocks_doc(cert), "nodes": _NODES_SLOT}).partition(_NODES_TEXT)
     return f"{before}[{','.join(texts)}]{after}"
 
@@ -412,6 +444,67 @@ def _first_mismatch(where: str, got: Any, want: Any) -> str:
     return f"{where} is {got!r}, expected {want!r}"
 
 
+# The blocks whose values must match in JSON type as well as in value: json.loads
+# reads 1 == true and 2.0 == 2, so equality alone would accept either for the other.
+_TYPED_BLOCKS = ("contradiction", "rigidity")
+
+
+def _mistyped_field(where: str, got: dict[str, Any], want: dict[str, Any]) -> str | None:
+    """Name the first field of got, equal to want in value, whose JSON type differs; None when none does.
+
+    A bool must be a bool and an int a JSON integer.  is_json_int is called
+    through its module, so the benchmark's span tracer (perfbench/spans.py),
+    which wraps imported names, does not count this once-per-document check.
+    """
+    for key, expected in sorted(want.items()):
+        value = got[key]
+        if isinstance(expected, bool):
+            exact = isinstance(value, bool)
+        else:
+            exact = not isinstance(expected, int) or places.is_json_int(value)
+        if not exact:
+            return f"{where}: field {key!r} is {value!r}, expected {expected!r}"
+    return None
+
+
+def _first_node_mismatch(nodes: list[Any], table: dict[RamificationData, _Split], root: RamificationData) -> str | None:
+    """Compare nodes, in order, with the tree of table below root, in preorder; name the first that differs.
+
+    Each datum has one expected node dict, and all of them share one path
+    list, which the walk keeps equal to the current node's path; only
+    fiber_dim is written per node.  The walk stops at the first differing
+    node, and its message is formatted while the path is that node's.  The
+    caller has checked that there are exactly as many nodes as the tree has.
+    """
+    path: list[list[int]] = []
+    rows: dict[RamificationData, tuple[dict[str, Any], tuple[tuple[list[int], RamificationData, int], ...]]] = {}
+    for datum, entry in table.items():
+        want = _entry_doc(datum, entry, root, path, None)
+        rows[datum] = want, tuple((list(t), child, fiber) for t, child, fiber in entry.edges)
+    index = 0
+
+    def check(datum: RamificationData, fiber: int | None) -> str | None:
+        nonlocal index
+        want, edges = rows[datum]
+        want["fiber_dim"] = fiber
+        got = nodes[index]
+        if got != want:
+            return _first_mismatch(f"nodes[{index}] path={path}", got, want)
+        index += 1
+        for step, child, child_fiber in edges:
+            path.append(step)
+            failure = check(child, child_fiber)
+            if failure is not None:
+                return failure
+            path.pop()
+        return None
+
+    try:
+        return check(root, None)
+    finally:
+        del check  # as in _case_split: no cycle keeps the expected dicts alive
+
+
 def verify_document(doc: Any) -> VerifyResult:
     """Independent replay: the document must equal the one rebuilt from its own config.
 
@@ -421,10 +514,11 @@ def verify_document(doc: Any) -> VerifyResult:
     walk of the case split (capped at MAX_TREE_NODES), so a small document
     cannot demand a large build; the rebuild from that walk's table.  The one
     check on content is then the exact comparison with the rebuild: every
-    top-level block, then the nodes in document order, each encoded from the
-    rebuild only when it is reached, stopping at the first differing node.
-    Truthy exactly when every block and node is equal; otherwise the failures
-    name each differing block and the first differing node (by node path and field).
+    top-level block (the rigidity and contradiction blocks by JSON type as
+    well), then the nodes in document order against the table walked in
+    preorder, stopping at the first differing node.  Truthy exactly when every
+    block and node is equal; otherwise the failures name each differing block
+    and the first differing node (by node path and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
@@ -453,12 +547,14 @@ def verify_document(doc: Any) -> VerifyResult:
         return VerifyResult(False, (f"node count is {count}, expected {table[rd].size}",))
 
     cert = build_certificate(rd, ct, split=table)
-    blocks = _blocks_doc(cert)
-    failures = [
-        _first_mismatch(key, doc[key], want) for key, want in sorted(blocks.items()) if doc[key] != want
-    ]
-    for i, (got, want) in enumerate(zip(nodes, _node_docs(cert.nodes), strict=True)):
+    failures = []
+    for key, want in sorted(_blocks_doc(cert).items()):
+        got = doc[key]
         if got != want:
-            failures.append(_first_mismatch(f"nodes[{i}] path={want['path']}", got, want))
-            break
+            failures.append(_first_mismatch(key, got, want))
+        elif key in _TYPED_BLOCKS and (failure := _mistyped_field(key, got, want)):
+            failures.append(failure)
+    failure = _first_node_mismatch(nodes, table, rd)
+    if failure is not None:
+        failures.append(failure)
     return VerifyResult(not failures, tuple(failures))

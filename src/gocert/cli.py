@@ -101,9 +101,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     # finite exactly when 2g - 2 + n = 2: the Higgs map is forced and every ordinary locus is contradicted
     cause = "" if cert.verdict == "finite" else f"2g-2+n = {euler_bound(cert.curve)}, not 2; "
-    bound = cert.nodes[0].degree_bound
+    top = cert.split[cert.rd]  # the root's entry: its bound and the tree size, without listing nodes
+    bound = top.degree_bound
     root = "dimension-zero root, no degree bound" if bound is None else f"root degree bound={bound}"
-    print(f"verdict: {cert.verdict} ({cause}nodes={len(cert.nodes)}, {root})", file=sys.stderr)
+    print(f"verdict: {cert.verdict} ({cause}nodes={top.size}, {root})", file=sys.stderr)
     return 0 if cert.verdict == "finite" else 2
 
 

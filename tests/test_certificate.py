@@ -17,6 +17,7 @@ from gocert import (
 )
 from gocert import certificate
 from gocert.certificate import error_document, parse_config, serialize_document
+from gocert.cli import main
 from gocert.oracle import all_ramifications
 from helpers import document_mutations, leaf_mutations
 
@@ -213,18 +214,78 @@ def test_verify_rejects_every_single_leaf_mutation_at_its_field():
     checked = 0
     for rd in all_ramifications(4, 3):
         for ct in (GENUS_TWO, CurveType(3, 0)):
-            doc = certificate_to_doc(build_certificate(rd, ct))
+            cert = build_certificate(rd, ct)
+            doc, refs = certificate_to_doc(cert), certificate_to_doc(cert)["nodes"]
             assert verify_document(doc)
-            paths = [str(node["path"]) for node in doc["nodes"]]
             for where in leaf_mutations(doc):
                 checked += 1
                 result = verify_document(doc)
                 assert not result, where
                 if where[0] == "nodes":
-                    i, key = where[1], where[2]
-                    prefix = f"nodes[{i}] path={paths[i]}: field {key!r} "
-                    assert result.failures[0].startswith(prefix), (where, result.failures)
+                    # the whole message: a reused expected node must not leak
+                    # another node's path or fiber_dim into it
+                    i, ref = where[1], refs[where[1]]
+                    message = certificate._first_mismatch(f"nodes[{i}] path={ref['path']}", doc["nodes"][i], ref)
+                    assert message.startswith(f"nodes[{i}] path={ref['path']}: field {where[2]!r} ")
+                    assert result.failures[0] == message, (where, result.failures)
     assert checked == 4698
+
+
+def test_verify_rejects_a_value_of_another_json_type_in_the_scalar_blocks():
+    # json.loads gives 1 == True and 2.0 == 2; verify must not accept one for the other
+    doc = certificate_to_doc(build_certificate(make_ramification(3, 3), GENUS_TWO))
+    assert verify_document(doc)
+    cases = {
+        ("rigidity", "finite"): 1,
+        ("rigidity", "count"): 16.0,
+        ("rigidity", "euler_bound"): 2.0,
+        ("contradiction", "forced_iso"): 1,
+        ("contradiction", "deg_tangent"): -2.0,
+        ("rigidity", "d"): True,
+    }
+    for (block, key), value in cases.items():
+        mutated = json.loads(json.dumps(doc))
+        expected = mutated[block][key]
+        assert value == expected and type(value) is not type(expected)
+        mutated[block][key] = value
+        assert verify_document(mutated).failures == (f"{block}: field {key!r} is {value!r}, expected {expected!r}",)
+
+
+def test_certificates_list_no_node_records(monkeypatch, capsys):
+    # build, serialize and verify walk the case-split table: neither a record
+    # nor a document is made per tree node
+    def refuse(*args):
+        raise AssertionError("a node record or node document was built")
+
+    monkeypatch.setattr(certificate, "NodeRecord", refuse)
+    monkeypatch.setattr(certificate, "_node_docs", refuse)
+    cert = build_certificate(make_ramification(6, 3), GENUS_TWO)
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6bec000afc114a0e10b554fc0d93241b2ef506d8502dacad55b8e6f0ce9e9d2c"
+    )
+    doc = json.loads(text)
+    assert verify_document(doc)
+    doc["nodes"][100]["fiber_dim"] += 1
+    failures = verify_document(doc).failures
+    assert len(failures) == 1 and failures[0].startswith("nodes[100] path=") and "'fiber_dim'" in failures[0]
+    assert main(["analyze", "--f", "6", "--p", "3", "--curve", "2,0"]) == 0
+    assert "nodes=495," in capsys.readouterr().err
+
+
+def test_nodes_expand_the_split_table_in_preorder():
+    cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
+    nodes = cert.nodes
+    assert len(nodes) == cert.split[cert.rd].size and nodes == cert.nodes
+    assert set(cert.split) == {node.rd for node in nodes}
+    for i, node in enumerate(nodes):
+        entry = cert.split[node.rd]
+        assert (node.dim, node.degree_bound) == (entry.dim, entry.degree_bound)
+        # the children follow, each after the whole subtree of its elder sibling
+        j = i + 1
+        for t, child, fiber in entry.edges:
+            assert (nodes[j].path, nodes[j].rd, nodes[j].fiber_dim) == (node.path + (t,), child, fiber)
+            j += cert.split[child].size
 
 
 def test_verify_reports_the_node_path_of_a_decremented_bound():

@@ -35,7 +35,7 @@ def test_every_record_keeps_its_field_names_and_order():
         "ContradictionVerdict": ("deg_tangent", "deg_hom", "forced_iso", "conclusion"),
         "NodeRecord": ("path", "rd", "kind", "dim", "degree_bound", "polarization_bound", "fiber_dim"),
         "FinitenessCertificate": (
-            "rd", "curve", "rigidity", "contradiction", "steps", "nodes", "verdict", "tool_version",
+            "rd", "curve", "rigidity", "contradiction", "steps", "split", "verdict", "tool_version",
         ),
         "VerifyResult": ("ok", "failures"),
         "SuiteResult": ("name", "passed", "checked", "scope", "counterexample", "seconds"),
