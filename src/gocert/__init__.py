@@ -13,7 +13,6 @@ from ._version import __version__
 from .certificate import (
     TOOL_VERSION,
     FinitenessCertificate,
-    NodeRecord,
     VerifyResult,
     build_certificate,
     certificate_to_doc,
@@ -78,7 +77,6 @@ __all__ = [
     "tangent_degree",
     "contradiction_check",
     "FinitenessCertificate",
-    "NodeRecord",
     "VerifyResult",
     "build_certificate",
     "certificate_to_doc",

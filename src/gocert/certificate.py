@@ -12,18 +12,18 @@ comparison every node of positive dimension applies is stated once.
 
 A certificate keeps the case split as its walk computed it: a table of the
 distinct data below the root, each with its edges, a DAG of which the
-document's tree is the preorder expansion.  The serializer and the verifier
-walk that table; only certificate_to_doc and the nodes property list a record
-per tree node.
+document's tree is the preorder expansion.  That table is the certificate's
+only tree form; no record is made per tree node.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  serialize_certificate writes that text
 from one node template per distinct datum, with each node's fiber count and
-path written in; certificate_to_doc gives the same document as dicts, and a
-test pins the two texts equal.  Verification replays the case split from the
-embedded configuration, compares block by block, then compares the nodes in
-document order with the replayed table walked in preorder and stops at the
-first differing node, so any single altered field is caught.
+path written in.  _walk_nodes is the one other expansion of the table: it
+hands each node, in preorder, to certificate_to_doc, which copies it into the
+same document as dicts (a test pins the two texts equal), and to verification,
+which replays the case split from the embedded configuration, compares block
+by block, then compares the document's nodes in order with the walked ones and
+stops at the first differing node, so any single altered field is caught.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from . import places
 from ._version import __version__
@@ -98,18 +98,6 @@ def _min_tree_size(dim: int) -> int:
 _REFUSAL_DIM = next(d for d in itertools.count() if _min_tree_size(d) > MAX_TREE_NODES)
 
 
-class NodeRecord(NamedTuple):
-    """One datum of the case split, addressed by the chain of vanishing sets from the root."""
-
-    path: tuple[tuple[int, ...], ...]
-    rd: RamificationData
-    kind: str
-    dim: int
-    degree_bound: int | None
-    polarization_bound: int | None
-    fiber_dim: int | None
-
-
 class _Split(NamedTuple):
     dim: int
     degree_bound: int | None
@@ -117,21 +105,13 @@ class _Split(NamedTuple):
     size: int
 
 
-def _kind(datum: RamificationData, root: RamificationData, dim: int) -> str:
-    """A node's kind: a root of positive dimension is the ordinary locus.
-
-    Only the kind depends on where a datum sits, and no other node repeats the
-    root's datum, since every descent lowers the dimension.
-    """
-    return KIND_DIM_ZERO if dim == 0 else KIND_ORDINARY if datum == root else KIND_DESCENT
-
-
 class FinitenessCertificate(NamedTuple):
     """A certificate as its case-split table: each distinct datum below rd once, with its edges.
 
-    split is the table _case_split(rd) returns.  The tree it describes is
-    listed by the nodes property, which expands it afresh on every access (42 667
-    records at f = 9), so a caller that reads it more than once binds it once.
+    split is the table _case_split(rd) returns, a DAG whose preorder expansion
+    is the document's tree (at f = 9 and s_inf = {}, 76 data for 42 667
+    nodes).  The nodes are listed only in a document:
+    certificate_to_doc(cert)["nodes"].
     """
 
     rd: RamificationData
@@ -143,31 +123,18 @@ class FinitenessCertificate(NamedTuple):
     verdict: str
     tool_version: str
 
-    @property
-    def nodes(self) -> tuple[NodeRecord, ...]:
-        """Every node of the case-split tree in preorder, children in strata_children order."""
-        table, root = self.split, self.rd
-        nodes: list[NodeRecord] = []
 
-        def visit(datum: RamificationData, path: tuple[tuple[int, ...], ...], fiber: int | None) -> None:
-            entry = table[datum]
-            bound = entry.degree_bound
-            polarization = None if bound is None else 2 * bound
-            nodes.append(NodeRecord(path, datum, _kind(datum, root, entry.dim), entry.dim, bound, polarization, fiber))
-            for t, child, n_fiber in entry.edges:
-                visit(child, path + (t,), n_fiber)
+def _check_json_digits(n: int, what: str) -> None:
+    """Raise ValueError when n has more decimal digits than json converts; a negative n passes.
 
-        visit(root, (), None)
-        del visit  # as in _case_split: no cycle keeps the node list alive
-        return tuple(nodes)
-
-
-def _more_digits(n: int, digits: int) -> bool:
-    """True when the natural number n has more than digits decimal digits.
-
-    Below 2^(3 digits) < 10^digits it cannot, so most calls stop at the bit length.
+    The limit is the interpreter's for integers converted to or from text
+    (sys.get_int_max_str_digits), so json could neither write nor read n; 0,
+    and a Python without the setting, mean no limit.  Below 2^(3 digits) <
+    10^digits n cannot have more digits, so most calls stop at the bit length.
     """
-    return n.bit_length() > 3 * digits and n >= 10**digits
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits and n.bit_length() > 3 * digits and n >= 10**digits:
+        raise ValueError(f"{what} has more than {digits} digits, the interpreter's limit for integers in JSON")
 
 
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
@@ -176,13 +143,10 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     Raises ValueError once the tree is known to exceed MAX_TREE_NODES: before
     listing the children of a datum of dimension _REFUSAL_DIM or more, or when
     a running subtree total passes the limit.  Raises ValueError as well for a
-    datum whose polarization bound has more digits than the interpreter converts
-    to or from text (sys.get_int_max_str_digits), since json could neither write
-    nor read it.
+    datum whose polarization bound has more digits than json converts
+    (_check_json_digits).
     """
     too_large = f"the case split has more than {MAX_TREE_NODES} nodes"
-    # 0, and a Python without the setting, mean no limit
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     table: dict[RamificationData, _Split] = {}
 
     def walk(datum: RamificationData) -> _Split:
@@ -199,11 +163,8 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
                 raise ValueError(too_large)
             edges.append((tuple(sorted(t)), child, dim - len(t) - below.dim))
         bound = degree_bound(datum) if dim else None
-        if digits and bound is not None and _more_digits(2 * bound, digits):
-            raise ValueError(
-                f"the polarization bound at f={datum.f} has more than {digits} digits, "
-                "the interpreter's limit for integers in JSON"
-            )
+        if bound is not None:
+            _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
         split = table[datum] = _Split(dim, bound, tuple(edges), size)
         return split
 
@@ -228,10 +189,13 @@ def build_certificate(
     determinant, applies to each of them.  Children follow in canonical
     bitmask order, so repeated builds serialize to identical bytes.  The
     certificate keeps the case-split table and lists no nodes.  Raises
-    ValueError when the tree has more than MAX_TREE_NODES nodes.  A caller
-    that has already walked rd passes the table _case_split(rd) returned as
-    split, and no second walk is made.
+    ValueError when the curve's 2g - 2 + n, or a polarization bound, has more
+    digits than json converts, and when the tree has more than MAX_TREE_NODES
+    nodes.  A caller that has already walked rd passes the table
+    _case_split(rd) returned as split, and no second walk is made.
     """
+    # no integer the curve puts in the document has more digits than 2g - 2 + n
+    _check_json_digits(euler_bound(ct), "the curve's 2g-2+n")
     rig = finiteness_verdict(ct)
     table = _case_split(rd) if split is None else split
     contra = contradiction_check(ct, 1, 0)
@@ -264,48 +228,59 @@ def _contradiction_doc(verdict: ContradictionVerdict) -> dict[str, Any]:
     }
 
 
-def _node_doc(
-    path: Any, rd_doc: dict[str, Any], kind: str, dim: int, bound: int | None, polarization: int | None, fiber: Any
-) -> dict[str, Any]:
-    """The one layout of a node's document: what _node_docs and _entry_doc fill."""
+def _entry_doc(datum: RamificationData, entry: _Split, root: RamificationData, path: Any, fiber: Any) -> dict[str, Any]:
+    """The document of a node of datum below root, from datum's case-split entry, with the path and fiber given.
+
+    Only the kind depends on where a datum sits: a root of positive dimension
+    is the ordinary locus, and no other node repeats the root's datum, since
+    every descent lowers the dimension.
+    """
+    bound, dim = entry.degree_bound, entry.dim
     return {
         "degree_bound": bound,
         "dim": dim,
         "fiber_dim": fiber,
-        "kind": kind,
+        "kind": KIND_DIM_ZERO if dim == 0 else KIND_ORDINARY if datum == root else KIND_DESCENT,
         "path": path,
-        "polarization_bound": polarization,
-        "rd": rd_doc,
+        "polarization_bound": None if bound is None else 2 * bound,
+        "rd": _rd_doc(datum),
     }
 
 
-def _entry_doc(datum: RamificationData, entry: _Split, root: RamificationData, path: Any, fiber: Any) -> dict[str, Any]:
-    """The document of a node of datum below root, from datum's case-split entry, with the path and fiber given."""
-    bound = entry.degree_bound
-    kind = _kind(datum, root, entry.dim)
-    return _node_doc(path, _rd_doc(datum), kind, entry.dim, bound, None if bound is None else 2 * bound, fiber)
+def _walk_nodes(
+    table: dict[RamificationData, _Split],
+    root: RamificationData,
+    visit: Callable[[list[list[int]], dict[str, Any]], bool | None],
+) -> None:
+    """Call visit(path, node) for each node of the tree of table below root, in preorder; stop once visit returns true.
 
-
-def _node_docs(nodes: Iterable[NodeRecord]) -> Iterator[dict[str, Any]]:
-    """The document of each node, in order.
-
-    Each distinct datum's fields are worked out once per call, but every node
-    gets dicts and lists of its own, so editing one node never changes another.
+    Each datum has one node dict, and all of them share one path list, which
+    the walk keeps equal to the current node's path; only fiber_dim is written
+    per node.  So a node and its path hold only during its visit: visit copies
+    what it keeps, and formats any message about the node before it returns.
     """
-    rd_docs: dict[RamificationData, dict[str, Any]] = {}
-    for path, rd, kind, dim, bound, polarization, fiber in nodes:
-        rd_doc = rd_docs.get(rd)
-        if rd_doc is None:
-            rd_doc = rd_docs[rd] = _rd_doc(rd)
-        yield _node_doc(
-            [list(step) for step in path],
-            {**rd_doc, "s_inf": rd_doc["s_inf"].copy()},
-            kind,
-            dim,
-            bound,
-            polarization,
-            fiber,
-        )
+    path: list[list[int]] = []
+    rows: dict[RamificationData, tuple[dict[str, Any], tuple[tuple[list[int], RamificationData, int], ...]]] = {}
+    for datum, entry in table.items():
+        node = _entry_doc(datum, entry, root, path, None)
+        rows[datum] = node, tuple((list(t), child, fiber) for t, child, fiber in entry.edges)
+
+    def walk(datum: RamificationData, fiber: int | None) -> bool:
+        node, edges = rows[datum]
+        node["fiber_dim"] = fiber
+        if visit(path, node):
+            return True
+        for step, child, child_fiber in edges:
+            path.append(step)
+            if walk(child, child_fiber):
+                return True
+            path.pop()
+        return False
+
+    try:
+        walk(root, None)
+    finally:
+        del walk  # as in _case_split: no cycle keeps the node dicts alive
 
 
 def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
@@ -329,7 +304,19 @@ def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
 
 
 def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
-    return {**_blocks_doc(cert), "nodes": list(_node_docs(cert.nodes))}
+    """The certificate's document as dicts; every node has dicts and lists of its own."""
+    nodes: list[dict[str, Any]] = []
+
+    def keep(path: list[list[int]], node: dict[str, Any]) -> None:
+        rd_doc = node["rd"]
+        nodes.append({
+            **node,
+            "path": [step.copy() for step in path],
+            "rd": {**rd_doc, "s_inf": rd_doc["s_inf"].copy()},
+        })
+
+    _walk_nodes(cert.split, cert.rd, keep)
+    return {**_blocks_doc(cert), "nodes": nodes}
 
 
 # built once: json.dumps given any option builds an encoder per call
@@ -467,44 +454,6 @@ def _mistyped_field(where: str, got: dict[str, Any], want: dict[str, Any]) -> st
     return None
 
 
-def _first_node_mismatch(nodes: list[Any], table: dict[RamificationData, _Split], root: RamificationData) -> str | None:
-    """Compare nodes, in order, with the tree of table below root, in preorder; name the first that differs.
-
-    Each datum has one expected node dict, and all of them share one path
-    list, which the walk keeps equal to the current node's path; only
-    fiber_dim is written per node.  The walk stops at the first differing
-    node, and its message is formatted while the path is that node's.  The
-    caller has checked that there are exactly as many nodes as the tree has.
-    """
-    path: list[list[int]] = []
-    rows: dict[RamificationData, tuple[dict[str, Any], tuple[tuple[list[int], RamificationData, int], ...]]] = {}
-    for datum, entry in table.items():
-        want = _entry_doc(datum, entry, root, path, None)
-        rows[datum] = want, tuple((list(t), child, fiber) for t, child, fiber in entry.edges)
-    index = 0
-
-    def check(datum: RamificationData, fiber: int | None) -> str | None:
-        nonlocal index
-        want, edges = rows[datum]
-        want["fiber_dim"] = fiber
-        got = nodes[index]
-        if got != want:
-            return _first_mismatch(f"nodes[{index}] path={path}", got, want)
-        index += 1
-        for step, child, child_fiber in edges:
-            path.append(step)
-            failure = check(child, child_fiber)
-            if failure is not None:
-                return failure
-            path.pop()
-        return None
-
-    try:
-        return check(root, None)
-    finally:
-        del check  # as in _case_split: no cycle keeps the expected dicts alive
-
-
 def verify_document(doc: Any) -> VerifyResult:
     """Independent replay: the document must equal the one rebuilt from its own config.
 
@@ -512,13 +461,14 @@ def verify_document(doc: Any) -> VerifyResult:
     a non-empty list; the node count against the tree size, first by bit
     length against the root's 2^m - 2 children and then against the bounded
     walk of the case split (capped at MAX_TREE_NODES), so a small document
-    cannot demand a large build; the rebuild from that walk's table.  The one
-    check on content is then the exact comparison with the rebuild: every
-    top-level block (the rigidity and contradiction blocks by JSON type as
-    well), then the nodes in document order against the table walked in
-    preorder, stopping at the first differing node.  Truthy exactly when every
-    block and node is equal; otherwise the failures name each differing block
-    and the first differing node (by node path and field).
+    cannot demand a large build; the rebuild from that walk's table, which
+    refuses a curve too large for json.  The one check on content is then the
+    exact comparison with the rebuild: every top-level block (the rigidity and
+    contradiction blocks by JSON type as well), then the nodes in document
+    order against _walk_nodes of the table, stopping at the first differing
+    node.  Truthy exactly when every block and node is equal; otherwise the
+    failures name each differing block and the first differing node (by node
+    path and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
@@ -546,7 +496,10 @@ def verify_document(doc: Any) -> VerifyResult:
     if count != table[rd].size:
         return VerifyResult(False, (f"node count is {count}, expected {table[rd].size}",))
 
-    cert = build_certificate(rd, ct, split=table)
+    try:
+        cert = build_certificate(rd, ct, split=table)
+    except ValueError as exc:
+        return VerifyResult(False, (str(exc),))
     failures = []
     for key, want in sorted(_blocks_doc(cert).items()):
         got = doc[key]
@@ -554,7 +507,15 @@ def verify_document(doc: Any) -> VerifyResult:
             failures.append(_first_mismatch(key, got, want))
         elif key in _TYPED_BLOCKS and (failure := _mistyped_field(key, got, want)):
             failures.append(failure)
-    failure = _first_node_mismatch(nodes, table, rd)
-    if failure is not None:
-        failures.append(failure)
+    # the node count matches the tree's, so every visit has a document node
+    got_nodes = enumerate(nodes)
+
+    def differs(path: list[list[int]], want: dict[str, Any]) -> bool:
+        i, got = next(got_nodes)
+        if got == want:
+            return False
+        failures.append(_first_mismatch(f"nodes[{i}] path={path}", got, want))
+        return True
+
+    _walk_nodes(table, rd, differs)
     return VerifyResult(not failures, tuple(failures))

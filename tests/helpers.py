@@ -139,8 +139,8 @@ def _scalar_variants(value: Any) -> list[Any]:
     return others or [value + "x"]
 
 
-def leaf_mutations(doc: Any) -> Iterator[list[Any]]:
-    """Replace each scalar leaf of doc, in turn, by each of its variants.
+def leaf_mutations(doc: Any, variants: Callable[[Any], list[Any]] = _scalar_variants) -> Iterator[list[Any]]:
+    """Replace each scalar leaf of doc, in turn, by each of its variants (by default _scalar_variants).
 
     Yields the location (keys and indices from the top) of the replaced leaf
     while doc holds the one changed value; the leaf is restored when the
@@ -161,7 +161,7 @@ def leaf_mutations(doc: Any) -> Iterator[list[Any]]:
         parent = doc
         for key in where[:-1]:
             parent = parent[key]
-        for other in _scalar_variants(value):
+        for other in variants(value):
             parent[where[-1]] = other
             yield where
         parent[where[-1]] = value

@@ -26,28 +26,37 @@ FOUR_PUNCTURED = CurveType(0, 4)
 NODE_KEYS = ["degree_bound", "dim", "fiber_dim", "kind", "path", "polarization_bound", "rd"]
 
 
+def doc_nodes(cert):
+    return certificate_to_doc(cert)["nodes"]
+
+
+def node_datum(node):
+    return make_ramification(**node["rd"])
+
+
 def test_worked_example_quadratic_field():
     cert = build_certificate(make_ramification(2, 3), GENUS_TWO)
     assert cert.verdict == "finite"
-    assert len(cert.nodes) == 3
-    root, left, right = cert.nodes
-    assert root.kind == "ordinary_locus" and root.dim == 2
-    assert root.degree_bound == 4 and root.polarization_bound == 8
+    nodes = doc_nodes(cert)
+    assert len(nodes) == 3
+    root, left, right = nodes
+    assert root["kind"] == "ordinary_locus" and root["dim"] == 2
+    assert root["degree_bound"] == 4 and root["polarization_bound"] == 8
     assert cert.contradiction.conclusion == "contradiction"
     assert (cert.contradiction.deg_tangent, cert.contradiction.deg_hom) == (-2, -2)
-    for node, t in ((left, (0,)), (right, (1,))):
-        assert node.kind == "dimension_zero" and node.dim == 0
-        assert node.path == (t,)
-        assert node.fiber_dim == 1
-        assert node.degree_bound is None and node.polarization_bound is None
+    for node, t in ((left, [0]), (right, [1])):
+        assert node["kind"] == "dimension_zero" and node["dim"] == 0
+        assert node["path"] == [t]
+        assert node["fiber_dim"] == 1
+        assert node["degree_bound"] is None and node["polarization_bound"] is None
 
 
 def test_worked_example_single_place():
     cert = build_certificate(make_ramification(1, 2), FOUR_PUNCTURED)
     assert cert.verdict == "finite"
-    (node,) = cert.nodes
-    assert node.kind == "ordinary_locus"
-    assert node.degree_bound == 1 and node.polarization_bound == 2
+    (node,) = doc_nodes(cert)
+    assert node["kind"] == "ordinary_locus"
+    assert node["degree_bound"] == 1 and node["polarization_bound"] == 2
     assert (cert.contradiction.deg_tangent, cert.contradiction.deg_hom) == (-2, -2)
 
 
@@ -62,13 +71,14 @@ def test_worked_example_nonspecial_curve():
 
 def test_descent_nodes_carry_their_own_ordinary_data():
     cert = build_certificate(make_ramification(3, 2), GENUS_TWO)
-    assert len(cert.nodes) == 7
-    descents = [n for n in cert.nodes if n.kind == "stratum_descent"]
+    nodes = doc_nodes(cert)
+    assert len(nodes) == 7
+    descents = [n for n in nodes if n["kind"] == "stratum_descent"]
     assert descents, "expected positive-dimensional children"
     for node in descents:
-        assert node.dim >= 1
-        assert node.degree_bound is not None
-        assert node.fiber_dim is not None
+        assert node["dim"] >= 1
+        assert node["degree_bound"] is not None
+        assert node["fiber_dim"] is not None
     assert cert.contradiction.conclusion == "contradiction"
     assert "N-from-dimension-count" in cert.steps["stratum_descent"].flags
     assert "N-from-dimension-count" not in cert.steps["ordinary_locus"].flags
@@ -87,8 +97,8 @@ def test_extrapolated_type_is_flagged_but_finite():
 def test_dimension_zero_root():
     rd = make_ramification(2, 3, {0, 1})
     cert = build_certificate(rd, GENUS_TWO)
-    (node,) = cert.nodes
-    assert node.kind == "dimension_zero"
+    (node,) = doc_nodes(cert)
+    assert node["kind"] == "dimension_zero"
     assert cert.verdict == "finite"
     assert build_certificate(rd, CurveType(3, 0)).verdict == "inconclusive"
 
@@ -96,15 +106,17 @@ def test_dimension_zero_root():
 def test_tree_shape_invariants():
     for rd in all_ramifications(5, 2):
         cert = build_certificate(rd, GENUS_TWO)
-        dims = {node.path: node.dim for node in cert.nodes}
-        for node in cert.nodes:
-            assert (node.kind == "dimension_zero") == (node.dim == 0)
-            if node.dim > 0:
-                assert node.polarization_bound == 2 * node.degree_bound
-            if node.path:
-                assert dims[node.path[:-1]] > node.dim
-                assert node.path[-1] == tuple(sorted(set(node.path[-1])))
-        assert {node.kind for node in cert.nodes} <= set(certificate.KIND_STEPS)
+        nodes = doc_nodes(cert)
+        dims = {json.dumps(node["path"]): node["dim"] for node in nodes}
+        for node in nodes:
+            path, dim = node["path"], node["dim"]
+            assert (node["kind"] == "dimension_zero") == (dim == 0)
+            if dim > 0:
+                assert node["polarization_bound"] == 2 * node["degree_bound"]
+            if path:
+                assert dims[json.dumps(path[:-1])] > dim
+                assert path[-1] == sorted(set(path[-1]))
+        assert {node["kind"] for node in nodes} <= set(certificate.KIND_STEPS)
         assert cert.steps == {**certificate.KIND_STEPS, "root": cert.steps["root"]}
 
 
@@ -117,7 +129,7 @@ def test_nodes_carry_only_per_datum_fields_and_steps_appear_once():
         for steps in certificate.KIND_STEPS.values():
             assert text.count(json.dumps(list(steps.prose), separators=(",", ":"))) == 1
         assert text.count('"prose"') == 4 and text.count('"deg_tangent"') == 1
-    assert len(cert.nodes) == 1723 and len(text) < 350_000
+    assert len(doc_nodes(cert)) == 1723 and len(text) < 350_000
 
 
 def test_documents_share_no_mutable_objects_between_nodes():
@@ -169,10 +181,10 @@ def test_serialization_builds_no_node_documents(monkeypatch):
     cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
     expected = serialize_certificate(cert)
 
-    def refuse(nodes):
+    def refuse(*args):
         raise AssertionError("serialize_certificate built the node documents")
 
-    monkeypatch.setattr(certificate, "_node_docs", refuse)
+    monkeypatch.setattr(certificate, "_walk_nodes", refuse)
     assert serialize_certificate(cert) == expected
 
 
@@ -231,6 +243,31 @@ def test_verify_rejects_every_single_leaf_mutation_at_its_field():
     assert checked == 4698
 
 
+def test_verify_verdicts_and_messages_over_the_agreement_corpus_are_pinned():
+    # every datum f <= 4 at p = 2 and 3 with three curves: each genuine document,
+    # every document mutation and every single-leaf mutation; the digest covers
+    # each document's label or leaf location, verdict and failure messages
+    digest, count, accepted = hashlib.sha256(), 0, 0
+
+    def record(where, result):
+        nonlocal count, accepted
+        count += 1
+        accepted += result.ok
+        digest.update(json.dumps([where, result.ok, list(result.failures)]).encode() + b"\n")
+
+    for p in (2, 3):
+        for rd in all_ramifications(4, p):
+            for ct in (GENUS_TWO, FOUR_PUNCTURED, CurveType(3, 0)):
+                doc = certificate_to_doc(build_certificate(rd, ct))
+                record("genuine", verify_document(doc))
+                for label, mutated in document_mutations(doc):
+                    record(label, verify_document(mutated))
+                for where in leaf_mutations(doc):
+                    record(where, verify_document(doc))
+    assert (count, accepted) == (20634, 180)
+    assert digest.hexdigest() == "19c7a8dca3f4cfd76644cad9c8eb9e514e7b25d41abbd288ece87732ce888ef2"
+
+
 def test_verify_rejects_a_value_of_another_json_type_in_the_scalar_blocks():
     # json.loads gives 1 == True and 2.0 == 2; verify must not accept one for the other
     doc = certificate_to_doc(build_certificate(make_ramification(3, 3), GENUS_TWO))
@@ -252,15 +289,17 @@ def test_verify_rejects_a_value_of_another_json_type_in_the_scalar_blocks():
 
 
 def test_certificates_list_no_node_records(monkeypatch, capsys):
-    # build, serialize and verify walk the case-split table: neither a record
-    # nor a document is made per tree node
+    # analyze (build and serialize) walks the case-split table by datum: no
+    # node is visited one by one; verify visits each node once, through _walk_nodes
     def refuse(*args):
-        raise AssertionError("a node record or node document was built")
+        raise AssertionError("analyze walked the tree node by node")
 
-    monkeypatch.setattr(certificate, "NodeRecord", refuse)
-    monkeypatch.setattr(certificate, "_node_docs", refuse)
-    cert = build_certificate(make_ramification(6, 3), GENUS_TWO)
-    text = serialize_certificate(cert)
+    with monkeypatch.context() as patched:
+        patched.setattr(certificate, "_walk_nodes", refuse)
+        cert = build_certificate(make_ramification(6, 3), GENUS_TWO)
+        text = serialize_certificate(cert)
+        assert main(["analyze", "--f", "6", "--p", "3", "--curve", "2,0"]) == 0
+    assert "nodes=495," in capsys.readouterr().err
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "6bec000afc114a0e10b554fc0d93241b2ef506d8502dacad55b8e6f0ce9e9d2c"
     )
@@ -269,22 +308,21 @@ def test_certificates_list_no_node_records(monkeypatch, capsys):
     doc["nodes"][100]["fiber_dim"] += 1
     failures = verify_document(doc).failures
     assert len(failures) == 1 and failures[0].startswith("nodes[100] path=") and "'fiber_dim'" in failures[0]
-    assert main(["analyze", "--f", "6", "--p", "3", "--curve", "2,0"]) == 0
-    assert "nodes=495," in capsys.readouterr().err
 
 
 def test_nodes_expand_the_split_table_in_preorder():
     cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
-    nodes = cert.nodes
-    assert len(nodes) == cert.split[cert.rd].size and nodes == cert.nodes
-    assert set(cert.split) == {node.rd for node in nodes}
+    nodes = doc_nodes(cert)
+    assert len(nodes) == cert.split[cert.rd].size and nodes == doc_nodes(cert)
+    data = [node_datum(node) for node in nodes]
+    assert set(cert.split) == set(data)
     for i, node in enumerate(nodes):
-        entry = cert.split[node.rd]
-        assert (node.dim, node.degree_bound) == (entry.dim, entry.degree_bound)
+        entry = cert.split[data[i]]
+        assert (node["dim"], node["degree_bound"]) == (entry.dim, entry.degree_bound)
         # the children follow, each after the whole subtree of its elder sibling
         j = i + 1
         for t, child, fiber in entry.edges:
-            assert (nodes[j].path, nodes[j].rd, nodes[j].fiber_dim) == (node.path + (t,), child, fiber)
+            assert (nodes[j]["path"], data[j], nodes[j]["fiber_dim"]) == (node["path"] + [list(t)], child, fiber)
             j += cert.split[child].size
 
 
@@ -397,7 +435,7 @@ def test_build_refuses_a_case_split_over_the_limit():
     assert certificate.MAX_TREE_NODES == 100_000
     with pytest.raises(ValueError, match="more than 100000 nodes"):
         build_certificate(make_ramification(10, 3), GENUS_TWO)
-    assert len(build_certificate(make_ramification(10, 3, {7, 8}), GENUS_TWO).nodes) == 10815
+    assert len(doc_nodes(build_certificate(make_ramification(10, 3, {7, 8}), GENUS_TWO))) == 10815
 
 
 def test_build_refuses_a_high_dimensional_datum_at_once():
@@ -435,8 +473,9 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
 
         monkeypatch.setattr(certificate, name, counted)
     cert = build_certificate(make_ramification(7, 3), GENUS_TWO)
-    distinct = {node.rd for node in cert.nodes if node.dim > 0}
-    assert len(cert.nodes) == 1723 and len(distinct) == 29
+    nodes = doc_nodes(cert)
+    distinct = {node_datum(node) for node in nodes if node["dim"] > 0}
+    assert len(nodes) == 1723 and len(distinct) == 29
     assert calls == {"strata_children": 29, "degree_bound": 29}
 
 

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import shlex
 import subprocess
 import sys
@@ -10,6 +13,7 @@ import pytest
 import gocert
 from gocert import TOOL_VERSION, verify_document
 from gocert.cli import main
+from helpers import leaf_mutations
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +174,53 @@ def test_the_digit_limit_refuses_exactly_what_json_cannot_write(capsys, default_
 
 
 GOOD_CONFIG = {"curve": {"g": 2, "n": 0}, "rd": {"f": 2, "p": 3, "s_fin_count": 0, "s_inf": []}}
+
+
+CURVE_TOO_LONG = "the curve's 2g-2+n has more than 4300 digits, the interpreter's limit for integers in JSON"
+
+
+def test_analyze_refuses_exactly_the_curves_json_cannot_hold(tmp_path, capsys, default_int_digits):
+    # 2g - 2 + n has 4300 digits at g = 5 * 10^4299 and 4301 one genus later
+    config, target = tmp_path / "run.json", tmp_path / "cert.json"
+    for g, written in ((5 * 10**4299, True), (5 * 10**4299 + 1, False), (int("9" * 4300), False)):
+        config.write_text(json.dumps({**GOOD_CONFIG, "curve": {"g": g, "n": 0}}))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(config), "--out", str(target))
+        doc = json.loads(target.read_text())
+        if written:
+            assert (code, out, doc["verdict"]) == (2, "", "inconclusive")
+            assert len(str(doc["rigidity"]["euler_bound"])) == 4300
+            assert run_cli(capsys, "verify", "--in", str(target)) == (0, "", "verified\n")
+        else:
+            assert (code, out, err) == (1, "", f"error: {CURVE_TOO_LONG}\n")
+            assert doc == {"error": CURVE_TOO_LONG, "tool_version": TOOL_VERSION, "verdict": "error"}
+
+
+def test_verify_rejects_a_curve_json_cannot_hold(tmp_path, capsys, default_int_digits):
+    target = tmp_path / "cert.json"
+    assert run_cli(capsys, "analyze", "--p", "3", "--f", "2", "--curve", "2,0", "--out", str(target))[0] == 0
+    doc = json.loads(target.read_text())
+    # everything but the euler bound, which has 4301 digits, matches the rebuild's
+    doc["config"]["curve"]["g"] = int("9" * 4300)
+    doc["rigidity"] = {**doc["rigidity"], "count": None, "d": None, "finite": False}
+    target.write_text(json.dumps(doc))
+    assert run_cli(capsys, "verify", "--in", str(target)) == (1, "", f"rejected: {CURVE_TOO_LONG}\n")
+
+
+def test_verify_never_raises_on_a_hostile_leaf(default_int_digits):
+    big = 10**4300 - 1
+    hostile = [True, False, 1.0, -1, 0, big, -big, "x", None, [], {}, [[1]]]
+    checked = 0
+    for curve in (gocert.CurveType(2, 0), gocert.CurveType(3, 0)):
+        doc = gocert.certificate_to_doc(gocert.build_certificate(gocert.make_ramification(3, 3), curve))
+        genuine = copy.deepcopy(doc)
+        for where in leaf_mutations(doc, lambda leaf: hostile):
+            result = verify_document(doc)
+            checked += 1
+            value, leaf = (functools.reduce(operator.getitem, where, d) for d in (doc, genuine))
+            assert isinstance(result, gocert.VerifyResult), (where, value)
+            # accepted only for a value equal to the leaf's (the nodes compare by value)
+            assert not result or value == leaf, (where, value)
+    assert checked == 2520
 
 
 def test_analyze_from_config_file(tmp_path, capsys):

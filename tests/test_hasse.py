@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from gocert import (
     CurveType,
     build_certificate,
+    certificate_to_doc,
     degree_bound,
     make_ramification,
     max_degree_sum,
@@ -90,9 +91,9 @@ def test_degree_bound_geometric_series_when_unramified():
 
 def test_polarization_bound_is_twice_the_omega_bound():
     for rd in all_ramifications(5, 3, min_dim=1):
-        root = build_certificate(rd, CurveType(2, 0)).nodes[0]
-        assert root.degree_bound == degree_bound(rd)
-        assert root.polarization_bound == 2 * degree_bound(rd)
+        root = certificate_to_doc(build_certificate(rd, CurveType(2, 0)))["nodes"][0]
+        assert root["degree_bound"] == degree_bound(rd)
+        assert root["polarization_bound"] == 2 * degree_bound(rd)
 
 
 def test_bound_matches_enumerated_brute_force():

@@ -1,4 +1,4 @@
-"""The records are named tuples: what the pipeline relies on beyond plain tuple behaviour."""
+"""The public names, and the records as named tuples: what the pipeline relies on beyond plain tuple behaviour."""
 
 import subprocess
 import sys
@@ -11,7 +11,6 @@ from gocert import (
     ContradictionVerdict,
     CurveType,
     FinitenessCertificate,
-    NodeRecord,
     RamificationData,
     RigidityVerdict,
     SelfcheckReport,
@@ -26,14 +25,13 @@ from gocert import (
 def test_every_record_keeps_its_field_names_and_order():
     assert {record.__name__: record._fields for record in (
         RamificationData, Stratum, CurveType, RigidityVerdict, ContradictionVerdict,
-        NodeRecord, FinitenessCertificate, VerifyResult, SuiteResult, SelfcheckReport,
+        FinitenessCertificate, VerifyResult, SuiteResult, SelfcheckReport,
     )} == {
         "RamificationData": ("f", "s_inf", "s_fin_count", "p"),
         "Stratum": ("rd", "t"),
         "CurveType": ("g", "n"),
         "RigidityVerdict": ("finite", "d", "count"),
         "ContradictionVerdict": ("deg_tangent", "deg_hom", "forced_iso", "conclusion"),
-        "NodeRecord": ("path", "rd", "kind", "dim", "degree_bound", "polarization_bound", "fiber_dim"),
         "FinitenessCertificate": (
             "rd", "curve", "rigidity", "contradiction", "steps", "split", "verdict", "tool_version",
         ),
@@ -41,6 +39,45 @@ def test_every_record_keeps_its_field_names_and_order():
         "SuiteResult": ("name", "passed", "checked", "scope", "counterexample", "seconds"),
         "SelfcheckReport": ("max_f", "primes", "suites"),
     }
+
+
+def test_the_public_names_are_pinned():
+    # adding or removing a public name is a deliberate edit of this list
+    assert gocert.__all__ == [
+        "__version__",
+        "TOOL_VERSION",
+        "RamificationData",
+        "make_ramification",
+        "split_places",
+        "n_tau",
+        "shimura_dimension",
+        "Stratum",
+        "decompose_chains",
+        "induced_ramification",
+        "strata_children",
+        "max_degree_sum",
+        "degree_bound",
+        "CurveType",
+        "RigidityVerdict",
+        "euler_bound",
+        "square_root_count",
+        "is_special",
+        "finiteness_verdict",
+        "ContradictionVerdict",
+        "hom_degree",
+        "tangent_degree",
+        "contradiction_check",
+        "FinitenessCertificate",
+        "VerifyResult",
+        "build_certificate",
+        "certificate_to_doc",
+        "serialize_certificate",
+        "verify_document",
+        "SelfcheckReport",
+        "SuiteResult",
+        "selfcheck",
+    ]
+    assert all(hasattr(gocert, name) for name in gocert.__all__)
 
 
 def test_importing_gocert_loads_neither_dataclasses_nor_inspect():
