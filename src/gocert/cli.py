@@ -28,10 +28,16 @@ from .selfcheck import selfcheck
 
 
 def _parse_int(text: str, flag: str) -> int:
-    """A decimal integer: an optional '-' and ASCII digits; anything else raises ValueError naming the flag."""
+    """A decimal integer: an optional '-' and ASCII digits; anything else raises ValueError naming the flag.
+
+    Digits beyond the interpreter's limit for integer conversion are refused the same way.
+    """
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"{flag}: invalid literal for int() with base 10: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:

@@ -88,29 +88,30 @@ def scan_constraints(f: int, s_inf: frozenset[int]) -> list[tuple[int, int, int]
     return triples
 
 
-def relaxed_profile_max(rd: RamificationData, anchor: int) -> int:
-    """Largest constrained profile total with the anchor at one, by downward fixpoint.
+def relaxed_profile_maxima(rd: RamificationData) -> dict[int, int]:
+    """For each split place as anchor, the largest constrained profile total with it at one.
 
     Lower each degree until every constraint holds.  Feasible profiles are
     closed under componentwise max, so the downward iteration from the capped
     profile converges to the largest one; its total equals the brute-force
-    maximum.
+    maximum.  The constraints are scanned once for all anchors.
     """
     f, p = rd.f, rd.p
-    splits = [i for i in range(f) if i not in rd.s_inf]
-    assert anchor in splits
-    constraints = scan_constraints(f, frozenset(rd.s_inf))
-    degrees = {tau: p**f for tau in splits}
-    degrees[anchor] = 1
-    changed = True
-    while changed:
-        changed = False
-        for src, tgt, exp in constraints:
-            allowed = p**exp * degrees[tgt]
-            if degrees[src] > allowed:
-                degrees[src] = allowed
-                changed = True
-    return sum(degrees.values())
+    constraints = [(src, tgt, p**exp) for src, tgt, exp in scan_constraints(f, frozenset(rd.s_inf))]
+    cap = dict.fromkeys((src for src, _, _ in constraints), p**f)  # one per split place
+    maxima: dict[int, int] = {}
+    for anchor in cap:
+        degrees = {**cap, anchor: 1}
+        changed = True
+        while changed:
+            changed = False
+            for src, tgt, factor in constraints:
+                allowed = factor * degrees[tgt]
+                if degrees[src] > allowed:
+                    degrees[src] = allowed
+                    changed = True
+        maxima[anchor] = sum(degrees.values())
+    return maxima
 
 
 def hodge_degrees(g: int, n: int) -> list[tuple[int, bool]]:

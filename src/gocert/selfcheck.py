@@ -8,8 +8,11 @@ degree inequality).  Failures carry the first counterexample found.
 
 The three stratum suites share one walk: each stratum is built, split into
 chains once, and descended with those chains, and each suite counts and stops as
-if it walked alone.  The oracle's components of an occupied set s_inf | T are
-computed once per place count f and occupied set, not once per stratum.
+if it walked alone.  Each oracle answer is computed once per input it depends
+on, within one selfcheck() call: the chain-partition verdict once per place
+count f, occupied set s_inf | T and chains (about 500 occupied sets serve the
+9 330 strata at f <= 8), and the degree oracle's Hasse constraints once per
+datum for all its anchors.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from .oracle import (
     all_vanishing_sets,
     cycle_components,
     hodge_degrees,
-    relaxed_profile_max,
+    relaxed_profile_maxima,
 )
 from .places import RamificationData, make_ramification, n_tau, shimura_dimension, split_places
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Chains, Stratum, decompose_chains, induced_ramification
 
 # Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 takes
-# 18 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
+# 17 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
 MAX_SELFCHECK_F = 12
 
 
@@ -67,15 +70,10 @@ def _suite_n_tau_tiling(max_f: int, p: int) -> tuple[int, str | None]:
     return checked, None
 
 
-# A stratum check sees the stratum, its chains, its induced datum, its datum's dimension
-# and the oracle's components of s_inf | T, and returns the kind of its first failure, or None.
-Components = set[frozenset[int]]
-
-
-def _chain_partition(
-    st: Stratum, chains: Chains, induced: RamificationData, parent: int, components: Components
-) -> str | None:
-    f, occupied = st.rd.f, st.rd.s_inf | st.t
+# The chain-partition verdict depends only on f, the occupied set s_inf | T and the chains;
+# the other two stratum checks see the stratum, its chains, its induced datum and its
+# datum's dimension.  Each returns the kind of its first failure, or None.
+def _chain_partition(f: int, occupied: frozenset[int], chains: Chains) -> str | None:
     covered: set[int] = set()
     for c in chains:
         if not covered.isdisjoint(c):
@@ -87,14 +85,12 @@ def _chain_partition(
             return "not maximal"
     if covered != occupied:
         return "not covering"
-    if {frozenset(c) for c in chains} != components:
+    if {frozenset(c) for c in chains} != set(cycle_components(f, occupied)):
         return "component mismatch"
     return None
 
 
-def _induced_parity_growth(
-    st: Stratum, chains: Chains, induced: RamificationData, parent: int, components: Components
-) -> str | None:
+def _induced_parity_growth(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
     s_inf, t = st.rd.s_inf, st.t
     t_new = induced.s_inf - s_inf
     if (len(induced.s_inf) + induced.s_fin_count) % 2 != 0:
@@ -108,9 +104,7 @@ def _induced_parity_growth(
     return None
 
 
-def _dimension_descent(
-    st: Stratum, chains: Chains, induced: RamificationData, parent: int, components: Components
-) -> str | None:
+def _dimension_descent(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
     child = shimura_dimension(induced)
     t = st.t
     odd = sum(1 for c in chains if len(t.intersection(c)) % 2 == 1)
@@ -121,11 +115,7 @@ def _dimension_descent(
     return None
 
 
-STRATUM_SUITES = (
-    ("chain-partition", _chain_partition),
-    ("induced-parity-growth", _induced_parity_growth),
-    ("dimension-descent", _dimension_descent),
-)
+STRATUM_SUITES = ("chain-partition", "induced-parity-growth", "dimension-descent")
 
 
 def _suite_strata(max_f: int, p: int) -> list[tuple[int, str | None]]:
@@ -133,31 +123,36 @@ def _suite_strata(max_f: int, p: int) -> list[tuple[int, str | None]]:
 
     A suite stops at its first counterexample while the others go on, so its
     count and message are those of a walk of its own; the walk ends once all fail.
-    Each stratum's chains are decomposed once and handed to induced_ramification.
-    The oracle's components depend only on f and the occupied set s_inf | T, which
-    many strata share, so they are kept per occupied set while f stays the same.
+    Each stratum is built and its chains decomposed once, and handed to
+    induced_ramification.  Many strata share an occupied set s_inf | T, so the
+    chain-partition verdict is kept per (occupied set, chains) while f stays the
+    same: chains that split one occupied set another way are checked afresh.
     """
     checked = [0] * len(STRATUM_SUITES)
     found: list[str | None] = [None] * len(STRATUM_SUITES)
-    memo: dict[frozenset[int], Components] = {}
+    verdicts: dict[tuple[frozenset[int], Chains], str | None] = {}
+
+    def chain_partition(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+        key = (st.rd.s_inf | st.t, chains)
+        if key not in verdicts:
+            verdicts[key] = _chain_partition(st.rd.f, *key)
+        return verdicts[key]
+
+    checks = (chain_partition, _induced_parity_growth, _dimension_descent)
     f = 0
     for rd in all_ramifications(max_f, p, min_dim=1):
         if rd.f != f:
             f = rd.f
-            memo.clear()
-        s_inf, parent = rd.s_inf, shimura_dimension(rd)
+            verdicts.clear()
+        parent = shimura_dimension(rd)
         for t in all_vanishing_sets(rd):
             st = Stratum(rd=rd, t=t)
             chains = decompose_chains(st)
             induced = induced_ramification(st, chains=chains)
-            occupied = s_inf | t
-            components = memo.get(occupied)
-            if components is None:
-                components = memo[occupied] = set(cycle_components(f, occupied))
-            for i, (_, check) in enumerate(STRATUM_SUITES):
+            for i, check in enumerate(checks):
                 if found[i] is None:
                     checked[i] += 1
-                    problem = check(st, chains, induced, parent, components)
+                    problem = check(st, chains, induced, parent)
                     if problem is not None:
                         found[i] = f"{problem}: f={rd.f} s_inf={sorted(rd.s_inf)} t={sorted(t)}"
             if None not in found:
@@ -170,7 +165,7 @@ def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> tuple[int, str 
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
             checked += 1
-            per_anchor = {anchor: relaxed_profile_max(rd, anchor) for anchor in split_places(rd)}
+            per_anchor = relaxed_profile_maxima(rd)
             if degree_bound(rd) != max(per_anchor.values()):
                 return checked, f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
             for anchor, expected in per_anchor.items():
@@ -277,7 +272,7 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     suites: list[SuiteResult] = []
     runs: list[tuple[tuple[str, ...], str, Callable[[], list[tuple[int, str | None]]]]] = [
         (("n-tau-tiling",), base, lambda: [_suite_n_tau_tiling(max_f, base_p)]),
-        (tuple(name for name, _ in STRATUM_SUITES), base, lambda: _suite_strata(max_f, base_p)),
+        (STRATUM_SUITES, base, lambda: _suite_strata(max_f, base_p)),
         (("degree-oracle",), every, lambda: [_suite_degree_oracle(max_f, prime_tuple)]),
         (("degree-monotone",), every, lambda: [_suite_degree_monotone(max_f, prime_tuple)]),
         (("rigidity-table",), curves, lambda: [_suite_rigidity_table()]),

@@ -173,6 +173,26 @@ def test_the_digit_limit_refuses_exactly_what_json_cannot_write(capsys, default_
             assert verify_document(doc)
 
 
+DIGIT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion: value has 4301 digits"
+
+
+@pytest.mark.parametrize("flag", ["--curve", "--p", "--f", "--ram-inf", "--ram-fin"])
+def test_analyze_names_the_flag_of_an_integer_over_the_digit_limit(capsys, default_int_digits, flag):
+    long = "9" * 4301
+    values = {"--p": "3", "--f": "2", "--curve": "2,0", flag: f"{long},0" if flag == "--curve" else long}
+    code, out, err = run_cli(capsys, "analyze", *[item for pair in values.items() for item in pair])
+    assert code == 1 and err.startswith(f"error: {flag}: {DIGIT_LIMIT}") and err.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "error" and doc["error"] == err[len("error: ") : -1]
+
+
+@pytest.mark.parametrize("flag", ["--max-f", "--primes"])
+def test_selfcheck_names_the_flag_of_an_integer_over_the_digit_limit(capsys, default_int_digits, flag):
+    code, out, err = run_cli(capsys, "selfcheck", flag, "9" * 4301)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag}: {DIGIT_LIMIT}") and err.count("\n") == 1
+
+
 GOOD_CONFIG = {"curve": {"g": 2, "n": 0}, "rd": {"f": 2, "p": 3, "s_fin_count": 0, "s_inf": []}}
 
 

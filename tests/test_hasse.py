@@ -11,7 +11,7 @@ from gocert import (
     max_degree_sum,
     split_places,
 )
-from gocert.oracle import all_ramifications, relaxed_profile_max, scan_constraints
+from gocert.oracle import all_ramifications, relaxed_profile_maxima, scan_constraints
 from helpers import enumerated_profile_max
 
 # (p, max_f) grids: full profile enumeration is affordable only on the small one
@@ -108,16 +108,16 @@ def test_bound_matches_enumerated_brute_force():
 def test_fixpoint_oracle_agrees_with_enumeration():
     for p, max_f in ENUM_GRID:
         for rd in all_ramifications(max_f, p, min_dim=1):
+            maxima = relaxed_profile_maxima(rd)
+            assert list(maxima) == split_places(rd)
             for anchor in split_places(rd):
-                assert relaxed_profile_max(rd, anchor) == enumerated_profile_max(rd, anchor)
+                assert maxima[anchor] == enumerated_profile_max(rd, anchor)
 
 
 def test_bound_matches_fixpoint_oracle_on_larger_grid():
     for p, max_f in FIXPOINT_GRID:
         for rd in all_ramifications(max_f, p, min_dim=1):
-            assert degree_bound(rd) == max(
-                relaxed_profile_max(rd, a) for a in split_places(rd)
-            )
+            assert degree_bound(rd) == max(relaxed_profile_maxima(rd).values())
 
 
 def test_one_pass_bound_is_the_largest_anchored_sum():

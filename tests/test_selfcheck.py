@@ -1,9 +1,11 @@
+import ast
 import importlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from gocert import RamificationData, certificate, selfcheck
+from gocert import RamificationData, certificate, oracle, selfcheck
 from gocert.selfcheck import MAX_SELFCHECK_F
 
 # the module, not the function the package exports under the same name
@@ -153,3 +155,56 @@ def test_chain_partition_catches_merged_chains(monkeypatch):
     ]
     got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
     assert got == expected
+
+
+def test_selfcheck_judges_each_occupied_set_and_its_chains_once(monkeypatch):
+    calls: Counter[str] = Counter()
+    for module, name in ((SELFCHECK, "_chain_partition"), (oracle, "scan_constraints")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert selfcheck(5, [2]).ok
+    # 57 occupied sets at f <= 5, each split into chains one way; 57 data for the degree oracle
+    assert calls == {"_chain_partition": 57, "scan_constraints": 57}
+    calls.clear()
+    assert selfcheck(5, [2, 3]).ok
+    assert calls == {"_chain_partition": 57, "scan_constraints": 114}
+
+
+def test_chain_partition_checks_each_way_of_splitting_an_occupied_set(monkeypatch):
+    original = SELFCHECK.decompose_chains
+
+    def merged_when_both(st):
+        # merges the chains only when both s_inf and T are occupied, so at f = 4 the
+        # occupied set {0, 2} is split right for s_inf = {} and wrongly for s_inf = {0}
+        chains = original(st)
+        return (sum(chains, ()),) if st.rd.s_inf and st.t else chains
+
+    monkeypatch.setattr(SELFCHECK, "decompose_chains", merged_when_both)
+    (suite,) = [s for s in selfcheck(5, [2, 3]).suites if s.name == "chain-partition"]
+    assert (suite.passed, suite.checked, suite.counterexample) == (
+        False,
+        43,
+        "component mismatch: f=4 s_inf=[0] t=[2]",
+    )
+
+
+def test_the_oracle_depends_on_no_gocert_module_but_places():
+    # the oracle is the independent opinion, and selfcheck keeps its answers for a
+    # whole call; both hold only while it shares no code with the kernels it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                imported.update(f"gocert.{name}" for name in names)
+            elif node.module and node.module.split(".")[0] == "gocert":
+                imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names if alias.name.split(".")[0] == "gocert")
+    assert imported == {"gocert.places"}
