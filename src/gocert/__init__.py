@@ -21,7 +21,7 @@ from .certificate import (
 )
 from .hasse import (
     degree_bound,
-    max_degree_sum,
+    max_degree_sums,
 )
 from .ledger import (
     ContradictionVerdict,
@@ -64,7 +64,7 @@ __all__ = [
     "decompose_chains",
     "induced_ramification",
     "strata_children",
-    "max_degree_sum",
+    "max_degree_sums",
     "degree_bound",
     "CurveType",
     "RigidityVerdict",

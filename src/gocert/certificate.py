@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 from typing import Any, Callable, NamedTuple
 
 from . import places
 from ._version import __version__
 from .hasse import degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
-from .places import RamificationData, make_ramification, shimura_dimension
+from .places import RamificationData, _check_json_digits, make_ramification, shimura_dimension
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
 from .strata import strata_children
 
@@ -122,19 +121,6 @@ class FinitenessCertificate(NamedTuple):
     split: dict[RamificationData, _Split]
     verdict: str
     tool_version: str
-
-
-def _check_json_digits(n: int, what: str) -> None:
-    """Raise ValueError when n has more decimal digits than json converts; a negative n passes.
-
-    The limit is the interpreter's for integers converted to or from text
-    (sys.get_int_max_str_digits), so json could neither write nor read n; 0,
-    and a Python without the setting, mean no limit.  Below 2^(3 digits) <
-    10^digits n cannot have more digits, so most calls stop at the bit length.
-    """
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if digits and n.bit_length() > 3 * digits and n >= 10**digits:
-        raise ValueError(f"{what} has more than {digits} digits, the interpreter's limit for integers in JSON")
 
 
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
@@ -420,6 +406,14 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
+def _show(value: Any) -> str:
+    """repr(value), or a stand-in when value holds an integer past sys.get_int_max_str_digits()."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "<a value holding an integer with more digits than the interpreter writes>"
+
+
 def _first_mismatch(where: str, got: Any, want: Any) -> str:
     """Name the first differing field of two unequal objects, or the whole values otherwise."""
     if isinstance(got, dict) and isinstance(want, dict):
@@ -427,8 +421,8 @@ def _first_mismatch(where: str, got: Any, want: Any) -> str:
             if key not in got or key not in want:
                 return f"{where}: field {key!r} is {'missing' if key in want else 'unexpected'}"
             if got[key] != want[key]:
-                return f"{where}: field {key!r} is {got[key]!r}, expected {want[key]!r}"
-    return f"{where} is {got!r}, expected {want!r}"
+                return f"{where}: field {key!r} is {_show(got[key])}, expected {want[key]!r}"
+    return f"{where} is {_show(got)}, expected {want!r}"
 
 
 # The blocks whose values must match in JSON type as well as in value: json.loads

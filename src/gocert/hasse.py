@@ -14,57 +14,41 @@ from __future__ import annotations
 from .places import RamificationData, split_places
 
 
-def max_degree_sum(rd: RamificationData, anchor: int) -> int:
-    """Largest total degree of a constrained profile whose anchor degree is exactly one.
+def _anchored_sums(rd: RamificationData, splits: list[int]) -> list[int]:
+    """The largest profile total with each split place in turn as the anchor, in the order of splits.
 
-    Walking from the anchor in the Frobenius direction, each next split place
-    sits n steps ahead, its constraint reads back across exactly that gap, and
-    its maximal degree is the previous maximum times p^n.  The walk closes up
-    at the anchor, whose own constraint is slack at degree one.
+    Walking from an anchor in the Frobenius direction, each next split place
+    sits g steps ahead, its constraint reads back across exactly that gap,
+    and its maximal degree is the previous one times p^g; the walk closes up
+    at the anchor, whose own constraint is slack at degree one.  With g_i the
+    gap from the i-th split place to the next (indices mod m; the m gaps sum
+    to f), the sum anchored at the i-th is S_i = 1 + p^{g_i} + p^{g_i +
+    g_{i+1}} + ..., hence S_i = 1 + p^{g_i} * S_{i+1} - p^f: the direct sum
+    S_0 gives all the others, in one pass over the gaps.
     """
-    splits = set(split_places(rd))
-    if anchor not in splits:
-        raise ValueError(f"anchor {anchor} is not a split place")
+    if not splits:
+        raise ValueError("degree bound needs at least one split place")
     f, p = rd.f, rd.p
-    total = 1
-    running = 1
-    x = anchor
-    while True:
-        gap = 1
-        while (x + gap) % f not in splits:
-            gap += 1
-        x = (x + gap) % f
-        if x == anchor:
-            break
-        running *= p**gap
-        total += running
-    return total
+    sums = [sum(p ** (x - splits[0]) for x in splits)] * len(splits)
+    total, cycle, ahead = sums[0], p**f, splits[0] + f
+    for i in range(len(splits) - 1, 0, -1):
+        total = 1 + p ** (ahead - splits[i]) * total - cycle
+        sums[i], ahead = total, splits[i]
+    return sums
+
+
+def max_degree_sums(rd: RamificationData) -> dict[int, int]:
+    """For each split place as anchor, in ascending order, the largest profile total with it at degree one."""
+    splits = split_places(rd)
+    return dict(zip(splits, _anchored_sums(rd, splits)))
 
 
 def degree_bound(rd: RamificationData) -> int:
     """Uniform bound on the total pulled-back omega degree, over every anchor choice.
 
     The anchor where Kodaira-Spencer pulls back nonzero exists but is not
-    known in advance, so the sound bound maximizes over all split anchors.
-    It depends only on p and the place combinatorics.
+    known in advance, so the sound bound maximizes over all split anchors:
+    the largest of max_degree_sums(rd).  It depends only on p and the place
+    combinatorics.
     """
-    splits = split_places(rd)
-    if not splits:
-        raise ValueError("degree bound needs at least one split place")
-    # g_i is the gap from the i-th split place to the next one round the cycle,
-    # so the m gaps sum to f.  The sum anchored at the i-th place has m terms,
-    # S_i = 1 + p^{g_i} + p^{g_i + g_{i+1}} + ..., hence (indices mod m)
-    # S_i = 1 + p^{g_i} * S_{i+1} - p^f: the direct sum S_0 gives all the
-    # others, in one pass over the gaps instead of one walk per anchor.
-    f, p = rd.f, rd.p
-    gaps = [b - a for a, b in zip(splits, splits[1:])] + [splits[0] + f - splits[-1]]
-    total = running = 1
-    for gap in gaps[:-1]:
-        running *= p**gap
-        total += running
-    best, cycle = total, p**f
-    for gap in reversed(gaps[1:]):
-        total = 1 + p**gap * total - cycle
-        best = max(best, total)
-    return best
-
+    return max(_anchored_sums(rd, split_places(rd)))

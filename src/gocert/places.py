@@ -10,6 +10,7 @@ itself never ramifies, and finite places matter only through parity).
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Iterable, NamedTuple
 
 
@@ -48,6 +49,19 @@ def is_json_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_json_digits(n: int, what: str) -> None:
+    """Raise ValueError when n, of either sign, has more decimal digits than json converts.
+
+    The limit is the interpreter's for integers converted to or from text
+    (sys.get_int_max_str_digits), so json could neither write nor read n; 0,
+    and a Python without the setting, mean no limit.  Below 2^(3 digits) <
+    10^digits n cannot have more digits, so most calls stop at the bit length.
+    """
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits and n.bit_length() > 3 * digits and abs(n) >= 10**digits:
+        raise ValueError(f"{what} has more than {digits} digits, the interpreter's limit for integers in JSON")
+
+
 class RamificationData(NamedTuple):
     """The f places Z/f together with the ramification set of a quaternion algebra.
 
@@ -66,7 +80,7 @@ class RamificationData(NamedTuple):
 def make_ramification(
     f: int, p: int, s_inf: Iterable[int] = (), s_fin_count: int = 0
 ) -> RamificationData:
-    """Checked constructor: integer fields, distinct places in range, even ramification, prime p.
+    """Checked constructor: integer fields json can hold, distinct places in range, even ramification, prime p.
 
     The total ramification set of a quaternion algebra has even size, and p
     must not belong to it.
@@ -74,12 +88,14 @@ def make_ramification(
     for name, value in (("f", f), ("p", p), ("s_fin_count", s_fin_count)):
         if not is_json_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_json_digits(value, name)
     if f < 1:
         raise ValueError(f"need at least one place, got f={f}")
     places: set[int] = set()
     for v in s_inf:
         if not is_json_int(v):
             raise ValueError(f"ramified place {v!r} must be an integer")
+        _check_json_digits(v, "a ramified place in s_inf")
         if not 0 <= v < f:
             raise ValueError(f"ramified place {v} is not one of the places 0..{f - 1}")
         if v in places:

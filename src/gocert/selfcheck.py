@@ -20,8 +20,9 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple
 
+from . import places
 from .certificate import _case_split, build_certificate, certificate_to_doc, verify_document
-from .hasse import degree_bound, max_degree_sum
+from .hasse import degree_bound, max_degree_sums
 from .ledger import contradiction_check
 from .oracle import (
     all_ramifications,
@@ -168,9 +169,9 @@ def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> tuple[int, str 
             per_anchor = relaxed_profile_maxima(rd)
             if degree_bound(rd) != max(per_anchor.values()):
                 return checked, f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
-            for anchor, expected in per_anchor.items():
-                if max_degree_sum(rd, anchor) != expected:
-                    return checked, f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+            if (sums := max_degree_sums(rd)) != per_anchor:
+                anchor = min(a for a, _ in sums.items() ^ per_anchor.items())
+                return checked, f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
     return checked, None
 
 
@@ -247,10 +248,14 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     The stratum suites use the first prime only (the place combinatorics does
     not depend on p), and the certificate round trip stops at f <= 4 and the
     first two primes because each check builds and verifies a whole tree.
-    Raises ValueError, before any suite runs, for an empty prime list, a p
-    that make_ramification rejects, a p listed twice (it would be counted as
-    coverage twice), or max_f above MAX_SELFCHECK_F.
+    Raises ValueError, before any suite runs, for a max_f that is not a JSON
+    integer, an empty prime list, a p that make_ramification rejects, a p
+    listed twice (it would be counted as coverage twice), or max_f above
+    MAX_SELFCHECK_F.
     """
+    # called through its module, like certificate._mistyped_field: not a span tracer binding
+    if not places.is_json_int(max_f):
+        raise ValueError(f"max_f must be an integer, got {max_f!r}")
     prime_tuple = tuple(primes)
     if not prime_tuple:
         raise ValueError("need at least one prime")

@@ -227,8 +227,9 @@ def test_verify_rejects_a_curve_json_cannot_hold(tmp_path, capsys, default_int_d
 
 
 def test_verify_never_raises_on_a_hostile_leaf(default_int_digits):
+    # big has the most digits json converts, and 10**4300 one more
     big = 10**4300 - 1
-    hostile = [True, False, 1.0, -1, 0, big, -big, "x", None, [], {}, [[1]]]
+    hostile = [True, False, 1.0, -1, 0, big, -big, big + 1, -big - 1, "x", None, [], {}, [[1]]]
     checked = 0
     for curve in (gocert.CurveType(2, 0), gocert.CurveType(3, 0)):
         doc = gocert.certificate_to_doc(gocert.build_certificate(gocert.make_ramification(3, 3), curve))
@@ -240,7 +241,7 @@ def test_verify_never_raises_on_a_hostile_leaf(default_int_digits):
             assert isinstance(result, gocert.VerifyResult), (where, value)
             # accepted only for a value equal to the leaf's (the nodes compare by value)
             assert not result or value == leaf, (where, value)
-    assert checked == 2520
+    assert checked == 2940
 
 
 def test_analyze_from_config_file(tmp_path, capsys):

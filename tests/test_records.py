@@ -55,7 +55,7 @@ def test_the_public_names_are_pinned():
         "decompose_chains",
         "induced_ramification",
         "strata_children",
-        "max_degree_sum",
+        "max_degree_sums",
         "degree_bound",
         "CurveType",
         "RigidityVerdict",

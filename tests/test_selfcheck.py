@@ -47,6 +47,17 @@ def test_selfcheck_validates_its_inputs_before_running():
     assert selfcheck(0, [2]).suites == ()
 
 
+@pytest.mark.parametrize("max_f", [True, 2.0, "3", None])
+def test_selfcheck_refuses_a_max_f_that_is_not_an_integer(monkeypatch, max_f):
+    def unreachable(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(SELFCHECK, "_suite_n_tau_tiling", unreachable)
+    with pytest.raises(ValueError) as refused:
+        selfcheck(max_f, [2])
+    assert str(refused.value) == f"max_f must be an integer, got {max_f!r}"
+
+
 def test_selfcheck_walks_each_stratum_once(monkeypatch):
     calls: Counter[str] = Counter()
 
@@ -123,16 +134,23 @@ def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
     }
 
 
+# one too large: the bound, or the sum at the first anchor alone
+DEGREE_MUTANTS = {
+    "degree_bound": lambda bound: bound + 1,
+    "max_degree_sums": lambda sums: {**sums, min(sums): sums[min(sums)] + 1},
+}
+
+
 @pytest.mark.parametrize(
     "name, counterexample",
     [
         ("degree_bound", "p=2 f=1 s_inf=[]"),
-        ("max_degree_sum", "anchor 0: p=2 f=1 s_inf=[]"),
+        ("max_degree_sums", "anchor 0: p=2 f=1 s_inf=[]"),
     ],
 )
 def test_degree_oracle_names_its_counterexample(monkeypatch, name, counterexample):
-    original = getattr(SELFCHECK, name)
-    monkeypatch.setattr(SELFCHECK, name, lambda *args: original(*args) + 1)
+    original, mutant = getattr(SELFCHECK, name), DEGREE_MUTANTS[name]
+    monkeypatch.setattr(SELFCHECK, name, lambda *args: mutant(original(*args)))
     (suite,) = [s for s in selfcheck(3, [2, 3]).suites if s.name == "degree-oracle"]
     assert (suite.passed, suite.checked, suite.counterexample) == (False, 1, counterexample)
 
