@@ -21,9 +21,9 @@ from one node template per distinct datum, with each node's fiber count and
 path written in.  _walk_nodes is the one other expansion of the table: it
 hands each node, in preorder, to certificate_to_doc, which copies it into the
 same document as dicts (a test pins the two texts equal), and to verification,
-which replays the case split from the embedded configuration, compares block
-by block, then compares the document's nodes in order with the walked ones and
-stops at the first differing node, so any single altered field is caught.
+which replays the case split from the embedded configuration, compares each
+block with the rebuilt one by value and JSON type, then the document's nodes
+in order, by value, with the walked ones, stopping at the first differing node.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import itertools
 import json
 from typing import Any, Callable, NamedTuple
 
-from . import places
 from ._version import __version__
 from .hasse import degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
@@ -95,6 +94,7 @@ def _min_tree_size(dim: int) -> int:
 
 # Least dimension whose case split is known to exceed MAX_TREE_NODES before any walk: 12.
 _REFUSAL_DIM = next(d for d in itertools.count() if _min_tree_size(d) > MAX_TREE_NODES)
+_TOO_LARGE = f"the case split has more than {MAX_TREE_NODES} nodes"
 
 
 class _Split(NamedTuple):
@@ -132,36 +132,30 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     datum whose polarization bound has more digits than json converts
     (_check_json_digits).
     """
-    too_large = f"the case split has more than {MAX_TREE_NODES} nodes"
     table: dict[RamificationData, _Split] = {}
-
-    def walk(datum: RamificationData) -> _Split:
-        if datum in table:
-            return table[datum]
-        dim = shimura_dimension(datum)
-        if dim >= _REFUSAL_DIM:
-            raise ValueError(too_large)
-        edges, size = [], 1
-        for t, child in strata_children(datum) if dim else ():
-            below = walk(child)
-            size += below.size
-            if size > MAX_TREE_NODES:
-                raise ValueError(too_large)
-            edges.append((tuple(sorted(t)), child, dim - len(t) - below.dim))
-        bound = degree_bound(datum) if dim else None
-        if bound is not None:
-            _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
-        split = table[datum] = _Split(dim, bound, tuple(edges), size)
-        return split
-
-    # walk reaches itself through its closure; dropping the name breaks that
-    # cycle, so the table is freed by reference counting once its caller is
-    # done with it rather than whenever the cyclic collector next runs.
-    try:
-        walk(rd)
-    finally:
-        del walk
+    _split_below(rd, table)
     return table
+
+
+def _split_below(datum: RamificationData, table: dict[RamificationData, _Split]) -> _Split:
+    """datum's entry of table, entering it and every datum below it that table lacks."""
+    if datum in table:
+        return table[datum]
+    dim = shimura_dimension(datum)
+    if dim >= _REFUSAL_DIM:
+        raise ValueError(_TOO_LARGE)
+    edges, size = [], 1
+    for t, child in strata_children(datum) if dim else ():
+        below = _split_below(child, table)
+        size += below.size
+        if size > MAX_TREE_NODES:
+            raise ValueError(_TOO_LARGE)
+        edges.append((tuple(sorted(t)), child, dim - len(t) - below.dim))
+    bound = degree_bound(datum) if dim else None
+    if bound is not None:
+        _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
+    split = table[datum] = _Split(dim, bound, tuple(edges), size)
+    return split
 
 
 def build_certificate(
@@ -205,15 +199,6 @@ def _rd_doc(rd: RamificationData) -> dict[str, Any]:
     return {"f": rd.f, "p": rd.p, "s_fin_count": rd.s_fin_count, "s_inf": sorted(rd.s_inf)}
 
 
-def _contradiction_doc(verdict: ContradictionVerdict) -> dict[str, Any]:
-    return {
-        "conclusion": verdict.conclusion,
-        "deg_hom": verdict.deg_hom,
-        "deg_tangent": verdict.deg_tangent,
-        "forced_iso": verdict.forced_iso,
-    }
-
-
 def _entry_doc(datum: RamificationData, entry: _Split, root: RamificationData, path: Any, fiber: Any) -> dict[str, Any]:
     """The document of a node of datum below root, from datum's case-split entry, with the path and fiber given.
 
@@ -233,11 +218,12 @@ def _entry_doc(datum: RamificationData, entry: _Split, root: RamificationData, p
     }
 
 
-def _walk_nodes(
-    table: dict[RamificationData, _Split],
-    root: RamificationData,
-    visit: Callable[[list[list[int]], dict[str, Any]], bool | None],
-) -> None:
+# a datum's node dict, and its edges with each vanishing set as a path step
+_NodeRow = tuple[dict[str, Any], tuple[tuple[list[int], RamificationData, int], ...]]
+_Visit = Callable[[list[list[int]], dict[str, Any]], bool | None]
+
+
+def _walk_nodes(table: dict[RamificationData, _Split], root: RamificationData, visit: _Visit) -> None:
     """Call visit(path, node) for each node of the tree of table below root, in preorder; stop once visit returns true.
 
     Each datum has one node dict, and all of them share one path list, which
@@ -246,27 +232,27 @@ def _walk_nodes(
     what it keeps, and formats any message about the node before it returns.
     """
     path: list[list[int]] = []
-    rows: dict[RamificationData, tuple[dict[str, Any], tuple[tuple[list[int], RamificationData, int], ...]]] = {}
+    rows: dict[RamificationData, _NodeRow] = {}
     for datum, entry in table.items():
         node = _entry_doc(datum, entry, root, path, None)
         rows[datum] = node, tuple((list(t), child, fiber) for t, child, fiber in entry.edges)
+    _visit_below(root, None, rows, path, visit)
 
-    def walk(datum: RamificationData, fiber: int | None) -> bool:
-        node, edges = rows[datum]
-        node["fiber_dim"] = fiber
-        if visit(path, node):
+
+def _visit_below(
+    datum: RamificationData, fiber: int | None, rows: dict[RamificationData, _NodeRow], path: list[list[int]], visit: _Visit
+) -> bool:
+    """_walk_nodes from the node of datum reached with fiber at path; true once visit has returned true."""
+    node, edges = rows[datum]
+    node["fiber_dim"] = fiber
+    if visit(path, node):
+        return True
+    for step, child, child_fiber in edges:
+        path.append(step)
+        if _visit_below(child, child_fiber, rows, path, visit):
             return True
-        for step, child, child_fiber in edges:
-            path.append(step)
-            if walk(child, child_fiber):
-                return True
-            path.pop()
-        return False
-
-    try:
-        walk(root, None)
-    finally:
-        del walk  # as in _case_split: no cycle keeps the node dicts alive
+        path.pop()
+    return False
 
 
 def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
@@ -276,13 +262,8 @@ def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
             "curve": {"g": cert.curve.g, "n": cert.curve.n},
             "rd": _rd_doc(cert.rd),
         },
-        "contradiction": _contradiction_doc(cert.contradiction),
-        "rigidity": {
-            "count": cert.rigidity.count,
-            "d": cert.rigidity.d,
-            "euler_bound": euler_bound(cert.curve),
-            "finite": cert.rigidity.finite,
-        },
+        "contradiction": cert.contradiction._asdict(),
+        "rigidity": {**cert.rigidity._asdict(), "euler_bound": euler_bound(cert.curve)},
         "steps": {key: {"flags": list(s.flags), "prose": list(s.prose)} for key, s in cert.steps.items()},
         "tool_version": cert.tool_version,
         "verdict": cert.verdict,
@@ -322,6 +303,8 @@ def serialize_document(doc: dict[str, Any]) -> str:
 # where per-node text goes and found again in the encoded text.
 _FIBER_SLOT, _PATH_SLOT, _NODES_SLOT = "\0fiber_dim", "\0path", "\0nodes"
 _FIBER_TEXT, _PATH_TEXT, _NODES_TEXT = (_ENCODER.encode(slot) for slot in (_FIBER_SLOT, _PATH_SLOT, _NODES_SLOT))
+# a datum's node text around its fiber count and path, and its edges' texts
+_TextRow = tuple[str, str, str, tuple[tuple[str, RamificationData, str], ...]]
 
 
 def serialize_certificate(cert: FinitenessCertificate) -> str:
@@ -345,25 +328,26 @@ def serialize_certificate(cert: FinitenessCertificate) -> str:
             text = encoded[value] = _ENCODER.encode(value)
         return text
 
-    rows: dict[RamificationData, tuple[str, str, str, tuple[tuple[str, RamificationData, str], ...]]] = {}
+    rows: dict[RamificationData, _TextRow] = {}
     for datum, entry in table.items():
         head, _, after = _ENCODER.encode(_entry_doc(datum, entry, root, _PATH_SLOT, _FIBER_SLOT)).partition(_FIBER_TEXT)
         mid, _, tail = after.partition(_PATH_TEXT)
         rows[datum] = head, mid, tail, tuple((encode(t), child, encode(fiber)) for t, child, fiber in entry.edges)
     texts: list[str] = []
-
-    def write(datum: RamificationData, steps: str, fiber: str) -> None:
-        # steps is the path's text without its brackets
-        head, mid, tail, edges = rows[datum]
-        texts.append(f"{head}{fiber}{mid}[{steps}]{tail}")
-        prefix = f"{steps}," if steps else ""
-        for step, child, child_fiber in edges:
-            write(child, prefix + step, child_fiber)
-
-    write(root, "", encode(None))
-    del write  # as in _case_split: no cycle keeps the texts alive
+    _write_below(root, "", encode(None), rows, texts)
     before, _, after = serialize_document({**_blocks_doc(cert), "nodes": _NODES_SLOT}).partition(_NODES_TEXT)
     return f"{before}[{','.join(texts)}]{after}"
+
+
+def _write_below(
+    datum: RamificationData, steps: str, fiber: str, rows: dict[RamificationData, _TextRow], texts: list[str]
+) -> None:
+    """Append the texts of datum's node, given its path text (steps, no brackets) and fiber text, and of its subtree."""
+    head, mid, tail, edges = rows[datum]
+    texts.append(f"{head}{fiber}{mid}[{steps}]{tail}")
+    prefix = f"{steps}," if steps else ""
+    for step, child, child_fiber in edges:
+        _write_below(child, prefix + step, child_fiber, rows, texts)
 
 
 def error_document(message: str) -> dict[str, Any]:
@@ -414,38 +398,29 @@ def _show(value: Any) -> str:
         return "<a value holding an integer with more digits than the interpreter writes>"
 
 
-def _first_mismatch(where: str, got: Any, want: Any) -> str:
-    """Name the first differing field of two unequal objects, or the whole values otherwise."""
-    if isinstance(got, dict) and isinstance(want, dict):
-        for key in sorted(set(got) | set(want)):
+def _first_mismatch(where: str, got: Any, want: Any) -> str | None:
+    """Name the first field of got that differs from want's, or the whole values unless both are dicts; None when none differs.
+
+    A value differs when it is unequal or of another type: json.loads reads
+    1 == true == 1.0, so equality alone would accept one for another.  Only the
+    top-level fields of a dict are compared by type.  A key that is not a
+    string, which JSON text cannot carry, is unexpected.
+    """
+    if type(got) is dict and type(want) is dict:
+        # the C-level comparison first: a dict equal in value gets one pass over its fields' types
+        if got == want and all(type(got[key]) is type(value) for key, value in want.items()):
+            return None
+        for key in got:
+            if type(key) is not str:
+                return f"{where}: field {_show(key)} is unexpected"
+        for key in sorted(got.keys() | want.keys()):
             if key not in got or key not in want:
                 return f"{where}: field {key!r} is {'missing' if key in want else 'unexpected'}"
-            if got[key] != want[key]:
+            if got[key] != want[key] or type(got[key]) is not type(want[key]):
                 return f"{where}: field {key!r} is {_show(got[key])}, expected {want[key]!r}"
+    elif got == want and type(got) is type(want):
+        return None
     return f"{where} is {_show(got)}, expected {want!r}"
-
-
-# The blocks whose values must match in JSON type as well as in value: json.loads
-# reads 1 == true and 2.0 == 2, so equality alone would accept either for the other.
-_TYPED_BLOCKS = ("contradiction", "rigidity")
-
-
-def _mistyped_field(where: str, got: dict[str, Any], want: dict[str, Any]) -> str | None:
-    """Name the first field of got, equal to want in value, whose JSON type differs; None when none does.
-
-    A bool must be a bool and an int a JSON integer.  is_json_int is called
-    through its module, so the benchmark's span tracer (perfbench/spans.py),
-    which wraps imported names, does not count this once-per-document check.
-    """
-    for key, expected in sorted(want.items()):
-        value = got[key]
-        if isinstance(expected, bool):
-            exact = isinstance(value, bool)
-        else:
-            exact = not isinstance(expected, int) or places.is_json_int(value)
-        if not exact:
-            return f"{where}: field {key!r} is {value!r}, expected {expected!r}"
-    return None
 
 
 def verify_document(doc: Any) -> VerifyResult:
@@ -457,17 +432,20 @@ def verify_document(doc: Any) -> VerifyResult:
     walk of the case split (capped at MAX_TREE_NODES), so a small document
     cannot demand a large build; the rebuild from that walk's table, which
     refuses a curve too large for json.  The one check on content is then the
-    exact comparison with the rebuild: every top-level block (the rigidity and
-    contradiction blocks by JSON type as well), then the nodes in document
-    order against _walk_nodes of the table, stopping at the first differing
-    node.  Truthy exactly when every block and node is equal; otherwise the
-    failures name each differing block and the first differing node (by node
-    path and field).
+    exact comparison with the rebuild: every top-level block, its fields by
+    JSON type as well (_first_mismatch), then the nodes in document order, by
+    value, against _walk_nodes of the table, stopping at the first differing
+    node.  A key that is not a string is named as unexpected.  Truthy exactly
+    when every block and node is equal; otherwise the failures name each
+    differing block and the first differing node (by node path and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
     expected_keys = {"config", "contradiction", "nodes", "rigidity", "steps", "tool_version", "verdict"}
     if set(doc) != expected_keys:
+        odd = [key for key in doc if type(key) is not str]  # JSON text cannot carry one
+        if odd:
+            return VerifyResult(False, (f"document: field {_show(odd[0])} is unexpected",))
         missing = sorted(expected_keys - set(doc))
         extra = sorted(set(doc) - expected_keys)
         return VerifyResult(False, (f"document keys are wrong (missing {missing}, extra {extra})",))
@@ -494,13 +472,8 @@ def verify_document(doc: Any) -> VerifyResult:
         cert = build_certificate(rd, ct, split=table)
     except ValueError as exc:
         return VerifyResult(False, (str(exc),))
-    failures = []
-    for key, want in sorted(_blocks_doc(cert).items()):
-        got = doc[key]
-        if got != want:
-            failures.append(_first_mismatch(key, got, want))
-        elif key in _TYPED_BLOCKS and (failure := _mistyped_field(key, got, want)):
-            failures.append(failure)
+    blocks = sorted(_blocks_doc(cert).items())
+    failures = [failure for key, want in blocks if (failure := _first_mismatch(key, doc[key], want))]
     # the node count matches the tree's, so every visit has a document node
     got_nodes = enumerate(nodes)
 

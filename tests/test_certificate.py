@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import time
@@ -11,6 +12,7 @@ from gocert import (
     build_certificate,
     certificate_to_doc,
     make_ramification,
+    selfcheck,
     serialize_certificate,
     shimura_dimension,
     verify_document,
@@ -385,6 +387,64 @@ def test_verify_survives_hostile_node_structures():
     steps_failure, node_failure = verify_document(hostile).failures
     assert steps_failure.startswith("steps: field 'root' is {'flags': ['unchecked'], 'prose': [")
     assert node_failure == "nodes[0] path=[]: field 'fiber_dim' is missing"
+    # a key that is not a string, which JSON text cannot carry, is named before any keys are sorted
+    hostile = json.loads(json.dumps(doc))
+    hostile["rigidity"][1] = 2
+    assert verify_document(hostile).failures == ("rigidity: field 1 is unexpected",)
+    hostile = json.loads(json.dumps(doc))
+    hostile["nodes"][1][0] = 1
+    assert verify_document(hostile).failures == ("nodes[1] path=[[0]]: field 0 is unexpected",)
+    hostile = json.loads(json.dumps(doc))
+    hostile[1] = hostile["x"] = 0
+    assert verify_document(hostile).failures == ("document: field 1 is unexpected",)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_verify_rejects_a_node_field_of_another_json_type():
+    # nodes are compared by value only, so json.loads' 1 == true == 1.0 still passes there
+    doc = certificate_to_doc(build_certificate(make_ramification(3, 3), GENUS_TWO))
+    assert verify_document(doc)
+
+    def set_dim(d):
+        d["nodes"][1]["dim"] = True
+
+    def set_s_fin_count(d):
+        d["nodes"][1]["rd"]["s_fin_count"] = False
+
+    def set_path_step(d):
+        d["nodes"][1]["path"][0][0] = 0.0
+
+    def set_root_bound(d):
+        d["nodes"][0]["degree_bound"] = float(d["nodes"][0]["degree_bound"])
+
+    accepted = []
+    for mutate in (set_dim, set_s_fin_count, set_path_step, set_root_bound):
+        mutated = json.loads(json.dumps(doc))
+        mutate(mutated)
+        assert mutated == doc  # equal in value: only a JSON type changed
+        if verify_document(mutated):
+            accepted.append(mutate.__name__)
+    assert accepted == []
+
+
+def test_no_walk_leaves_a_reference_cycle():
+    # every table, node dict and text the walks make is freed by reference
+    # counting once its caller is done with it, not by the cyclic collector
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cert = build_certificate(make_ramification(6, 3), GENUS_TWO)
+        doc = json.loads(serialize_certificate(cert))
+        assert verify_document(doc)
+        doc["nodes"][1]["degree_bound"] += 1
+        assert not verify_document(doc)
+        certificate_to_doc(cert)
+        assert selfcheck(4, [2, 3]).ok
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verify_rejects_a_small_document_that_declares_a_large_tree():
