@@ -35,7 +35,7 @@ from typing import Any, Callable, NamedTuple
 from ._version import __version__
 from .hasse import degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
-from .places import RamificationData, _check_json_digits, make_ramification, shimura_dimension
+from .places import RamificationData, _check_json_digits, _show, make_ramification, shimura_dimension
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
 from .strata import strata_children
 
@@ -388,14 +388,6 @@ class VerifyResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _show(value: Any) -> str:
-    """repr(value), or a stand-in when value holds an integer past sys.get_int_max_str_digits()."""
-    try:
-        return repr(value)
-    except ValueError:
-        return "<a value holding an integer with more digits than the interpreter writes>"
 
 
 def _first_mismatch(where: str, got: Any, want: Any) -> str | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Any, NoReturn
@@ -30,14 +31,18 @@ from .selfcheck import selfcheck
 def _parse_int(text: str, flag: str) -> int:
     """A decimal integer: an optional '-' and ASCII digits; anything else raises ValueError naming the flag.
 
-    Digits beyond the interpreter's limit for integer conversion are refused the same way.
+    Digits beyond the interpreter's limit for integer conversion are refused the same way,
+    in the words of Python 3.11 and later on every Python (3.10 words it another way).
     """
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"{flag}: invalid literal for int() with base 10: {text!r}")
     try:
         return int(text)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+    except ValueError:
+        raise ValueError(
+            f"{flag}: Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string conversion: "
+            f"value has {len(text.lstrip('-'))} digits; use sys.set_int_max_str_digits() to increase the limit"
+        ) from None
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -52,11 +57,26 @@ def _parse_curve(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def _read_json(path: str) -> Any:
-    """Parse a JSON file; raises OSError or ValueError (bad UTF-8, bad JSON, nesting too deep)."""
+# Largest --config file analyze reads: only a config listing more than about
+# 140 000 ramified places needs more.
+_CONFIG_BYTES = 1 << 20
+
+
+def _read_text(path: str, cap: int | None) -> str:
+    """The UTF-8 text of a file, reading at most cap + 1 bytes when a cap is given; a longer file raises ValueError."""
+    with open(path, "rb") as handle:
+        data = handle.read(-1 if cap is None else cap + 1)
+        if cap is not None and len(data) > cap:
+            size = os.fstat(handle.fileno()).st_size
+            given = f"{size} bytes" if size > cap else f"more than {cap} bytes"
+            raise ValueError(f"{path}: the file is {given}, over the cap of {cap} bytes")
+    return data.decode("utf-8")  # the bytes are freed on return, before the parse
+
+
+def _read_json(path: str, cap: int | None = None) -> Any:
+    """Parse a JSON file; raises OSError or ValueError (over the cap, bad UTF-8, bad JSON, nesting too deep)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        return json.loads(_read_text(path, cap))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
@@ -68,7 +88,7 @@ def _analyze_inputs(args: argparse.Namespace) -> tuple[RamificationData, CurveTy
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise ValueError(f"--config cannot be combined with {', '.join(given)}")
-        return parse_config(_read_json(args.config))
+        return parse_config(_read_json(args.config, _CONFIG_BYTES))
     missing = [flag for flag in ("--p", "--f", "--curve") if flags[flag] is None]
     if missing:
         raise ValueError(f"missing {', '.join(missing)} (or use --config)")

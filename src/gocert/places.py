@@ -49,6 +49,20 @@ def is_json_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _show(value: Any) -> str:
+    """repr(value) for an error message, or a stand-in when repr fails.
+
+    It fails on an integer past sys.get_int_max_str_digits() and on a value
+    nested deeper than the recursion limit, which a caller can pass.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return "<a value holding an integer with more digits than the interpreter writes>"
+    except RecursionError:
+        return "<a value nested too deeply to write>"
+
+
 def _check_json_digits(n: int, what: str) -> None:
     """Raise ValueError when n, of either sign, has more decimal digits than json converts.
 
@@ -87,14 +101,14 @@ def make_ramification(
     """
     for name, value in (("f", f), ("p", p), ("s_fin_count", s_fin_count)):
         if not is_json_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer, got {_show(value)}")
         _check_json_digits(value, name)
     if f < 1:
         raise ValueError(f"need at least one place, got f={f}")
     places: set[int] = set()
     for v in s_inf:
         if not is_json_int(v):
-            raise ValueError(f"ramified place {v!r} must be an integer")
+            raise ValueError(f"ramified place {_show(v)} must be an integer")
         _check_json_digits(v, "a ramified place in s_inf")
         if not 0 <= v < f:
             raise ValueError(f"ramified place {v} is not one of the places 0..{f - 1}")

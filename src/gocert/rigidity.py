@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .places import is_json_int
+from .places import _show, is_json_int
 
 
 class _CurveFields(NamedTuple):
@@ -33,7 +33,7 @@ class CurveType(_CurveFields):
     def __new__(cls, g: int, n: int) -> CurveType:
         for name, value in (("g", g), ("n", n)):
             if not is_json_int(value):
-                raise ValueError(f"curve {name} must be an integer, got {value!r}")
+                raise ValueError(f"curve {name} must be an integer, got {_show(value)}")
         if g < 0 or n < 0:
             raise ValueError(f"genus and puncture count must be nonnegative, got ({g}, {n})")
         return tuple.__new__(cls, (g, n))

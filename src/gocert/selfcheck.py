@@ -1,24 +1,37 @@
 """Exhaustive self-check suites over all small configurations.
 
 Every suite enumerates the full configuration space up to the requested degree
-bound and checks an invariant against an independent computation from the
-oracle module (connectivity-based chain finding, fixpoint relaxation of the
-Hasse constraints scanned from their definition, or a direct scan of the Hodge
-degree inequality).  Failures carry the first counterexample found.
+bound and checks its invariant against:
+- n-tau-tiling: the identity that the n_tau of the split places sum to f;
+- chain-partition: the oracle's connectivity-based chain finding;
+- induced-parity-growth, dimension-descent: properties of the kernel's own
+  output (parity and growth of the induced datum, the descent formula);
+- degree-oracle: the oracle's fixpoint relaxation of the Hasse constraints,
+  scanned from their definition;
+- degree-monotone: the kernel's own bound at the next larger prime;
+- rigidity-table: the oracle's direct scan of the Hodge degree inequality;
+- contradiction-agreement: the rule that the equal-degree contradiction holds
+  exactly when 2g - 2 + n = 2;
+- certificate-roundtrip: verify_document, which rebuilds with the same kernel
+  and lists the expected nodes by the walk that listed the document's
+  (_walk_nodes), so it cannot see a kernel fault that both builds share.
+Failures carry the first counterexample found.
 
-The three stratum suites share one walk: each stratum is built, split into
-chains once, and descended with those chains, and each suite counts and stops as
-if it walked alone.  Each oracle answer is computed once per input it depends
-on, within one selfcheck() call: the chain-partition verdict once per place
-count f, occupied set s_inf | T and chains (about 500 occupied sets serve the
-9 330 strata at f <= 8), and the degree oracle's Hasse constraints once per
-datum for all its anchors.
+Each suite is a generator that yields, per case, one verdict for each suite
+sharing its walk, and one runner (_run) counts them.  The three stratum suites
+share one walk: each stratum is built, split into chains once, and descended
+with those chains.  The two curve suites share the walk of the 121 curve types.
+Each suite counts and stops as if it walked alone.  Each oracle answer is
+computed once per input it depends on, within one selfcheck() call: the
+chain-partition verdict once per place count f, occupied set s_inf | T and
+chains (about 500 occupied sets serve the 9 330 strata at f <= 8), and the
+degree oracle's Hasse constraints once per datum for all its anchors.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import places
 from .certificate import build_certificate, certificate_to_doc, verify_document
@@ -41,8 +54,9 @@ MAX_SELFCHECK_F = 12
 
 
 class SuiteResult(NamedTuple):
-    """seconds is wall time; the three stratum suites share one walk and each report
-    a third of its seconds, so the seconds of all suites still sum to the time spent."""
+    """seconds is wall time; suites that share a walk (the three stratum suites, the two
+    curve suites) each report an equal share of its seconds, so the seconds of all
+    suites still sum to the time spent."""
 
     name: str
     passed: bool
@@ -62,13 +76,15 @@ class SelfcheckReport(NamedTuple):
         return all(suite.passed for suite in self.suites)
 
 
-def _suite_n_tau_tiling(max_f: int, p: int) -> tuple[int, str | None]:
-    checked = 0
+# Per case, one verdict for each suite sharing the walk: None, or that suite's
+# counterexample, a non-empty text built only when the check fails.
+_Verdicts = Iterator[tuple[str | None, ...]]
+
+
+def _suite_n_tau_tiling(max_f: int, p: int) -> _Verdicts:
     for rd in all_ramifications(max_f, p, min_dim=1):
-        checked += 1
-        if sum(n_tau(rd, tau) for tau in split_places(rd)) != rd.f:
-            return checked, f"f={rd.f} s_inf={sorted(rd.s_inf)}"
-    return checked, None
+        tiled = sum(n_tau(rd, tau) for tau in split_places(rd)) == rd.f
+        yield (None if tiled else f"f={rd.f} s_inf={sorted(rd.s_inf)}",)
 
 
 # The chain-partition verdict depends only on f, the occupied set s_inf | T and the chains;
@@ -119,123 +135,118 @@ def _dimension_descent(st: Stratum, chains: Chains, induced: RamificationData, p
 STRATUM_SUITES = ("chain-partition", "induced-parity-growth", "dimension-descent")
 
 
-def _suite_strata(max_f: int, p: int) -> list[tuple[int, str | None]]:
-    """(checked, counterexample) of each of STRATUM_SUITES, from one walk of the strata.
+def _suite_strata(max_f: int, p: int) -> _Verdicts:
+    """One walk of the strata for the three STRATUM_SUITES.
 
-    A suite stops at its first counterexample while the others go on, so its
-    count and message are those of a walk of its own; the walk ends once all fail.
     Each stratum is built and its chains decomposed once, and handed to
     induced_ramification.  Many strata share an occupied set s_inf | T, so the
-    chain-partition verdict is kept per (occupied set, chains) while f stays the
-    same: chains that split one occupied set another way are checked afresh.
+    chain-partition verdict is kept per (f, occupied set, chains): chains that
+    split one occupied set another way are checked afresh.
     """
-    checked = [0] * len(STRATUM_SUITES)
-    found: list[str | None] = [None] * len(STRATUM_SUITES)
-    verdicts: dict[tuple[frozenset[int], Chains], str | None] = {}
-
-    def chain_partition(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
-        key = (st.rd.s_inf | st.t, chains)
-        if key not in verdicts:
-            verdicts[key] = _chain_partition(st.rd.f, *key)
-        return verdicts[key]
-
-    checks = (chain_partition, _induced_parity_growth, _dimension_descent)
-    f = 0
+    partitions: dict[tuple[int, frozenset[int], Chains], str | None] = {}
     for rd in all_ramifications(max_f, p, min_dim=1):
-        if rd.f != f:
-            f = rd.f
-            verdicts.clear()
         parent = shimura_dimension(rd)
         for t in all_vanishing_sets(rd):
             st = Stratum(rd=rd, t=t)
             chains = decompose_chains(st)
             induced = induced_ramification(st, chains=chains)
-            for i, check in enumerate(checks):
-                if found[i] is None:
-                    checked[i] += 1
-                    problem = check(st, chains, induced, parent)
-                    if problem is not None:
-                        found[i] = f"{problem}: f={rd.f} s_inf={sorted(rd.s_inf)} t={sorted(t)}"
-            if None not in found:
-                return list(zip(checked, found))
-    return list(zip(checked, found))
+            key = (rd.f, rd.s_inf | t, chains)
+            if key not in partitions:
+                partitions[key] = _chain_partition(*key)
+            problems = (
+                partitions[key],
+                _induced_parity_growth(st, chains, induced, parent),
+                _dimension_descent(st, chains, induced, parent),
+            )
+            if any(problems):
+                where = f": f={rd.f} s_inf={sorted(rd.s_inf)} t={sorted(t)}"
+                problems = tuple(problem and problem + where for problem in problems)
+            yield problems
 
 
-def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> tuple[int, str | None]:
-    checked = 0
+def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
-            checked += 1
             per_anchor = relaxed_profile_maxima(rd)
             if degree_bound(rd) != max(per_anchor.values()):
-                return checked, f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
-            if (sums := max_degree_sums(rd)) != per_anchor:
+                yield (f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}",)
+            elif (sums := max_degree_sums(rd)) != per_anchor:
                 anchor = min(a for a, _ in sums.items() ^ per_anchor.items())
-                return checked, f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
-    return checked, None
+                yield (f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}",)
+            else:
+                yield (None,)
 
 
-def _suite_degree_monotone(max_f: int, primes: tuple[int, ...]) -> tuple[int, str | None]:
-    checked = 0
+def _suite_degree_monotone(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
     ordered = sorted(primes)
     for lo, hi in zip(ordered, ordered[1:]):
         for rd_lo in all_ramifications(max_f, lo, min_dim=1):
-            checked += 1
             rd_hi = rd_lo._replace(p=hi)  # selfcheck() has checked hi
-            if degree_bound(rd_lo) > degree_bound(rd_hi):
-                return checked, f"p={lo}->{hi} f={rd_lo.f} s_inf={sorted(rd_lo.s_inf)}"
-    return checked, None
+            monotone = degree_bound(rd_lo) <= degree_bound(rd_hi)
+            yield (None if monotone else f"p={lo}->{hi} f={rd_lo.f} s_inf={sorted(rd_lo.s_inf)}",)
 
 
-def _suite_rigidity_table() -> tuple[int, str | None]:
-    checked = 0
+def _suite_curves() -> _Verdicts:
+    """One walk of the curve types (g, n), g and n <= 10, for rigidity-table and contradiction-agreement."""
     for g in range(11):
         for n in range(11):
-            checked += 1
             ct = CurveType(g, n)
             e = euler_bound(ct)
             degrees = hodge_degrees(g, n)
-            if bool(degrees) != (e >= 2):
-                return checked, f"(g,n)=({g},{n}): nonempty iff euler>=2 fails"
             singleton_iso = len(degrees) == 1 and degrees[0][1]
-            if is_special(ct) != (e == 2) or singleton_iso != (e == 2):
-                return checked, f"(g,n)=({g},{n}): special characterization fails"
             expected = (True, degrees[0][0], 4**g) if singleton_iso else (False, None, None)
             verdict = finiteness_verdict(ct)
-            if (verdict.finite, verdict.d, verdict.count) != expected:
-                return checked, f"(g,n)=({g},{n}): verdict is {verdict}, expected {expected}"
-    return checked, None
+            rigidity = None
+            if bool(degrees) != (e >= 2):
+                rigidity = f"(g,n)=({g},{n}): nonempty iff euler>=2 fails"
+            elif is_special(ct) != (e == 2) or singleton_iso != (e == 2):
+                rigidity = f"(g,n)=({g},{n}): special characterization fails"
+            elif (verdict.finite, verdict.d, verdict.count) != expected:
+                rigidity = f"(g,n)=({g},{n}): verdict is {verdict}, expected {expected}"
+            contradicted = contradiction_check(ct, 1, 0).conclusion == "contradiction"
+            yield rigidity, None if contradicted == (e == 2) else f"(g,n)=({g},{n})"
 
 
-def _suite_contradiction_agreement() -> tuple[int, str | None]:
-    checked = 0
-    for g in range(11):
-        for n in range(11):
-            checked += 1
-            ct = CurveType(g, n)
-            verdict = contradiction_check(ct, 1, 0)
-            if (verdict.conclusion == "contradiction") != (euler_bound(ct) == 2):
-                return checked, f"(g,n)=({g},{n})"
-    return checked, None
-
-
-def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> tuple[int, str | None]:
-    checked = 0
+def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
     curves = (CurveType(2, 0), CurveType(0, 4), CurveType(3, 0))
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
             split = None  # the first curve's build walks rd; its table serves the other two
             for ct in curves:
-                checked += 1
                 cert = build_certificate(rd, ct, split=split)
                 split = cert.split
                 result = verify_document(certificate_to_doc(cert))
-                if not result:
-                    return checked, (
-                        f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)} curve=({ct.g},{ct.n}): "
-                        + "; ".join(result.failures)
-                    )
-    return checked, None
+                if result:
+                    yield (None,)
+                else:
+                    where = f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)} curve=({ct.g},{ct.n})"
+                    yield (f"{where}: {'; '.join(result.failures)}",)
+
+
+def _run(names: tuple[str, ...], scope: str, walk: _Verdicts) -> list[SuiteResult]:
+    """One result per name for the suites sharing walk, each counted as if it walked alone.
+
+    A suite that never fails has checked every case; one that fails has checked
+    the cases up to its first counterexample, which it keeps.  The walk ends
+    once every suite in it has failed.
+    """
+    start = time.perf_counter()
+    cases = 0
+    failed_at = [0] * len(names)
+    found: list[str | None] = [None] * len(names)
+    for verdicts in walk:
+        cases += 1
+        if any(verdicts):
+            for i, problem in enumerate(verdicts):
+                if problem and found[i] is None:
+                    failed_at[i], found[i] = cases, problem
+            if None not in found:
+                break
+    seconds = (time.perf_counter() - start) / len(names)
+    return [
+        SuiteResult(name, problem is None, count or cases, scope, problem, seconds)
+        for name, count, problem in zip(names, failed_at, found, strict=True)
+    ]
 
 
 def _scope(max_f: int, primes: tuple[int, ...]) -> str:
@@ -257,7 +268,7 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     """
     # called through its module, so the benchmark's span tracer does not count it as a binding
     if not places.is_json_int(max_f):
-        raise ValueError(f"max_f must be an integer, got {max_f!r}")
+        raise ValueError(f"max_f must be an integer, got {places._show(max_f)}")
     prime_tuple = tuple(primes)
     if not prime_tuple:
         raise ValueError("need at least one prime")
@@ -274,35 +285,15 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     base_p = prime_tuple[0]
     base = _scope(max_f, (base_p,))
     every = _scope(max_f, prime_tuple)
-    curves = "g<=10 n<=10"
     trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
-    suites: list[SuiteResult] = []
-    runs: list[tuple[tuple[str, ...], str, Callable[[], list[tuple[int, str | None]]]]] = [
-        (("n-tau-tiling",), base, lambda: [_suite_n_tau_tiling(max_f, base_p)]),
-        (STRATUM_SUITES, base, lambda: _suite_strata(max_f, base_p)),
-        (("degree-oracle",), every, lambda: [_suite_degree_oracle(max_f, prime_tuple)]),
-        (("degree-monotone",), every, lambda: [_suite_degree_monotone(max_f, prime_tuple)]),
-        (("rigidity-table",), curves, lambda: [_suite_rigidity_table()]),
-        (("contradiction-agreement",), curves, lambda: [_suite_contradiction_agreement()]),
-        (
-            ("certificate-roundtrip",),
-            _scope(trip_f, trip_primes),
-            lambda: [_suite_certificate_roundtrip(trip_f, trip_primes)],
-        ),
-    ]
-    for names, scope, run in runs:
-        start = time.perf_counter()
-        results = run()
-        seconds = (time.perf_counter() - start) / len(names)
-        for name, (checked, counterexample) in zip(names, results, strict=True):
-            suites.append(
-                SuiteResult(
-                    name=name,
-                    passed=counterexample is None,
-                    checked=checked,
-                    scope=scope,
-                    counterexample=counterexample,
-                    seconds=seconds,
-                )
-            )
-    return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=tuple(suites))
+    trip = _scope(trip_f, trip_primes)
+    runs = (
+        (("n-tau-tiling",), base, _suite_n_tau_tiling(max_f, base_p)),
+        (STRATUM_SUITES, base, _suite_strata(max_f, base_p)),
+        (("degree-oracle",), every, _suite_degree_oracle(max_f, prime_tuple)),
+        (("degree-monotone",), every, _suite_degree_monotone(max_f, prime_tuple)),
+        (("rigidity-table", "contradiction-agreement"), "g<=10 n<=10", _suite_curves()),
+        (("certificate-roundtrip",), trip, _suite_certificate_roundtrip(trip_f, trip_primes)),
+    )
+    suites = tuple(result for names, scope, walk in runs for result in _run(names, scope, walk))
+    return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=suites)

@@ -271,6 +271,19 @@ def test_analyze_from_config_file(tmp_path, capsys):
     assert "exactly the keys 'curve' and 'rd'" in rejected(old)
 
 
+def test_analyze_reads_a_config_file_of_at_most_one_mebibyte(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    text = json.dumps(GOOD_CONFIG)
+    config.write_text(text + " " * (2**20 - len(text)))
+    assert run_cli(capsys, "analyze", "--config", str(config))[0] == 0
+    # one byte more is refused before it is parsed, whatever it holds
+    config.write_text("[" * (2**20 + 1))
+    code, out, err = run_cli(capsys, "analyze", "--config", str(config))
+    assert code == 1
+    assert err == f"error: {config}: the file is 1048577 bytes, over the cap of 1048576 bytes\n"
+    assert json.loads(out)["verdict"] == "error"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

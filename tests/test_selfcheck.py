@@ -2,10 +2,12 @@ import ast
 import importlib
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from gocert import RamificationData, certificate, oracle, selfcheck
+from gocert.rigidity import RigidityVerdict
 from gocert.selfcheck import MAX_SELFCHECK_F
 
 # the module, not the function the package exports under the same name
@@ -226,3 +228,30 @@ def test_the_oracle_depends_on_no_gocert_module_but_places():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names if alias.name.split(".")[0] == "gocert")
     assert imported == {"gocert.places"}
+
+
+def test_a_shared_walk_ends_once_all_its_suites_have_failed(monkeypatch):
+    for name in ("_chain_partition", "_induced_parity_growth", "_dimension_descent"):
+        monkeypatch.setattr(SELFCHECK, name, lambda *args: "broken")
+    strata = 0
+    original = SELFCHECK.Stratum
+
+    def counted(*args, **kwargs):
+        nonlocal strata
+        strata += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(SELFCHECK, "Stratum", counted)
+    # both curve suites fail at the first curve type, (0, 0)
+    monkeypatch.setattr(SELFCHECK, "finiteness_verdict", lambda ct: RigidityVerdict(True, 1, 1))
+    monkeypatch.setattr(SELFCHECK, "contradiction_check", lambda *args: SimpleNamespace(conclusion="contradiction"))
+    got = {s.name: (s.passed, s.checked, s.counterexample) for s in selfcheck(3, [2]).suites}
+    for name in SELFCHECK.STRATUM_SUITES:
+        assert got[name] == (False, 1, "broken: f=1 s_inf=[] t=[]")
+    assert strata == 1
+    assert got["rigidity-table"] == (
+        False,
+        1,
+        "(g,n)=(0,0): verdict is RigidityVerdict(finite=True, d=1, count=1), expected (False, None, None)",
+    )
+    assert got["contradiction-agreement"] == (False, 1, "(g,n)=(0,0)")
