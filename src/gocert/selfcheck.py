@@ -5,7 +5,8 @@ bound and checks its invariant against:
 - n-tau-tiling: the identity that the n_tau of the split places sum to f;
 - chain-partition: the oracle's connectivity-based chain finding;
 - induced-parity-growth, dimension-descent: properties of the kernel's own
-  output (parity and growth of the induced datum, the descent formula);
+  output (the induced datum's parity, its augmented set holding s_inf and T
+  with an even number of places beyond s_inf, the descent formula);
 - degree-oracle: the oracle's fixpoint relaxation of the Hasse constraints,
   scanned from their definition;
 - degree-monotone: the kernel's own bound at the next larger prime;
@@ -24,8 +25,9 @@ with those chains.  The two curve suites share the walk of the 121 curve types.
 Each suite counts and stops as if it walked alone.  Each oracle answer is
 computed once per input it depends on, within one selfcheck() call: the
 chain-partition verdict once per place count f, occupied set s_inf | T and
-chains (about 500 occupied sets serve the 9 330 strata at f <= 8), and the
-degree oracle's Hasse constraints once per datum for all its anchors.
+chains (about 500 occupied sets serve the 9 330 strata at f <= 8), the
+degree oracle's Hasse constraints once per datum for all its anchors, and
+degree_bound once per datum and prime, for degree-oracle and degree-monotone.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Chains, Stratum, decompose_chains, induced_ramification
 
 # Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 takes
-# 17 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
+# 12 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
 MAX_SELFCHECK_F = 12
 
 
@@ -88,8 +90,9 @@ def _suite_n_tau_tiling(max_f: int, p: int) -> _Verdicts:
 
 
 # The chain-partition verdict depends only on f, the occupied set s_inf | T and the chains;
-# the other two stratum checks see the stratum, its chains, its induced datum and its
-# datum's dimension.  Each returns the kind of its first failure, or None.
+# the other two stratum checks see T, its datum's s_inf and dimension, its induced datum
+# and its count of odd chains (those that meet T in an odd number of places).  Each
+# returns the kind of its first failure, or None.
 def _chain_partition(f: int, occupied: frozenset[int], chains: Chains) -> str | None:
     covered: set[int] = set()
     for c in chains:
@@ -107,24 +110,25 @@ def _chain_partition(f: int, occupied: frozenset[int], chains: Chains) -> str | 
     return None
 
 
-def _induced_parity_growth(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
-    s_inf, t = st.rd.s_inf, st.t
-    t_new = induced.s_inf - s_inf
-    if (len(induced.s_inf) + induced.s_fin_count) % 2 != 0:
+def _induced_parity_growth(
+    t: frozenset[int], s_inf: frozenset[int], induced: RamificationData, parent: int, odd: int
+) -> str | None:
+    augmented = induced.s_inf
+    if (len(augmented) + induced.s_fin_count) % 2:
         return "parity"
-    if not t <= (s_inf | t_new):
+    if not t <= augmented:
         return "T not contained in the augmented set"
-    if len(t_new | t) % 2 != 0:
+    if not s_inf <= augmented:
+        return "s_inf not contained in the augmented set"
+    if (len(augmented) - len(s_inf)) % 2:  # T and the added places
         return "odd augmented set"
-    if (t_new - t) & (s_inf | t):
-        return "augmentation not disjoint"
     return None
 
 
-def _dimension_descent(st: Stratum, chains: Chains, induced: RamificationData, parent: int) -> str | None:
+def _dimension_descent(
+    t: frozenset[int], s_inf: frozenset[int], induced: RamificationData, parent: int, odd: int
+) -> str | None:
     child = shimura_dimension(induced)
-    t = st.t
-    odd = sum(1 for c in chains if len(t.intersection(c)) % 2 == 1)
     if child != parent - len(t) - odd:
         return "descent formula"
     if t and child >= parent:
@@ -133,6 +137,9 @@ def _dimension_descent(st: Stratum, chains: Chains, induced: RamificationData, p
 
 
 STRATUM_SUITES = ("chain-partition", "induced-parity-growth", "dimension-descent")
+# what _suite_strata yields for every stratum that passes all three, and _run skips at once
+_STRATUM_PASSED = (None,) * len(STRATUM_SUITES)
+_UNSEEN = object()
 
 
 def _suite_strata(max_f: int, p: int) -> _Verdicts:
@@ -145,30 +152,41 @@ def _suite_strata(max_f: int, p: int) -> _Verdicts:
     """
     partitions: dict[tuple[int, frozenset[int], Chains], str | None] = {}
     for rd in all_ramifications(max_f, p, min_dim=1):
-        parent = shimura_dimension(rd)
+        f, s_inf, parent = rd.f, rd.s_inf, shimura_dimension(rd)
         for t in all_vanishing_sets(rd):
-            st = Stratum(rd=rd, t=t)
+            st = Stratum(rd, t)
             chains = decompose_chains(st)
             induced = induced_ramification(st, chains=chains)
-            key = (rd.f, rd.s_inf | t, chains)
-            if key not in partitions:
-                partitions[key] = _chain_partition(*key)
-            problems = (
-                partitions[key],
-                _induced_parity_growth(st, chains, induced, parent),
-                _dimension_descent(st, chains, induced, parent),
-            )
-            if any(problems):
-                where = f": f={rd.f} s_inf={sorted(rd.s_inf)} t={sorted(t)}"
-                problems = tuple(problem and problem + where for problem in problems)
-            yield problems
+            key = (f, s_inf | t, chains)
+            partition = partitions.get(key, _UNSEEN)
+            if partition is _UNSEEN:
+                partition = partitions[key] = _chain_partition(*key)
+            odd = 0
+            for c in chains:
+                odd += len(t.intersection(c)) & 1
+            growth = _induced_parity_growth(t, s_inf, induced, parent, odd)
+            descent = _dimension_descent(t, s_inf, induced, parent, odd)
+            if partition or growth or descent:
+                where = f": f={f} s_inf={sorted(s_inf)} t={sorted(t)}"
+                yield tuple(problem and problem + where for problem in (partition, growth, descent))
+            else:
+                yield _STRATUM_PASSED
 
 
-def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
+class _Bounds(dict[RamificationData, int]):
+    """degree_bound per datum, computed at the first lookup: degree-oracle fills it, and
+    degree-monotone reads it and computes what degree-oracle left out after a failure."""
+
+    def __missing__(self, rd: RamificationData) -> int:
+        bound = self[rd] = degree_bound(rd)
+        return bound
+
+
+def _suite_degree_oracle(max_f: int, primes: tuple[int, ...], bounds: _Bounds) -> _Verdicts:
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
             per_anchor = relaxed_profile_maxima(rd)
-            if degree_bound(rd) != max(per_anchor.values()):
+            if bounds[rd] != max(per_anchor.values()):
                 yield (f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}",)
             elif (sums := max_degree_sums(rd)) != per_anchor:
                 anchor = min(a for a, _ in sums.items() ^ per_anchor.items())
@@ -177,12 +195,12 @@ def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
                 yield (None,)
 
 
-def _suite_degree_monotone(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
+def _suite_degree_monotone(max_f: int, primes: tuple[int, ...], bounds: _Bounds) -> _Verdicts:
     ordered = sorted(primes)
     for lo, hi in zip(ordered, ordered[1:]):
         for rd_lo in all_ramifications(max_f, lo, min_dim=1):
             rd_hi = rd_lo._replace(p=hi)  # selfcheck() has checked hi
-            monotone = degree_bound(rd_lo) <= degree_bound(rd_hi)
+            monotone = bounds[rd_lo] <= bounds[rd_hi]
             yield (None if monotone else f"p={lo}->{hi} f={rd_lo.f} s_inf={sorted(rd_lo.s_inf)}",)
 
 
@@ -236,7 +254,7 @@ def _run(names: tuple[str, ...], scope: str, walk: _Verdicts) -> list[SuiteResul
     found: list[str | None] = [None] * len(names)
     for verdicts in walk:
         cases += 1
-        if any(verdicts):
+        if verdicts is not _STRATUM_PASSED and any(verdicts):
             for i, problem in enumerate(verdicts):
                 if problem and found[i] is None:
                     failed_at[i], found[i] = cases, problem
@@ -287,11 +305,12 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     every = _scope(max_f, prime_tuple)
     trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
     trip = _scope(trip_f, trip_primes)
+    bounds = _Bounds()
     runs = (
         (("n-tau-tiling",), base, _suite_n_tau_tiling(max_f, base_p)),
         (STRATUM_SUITES, base, _suite_strata(max_f, base_p)),
-        (("degree-oracle",), every, _suite_degree_oracle(max_f, prime_tuple)),
-        (("degree-monotone",), every, _suite_degree_monotone(max_f, prime_tuple)),
+        (("degree-oracle",), every, _suite_degree_oracle(max_f, prime_tuple, bounds)),
+        (("degree-monotone",), every, _suite_degree_monotone(max_f, prime_tuple, bounds)),
         (("rigidity-table", "contradiction-agreement"), "g<=10 n<=10", _suite_curves()),
         (("certificate-roundtrip",), trip, _suite_certificate_roundtrip(trip_f, trip_primes)),
     )

@@ -114,6 +114,30 @@ def test_stratum_suites_fail_independently(monkeypatch):
     assert not report.ok
 
 
+def test_induced_parity_growth_catches_an_augmented_set_that_drops_s_inf(monkeypatch):
+    original = SELFCHECK.induced_ramification
+
+    def swapped(st, chains=None):
+        # ramifies two free places in place of two ramified ones: parity, size, T and the
+        # dimension all hold, so only the check that s_inf stays ramified can tell
+        induced = original(st, chains=chains)
+        free = [x for x in range(st.rd.f) if x not in induced.s_inf]
+        if len(st.rd.s_inf) < 2 or len(free) < 2:
+            return induced
+        kept = induced.s_inf - frozenset(sorted(st.rd.s_inf)[:2])
+        return induced._replace(s_inf=kept | frozenset(free[:2]))
+
+    monkeypatch.setattr(SELFCHECK, "induced_ramification", swapped)
+    report = selfcheck(5, [2, 3])
+    failures = {"induced-parity-growth": (69, "s_inf not contained in the augmented set: f=4 s_inf=[0, 1] t=[]")}
+    expected = [
+        (name, name not in failures, *failures.get(name, (checked, None)), scope)
+        for name, checked, scope in EXPECTED_COVERAGE
+    ]
+    got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
+    assert got == expected
+
+
 def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
     calls: Counter[str] = Counter()
 
@@ -155,6 +179,26 @@ def test_degree_oracle_names_its_counterexample(monkeypatch, name, counterexampl
     monkeypatch.setattr(SELFCHECK, name, lambda *args: mutant(original(*args)))
     (suite,) = [s for s in selfcheck(3, [2, 3]).suites if s.name == "degree-oracle"]
     assert (suite.passed, suite.checked, suite.counterexample) == (False, 1, counterexample)
+
+
+def test_selfcheck_computes_one_degree_bound_per_datum_and_prime(monkeypatch):
+    calls = 0
+    original = SELFCHECK.degree_bound
+
+    def counted(rd):
+        nonlocal calls
+        calls += 1
+        return original(rd)
+
+    monkeypatch.setattr(SELFCHECK, "degree_bound", counted)
+    assert selfcheck(5, [2, 3]).ok
+    # 57 data at each of the two primes, shared by degree-oracle and degree-monotone
+    assert calls == 114
+    # degree-oracle stops at its first datum, so degree-monotone computes the bounds it lacks
+    monkeypatch.setattr(SELFCHECK, "relaxed_profile_maxima", lambda rd: {0: 0})
+    got = {s.name: (s.passed, s.checked, s.counterexample) for s in selfcheck(5, [2, 3]).suites}
+    assert got["degree-oracle"] == (False, 1, "p=2 f=1 s_inf=[]")
+    assert got["degree-monotone"] == (True, 57, None)
 
 
 def test_chain_partition_catches_merged_chains(monkeypatch):
