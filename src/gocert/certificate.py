@@ -13,7 +13,10 @@ comparison every node of positive dimension applies is stated once.
 A certificate keeps the case split as its walk computed it: a table of the
 distinct data below the root, each with its edges, a DAG of which the
 document's tree is the preorder expansion.  That table is the certificate's
-only tree form; no record is made per tree node.
+only tree form; no record is made per tree node.  Which stratum leads to which
+smaller datum depends only on the cyclic order of the split places, so the
+walk asks the stratum kernel for the children of one datum per dimension and
+relabels them for every other datum of that dimension (_case_split).
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  serialize_certificate writes that text
@@ -35,7 +38,7 @@ from typing import Any, Callable, NamedTuple
 from ._version import __version__
 from .hasse import degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
-from .places import RamificationData, _check_json_digits, _show, make_ramification, shimura_dimension
+from .places import RamificationData, _check_json_digits, _show, make_ramification, shimura_dimension, split_places
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
 from .strata import strata_children
 
@@ -126,6 +129,18 @@ class FinitenessCertificate(NamedTuple):
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     """Each distinct datum below rd with its edges in strata_children order and its subtree size.
 
+    A datum of dimension 0 or 1 has no children (2^1 - 2 = 0), and only the
+    first datum of each dimension m >= 2 in the walk gets its children from
+    strata_children.  A chain of s_inf | T runs from one free split place to the
+    next, so its part in T is a run of consecutive split places in T, and the
+    place it adds for an odd run is the free split place just before the run.
+    With its split places numbered 0..m-1, every datum of dimension m thus has
+    the children of the model datum (f = m, s_inf = {}): a later datum maps the
+    first one's T and added places, as indices, onto its own split places.
+    That shape is read off the first datum's entry once a second datum of its
+    dimension appears, so a walk with no repeated dimension pays nothing for
+    it, and nothing outlives the walk.
+
     Raises ValueError once the tree is known to exceed MAX_TREE_NODES: before
     listing the children of a datum of dimension _REFUSAL_DIM or more, or when
     a running subtree total passes the limit.  Raises ValueError as well for a
@@ -133,24 +148,46 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     (_check_json_digits).
     """
     table: dict[RamificationData, _Split] = {}
-    _split_below(rd, table)
+    _split_below(rd, table, {})
     return table
 
 
-def _split_below(datum: RamificationData, table: dict[RamificationData, _Split]) -> _Split:
-    """datum's entry of table, entering it and every datum below it that table lacks."""
+def _split_below(datum: RamificationData, table: dict[RamificationData, _Split], shapes: dict[int, Any]) -> _Split:
+    """datum's entry of table, entering it and every datum below it that table lacks.
+
+    shapes maps each dimension of at least 2 to the walk's first datum of it,
+    and from the second datum of it on to that datum's edges as the indices of
+    their T and added places among its split places.
+    """
     if datum in table:
         return table[datum]
     dim = shimura_dimension(datum)
     if dim >= _REFUSAL_DIM:
         raise ValueError(_TOO_LARGE)
+    children: Any = ()
+    if dim > 1:
+        first = shapes.setdefault(dim, datum)
+        if first is datum:
+            children = [(tuple(sorted(t)), child) for t, child in strata_children(datum)]
+        else:
+            if type(first) is not list:  # its entry is complete: every datum below it has a smaller dimension
+                at = {place: i for i, place in enumerate(split_places(first))}
+                shapes[dim] = [
+                    (tuple([at[x] for x in t]), [at[x] for x in child.s_inf - first.s_inf])
+                    for t, child, _ in table[first].edges
+                ]
+            splits, (f, s_inf, count, p) = split_places(datum), datum
+            children = [
+                (tuple([splits[i] for i in t]), RamificationData(f, s_inf.union([splits[i] for i in a]), count, p))
+                for t, a in shapes[dim]
+            ]
     edges, size = [], 1
-    for t, child in strata_children(datum) if dim else ():
-        below = _split_below(child, table)
+    for t, child in children:
+        below = _split_below(child, table, shapes)
         size += below.size
         if size > MAX_TREE_NODES:
             raise ValueError(_TOO_LARGE)
-        edges.append((tuple(sorted(t)), child, dim - len(t) - below.dim))
+        edges.append((t, child, dim - len(t) - below.dim))
     bound = degree_bound(datum) if dim else None
     if bound is not None:
         _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")

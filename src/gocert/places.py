@@ -11,17 +11,24 @@ itself never ramifies, and finite places matter only through parity).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from typing import Any, Iterable, NamedTuple
 
 
-# Miller-Rabin with the first twelve primes as bases is exact below P_BOUND,
-# which is itself a strong pseudoprime to all twelve bases.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-P_BOUND = 3_317_044_064_679_887_385_961_981
+# Miller-Rabin with the first k primes as bases is exact for n below the k-th
+# term of OEIS A014233, the least odd composite that is a strong pseudoprime to
+# all k of them; the thirteenth term is P_BOUND.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_BELOW = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
+P_BOUND = _EXACT_BELOW[-1]
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < P_BOUND."""
+    """Deterministic Miller-Rabin with the fewest leading bases exact for n; exact for n < P_BOUND."""
     if n < 2:
         return False
     for q in _WITNESSES:
@@ -31,7 +38,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _WITNESSES:
+    for a in _WITNESSES[: bisect_right(_EXACT_BELOW, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -25,14 +25,14 @@ def test_every_traced_boundary_is_a_callable_attribute():
 def test_a_small_pass_calls_every_traced_boundary(monkeypatch):
     # a binding the program no longer calls would read 0 in every traced run
     found = spans.boundaries()
-    assert len(found) == 46
+    assert len(found) == 48
     for importer, name in found:
         module = _module(importer)
         monkeypatch.setattr(module, name, getattr(module, name))  # restored at teardown
     tracer = spans.Tracer()
     tracer.install()
 
-    rd = gocert.make_ramification(3, 3)
+    rd = gocert.make_ramification(4, 3)  # the smallest f whose walk relabels a datum with children
     text = gocert.serialize_certificate(gocert.build_certificate(rd, gocert.CurveType(2, 0)))
     doc = json.loads(text)
     assert gocert.verify_document(doc)

@@ -21,7 +21,9 @@ from gocert import (
 from gocert import certificate
 from gocert.certificate import error_document, parse_config, serialize_document
 from gocert.cli import main
+from gocert.hasse import degree_bound
 from gocert.oracle import all_ramifications
+from gocert.strata import strata_children
 from helpers import document_mutations, leaf_mutations
 
 GENUS_TWO = CurveType(2, 0)
@@ -591,6 +593,38 @@ def test_min_tree_size_is_a_lower_bound_and_sets_the_refusal_dimension():
     assert certificate._min_tree_size(refusal) > certificate.MAX_TREE_NODES
 
 
+def _kernel_case_split(rd):
+    """The case-split table with strata_children called on every datum: what the relabeling walk must equal."""
+    table = {}
+
+    def below(datum):
+        if datum not in table:
+            dim, edges, size = shimura_dimension(datum), [], 1
+            for t, child in strata_children(datum) if dim else ():
+                entry = below(child)
+                size += entry.size
+                edges.append((tuple(sorted(t)), child, dim - len(t) - entry.dim))
+            bound = degree_bound(datum) if dim else None
+            table[datum] = certificate._Split(dim, bound, tuple(edges), size)
+        return table[datum]
+
+    below(rd)
+    return table
+
+
+def test_relabeled_case_split_equals_the_kernel_walk():
+    # the children of a datum are those of the model datum of its dimension, mapped onto its split places
+    sizes: dict = {}
+    for rd in all_ramifications(8, 3):
+        table = certificate._case_split(rd)
+        assert list(table.items()) == list(_kernel_case_split(rd).items()), rd
+        for entry in table.values():
+            sizes.setdefault(entry.dim, set()).add(entry.size)
+    sizes[9] = {certificate._case_split(make_ramification(9, 3))[make_ramification(9, 3)].size}
+    # so every datum's subtree size depends on its dimension alone
+    assert sizes == {d: {size} for d, size in enumerate((1, 1, 3, 7, 31, 91, 495, 1723, 10815, 42667))}
+
+
 def test_build_walks_each_distinct_datum_once(monkeypatch):
     calls = {"strata_children": 0, "degree_bound": 0}
     for name in calls:
@@ -605,7 +639,9 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
     nodes = doc_nodes(cert)
     distinct = {node_datum(node) for node in nodes if node["dim"] > 0}
     assert len(nodes) == 1723 and len(distinct) == 29
-    assert calls == {"strata_children": 29, "degree_bound": 29}
+    # the kernel lists the children of one datum per dimension 7, 5 and 3; the rest are
+    # relabeled, and a datum of dimension 1 has no children
+    assert calls == {"strata_children": 3, "degree_bound": 29}
 
 
 def test_verify_walks_each_distinct_datum_once(monkeypatch):
@@ -621,7 +657,7 @@ def test_verify_walks_each_distinct_datum_once(monkeypatch):
 
         monkeypatch.setattr(certificate, name, counted)
     assert verify_document(doc)
-    assert calls == {"strata_children": 29, "degree_bound": 29}
+    assert calls == {"strata_children": 3, "degree_bound": 29}
 
 
 @pytest.mark.parametrize(

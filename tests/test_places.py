@@ -122,4 +122,26 @@ def test_large_primes_are_fast_and_the_bound_is_enforced():
     with pytest.raises(ValueError, match="must be a prime"):
         make_ramification(1, 3_215_031_751)  # strong pseudoprime to the bases 2, 3, 5 and 7
     with pytest.raises(ValueError, match=str(P_BOUND)):
-        make_ramification(1, P_BOUND)  # composite, yet a strong pseudoprime to all twelve bases
+        make_ramification(1, P_BOUND)  # composite, yet a strong pseudoprime to all thirteen bases
+
+
+def test_every_pseudoprime_threshold_below_the_bound_is_refused():
+    # OEIS A014233: the least odd composite that is a strong pseudoprime to the first k prime bases
+    terms = (
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        341550071728321,
+        3825123056546413051,
+        3825123056546413051,
+        3825123056546413051,
+        318665857834031151167461,  # 399165290221 * 798330580441
+    )
+    for n in terms:
+        assert n < P_BOUND
+        with pytest.raises(ValueError, match=f"p must be a prime, got {n}"):
+            make_ramification(2, n)

@@ -88,9 +88,10 @@ def test_certificate_roundtrip_shares_one_walk_among_its_builds(monkeypatch):
 
     monkeypatch.setattr(certificate, "strata_children", counted)
     assert selfcheck(4, [2, 3]).ok
-    # 90 calls walk every datum of the round trip once: one walk shared by the
-    # three curves' builds, and one in each of the three verifies
-    assert calls == 4 * 90
+    # 34 calls list the kernel children of one datum per dimension of at least 2 in
+    # each root's walk: one walk shared by the three curves' builds, and one in
+    # each of the three verifies
+    assert calls == 4 * 34
 
 
 def test_stratum_suites_fail_independently(monkeypatch):
