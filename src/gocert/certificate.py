@@ -135,11 +135,12 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     next, so its part in T is a run of consecutive split places in T, and the
     place it adds for an odd run is the free split place just before the run.
     With its split places numbered 0..m-1, every datum of dimension m thus has
-    the children of the model datum (f = m, s_inf = {}): a later datum maps the
-    first one's T and added places, as indices, onto its own split places.
-    That shape is read off the first datum's entry once a second datum of its
-    dimension appears, so a walk with no repeated dimension pays nothing for
-    it, and nothing outlives the walk.
+    the children of the model datum (f = m, s_inf = {}): the split places an
+    edge adds to s_inf, as an index mask, depend on the edge alone.  They are
+    read off the first datum's edges once a second datum of its dimension
+    appears; a later datum lists the sorted T and s_inf mask of each index
+    mask, so an edge costs a few integer operations and each s_inf mask gets
+    one record.  Nothing outlives the walk.
 
     Raises ValueError once the tree is known to exceed MAX_TREE_NODES: before
     listing the children of a datum of dimension _REFUSAL_DIM or more, or when
@@ -148,19 +149,16 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     (_check_json_digits).
     """
     table: dict[RamificationData, _Split] = {}
-    _split_below(rd, table, {})
+    _split_below(rd, table, {}, {})
     return table
 
 
-def _split_below(datum: RamificationData, table: dict[RamificationData, _Split], shapes: dict[int, Any]) -> _Split:
-    """datum's entry of table, entering it and every datum below it that table lacks.
+def _split_below(datum: RamificationData, table: dict[RamificationData, _Split], shapes: dict[int, Any], records: dict[int, RamificationData]) -> _Split:
+    """Enter datum, which table lacks, and every datum below it that table lacks; return datum's entry.
 
     shapes maps each dimension of at least 2 to the walk's first datum of it,
-    and from the second datum of it on to that datum's edges as the indices of
-    their T and added places among its split places.
+    then to that datum's edges' index masks; records maps s_inf masks to records.
     """
-    if datum in table:
-        return table[datum]
     dim = shimura_dimension(datum)
     if dim >= _REFUSAL_DIM:
         raise ValueError(_TOO_LARGE)
@@ -171,19 +169,20 @@ def _split_below(datum: RamificationData, table: dict[RamificationData, _Split],
             children = [(tuple(sorted(t)), child) for t, child in strata_children(datum)]
         else:
             if type(first) is not list:  # its entry is complete: every datum below it has a smaller dimension
-                at = {place: i for i, place in enumerate(split_places(first))}
-                shapes[dim] = [
-                    (tuple([at[x] for x in t]), [at[x] for x in child.s_inf - first.s_inf])
-                    for t, child, _ in table[first].edges
-                ]
-            splits, (f, s_inf, count, p) = split_places(datum), datum
-            children = [
-                (tuple([splits[i] for i in t]), RamificationData(f, s_inf.union([splits[i] for i in a]), count, p))
-                for t, a in shapes[dim]
-            ]
+                at = {place: 1 << i for i, place in enumerate(split_places(first))}
+                shapes[dim] = [sum([at[place] for place in child.s_inf - first.s_inf]) for _, child, _ in table[first].edges]
+            f, s_inf, count, p = datum
+            ts, masks, children = [()], [sum([1 << x for x in s_inf])], []  # by index mask: sorted places, s_inf mask
+            for place in split_places(datum):
+                ts += [t + (place,) for t in ts]
+                masks += [mask | 1 << place for mask in masks]
+            for x, grown in enumerate(shapes[dim], 1):
+                if (child := records.get(masks[grown])) is None:
+                    child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
+                children.append((ts[x], child))
     edges, size = [], 1
     for t, child in children:
-        below = _split_below(child, table, shapes)
+        below = table.get(child) or _split_below(child, table, shapes, records)
         size += below.size
         if size > MAX_TREE_NODES:
             raise ValueError(_TOO_LARGE)

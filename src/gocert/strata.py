@@ -100,6 +100,7 @@ def strata_children(rd: RamificationData) -> list[tuple[frozenset[int], Ramifica
 
     Bit j of the mask selects the j-th split place in ascending order.
     Duplicate induced data are kept: the list mirrors the full case split.
+    Each T is proper and nonempty by construction, so Stratum's checks are skipped.
     """
     if shimura_dimension(rd) < 1:
         raise ValueError("strata enumeration needs at least one split place")
@@ -108,4 +109,4 @@ def strata_children(rd: RamificationData) -> list[tuple[frozenset[int], Ramifica
     for place in split_places(rd):
         single = frozenset((place,))
         subsets += [t | single for t in subsets]
-    return [(t, induced_ramification(Stratum(rd=rd, t=t))) for t in subsets[1:-1]]
+    return [(t, induced_ramification(tuple.__new__(Stratum, (rd, t)))) for t in subsets[1:-1]]

@@ -1,8 +1,9 @@
-"""Test-only helpers: a brute-force degree oracle and certificate mutations.
+"""Test-only helpers: a brute-force degree oracle, the every-datum kernel walk and certificate mutations.
 
 The oracles shared with selfcheck live in gocert.oracle.  Profile enumeration
-is too slow for anything but the tests' small spaces, and the mutations exist
-only to show that verification rejects altered documents.
+is too slow for anything but the tests' small spaces, the kernel walk is the
+reference the relabeling case split must equal, and the mutations exist only
+to show that verification rejects altered documents.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import copy
 import itertools
 from typing import Any, Callable, Iterator
 
-from gocert import RamificationData
+from gocert import RamificationData, shimura_dimension, strata_children
+from gocert.certificate import _Split
+from gocert.hasse import degree_bound
 from gocert.oracle import scan_constraints
 
 
@@ -30,6 +33,25 @@ def enumerated_profile_max(rd: RamificationData, anchor: int) -> int:
         if all(profile[src] <= p**exp * profile[tgt] for src, tgt, exp in constraints):
             best = max(best, sum(profile.values()))
     return best
+
+
+def kernel_case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
+    """The case-split table with strata_children called on every datum: what the relabeling walk must equal."""
+    table: dict[RamificationData, _Split] = {}
+
+    def below(datum: RamificationData) -> _Split:
+        if datum not in table:
+            dim, edges, size = shimura_dimension(datum), [], 1
+            for t, child in strata_children(datum) if dim else ():
+                entry = below(child)
+                size += entry.size
+                edges.append((tuple(sorted(t)), child, dim - len(t) - entry.dim))
+            bound = degree_bound(datum) if dim else None
+            table[datum] = _Split(dim, bound, tuple(edges), size)
+        return table[datum]
+
+    below(rd)
+    return table
 
 
 _NEXT_PRIME = {2: 3, 3: 5, 5: 7, 7: 11}

@@ -21,10 +21,8 @@ from gocert import (
 from gocert import certificate
 from gocert.certificate import error_document, parse_config, serialize_document
 from gocert.cli import main
-from gocert.hasse import degree_bound
 from gocert.oracle import all_ramifications
-from gocert.strata import strata_children
-from helpers import document_mutations, leaf_mutations
+from helpers import document_mutations, kernel_case_split, leaf_mutations
 
 GENUS_TWO = CurveType(2, 0)
 FOUR_PUNCTURED = CurveType(0, 4)
@@ -580,6 +578,17 @@ def test_build_refuses_a_high_dimensional_datum_at_once():
             assert time.perf_counter() - started < 0.1, (f, dim)
 
 
+def test_build_refuses_a_datum_of_dimension_10_or_11_through_the_running_total():
+    # below the refusal dimension the walk itself has to pass the limit, so it must do so quickly
+    for dim in (10, 11):
+        s_inf = range(300 - dim)
+        rd = make_ramification(300, 3, s_inf, len(s_inf) % 2)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="^the case split has more than 100000 nodes$"):
+            build_certificate(rd, GENUS_TWO)
+        assert time.perf_counter() - started < 2, dim
+
+
 def test_min_tree_size_is_a_lower_bound_and_sets_the_refusal_dimension():
     sizes: dict = {}
     for rd in all_ramifications(8, 3):
@@ -593,33 +602,15 @@ def test_min_tree_size_is_a_lower_bound_and_sets_the_refusal_dimension():
     assert certificate._min_tree_size(refusal) > certificate.MAX_TREE_NODES
 
 
-def _kernel_case_split(rd):
-    """The case-split table with strata_children called on every datum: what the relabeling walk must equal."""
-    table = {}
-
-    def below(datum):
-        if datum not in table:
-            dim, edges, size = shimura_dimension(datum), [], 1
-            for t, child in strata_children(datum) if dim else ():
-                entry = below(child)
-                size += entry.size
-                edges.append((tuple(sorted(t)), child, dim - len(t) - entry.dim))
-            bound = degree_bound(datum) if dim else None
-            table[datum] = certificate._Split(dim, bound, tuple(edges), size)
-        return table[datum]
-
-    below(rd)
-    return table
-
-
 def test_relabeled_case_split_equals_the_kernel_walk():
     # the children of a datum are those of the model datum of its dimension, mapped onto its split places
     sizes: dict = {}
-    for rd in all_ramifications(8, 3):
-        table = certificate._case_split(rd)
-        assert list(table.items()) == list(_kernel_case_split(rd).items()), rd
-        for entry in table.values():
-            sizes.setdefault(entry.dim, set()).add(entry.size)
+    for p in (2, 3, 5):
+        for rd in all_ramifications(8, p):
+            table = certificate._case_split(rd)
+            assert list(table.items()) == list(kernel_case_split(rd).items()), rd
+            for entry in table.values():
+                sizes.setdefault(entry.dim, set()).add(entry.size)
     sizes[9] = {certificate._case_split(make_ramification(9, 3))[make_ramification(9, 3)].size}
     # so every datum's subtree size depends on its dimension alone
     assert sizes == {d: {size} for d, size in enumerate((1, 1, 3, 7, 31, 91, 495, 1723, 10815, 42667))}
@@ -642,6 +633,28 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
     # the kernel lists the children of one datum per dimension 7, 5 and 3; the rest are
     # relabeled, and a datum of dimension 1 has no children
     assert calls == {"strata_children": 3, "degree_bound": 29}
+
+
+def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
+    # relabeled children are found by their s_inf mask, so an edge to a datum already reached builds no record
+    for f, most in ((7, 29 - 3), (9, 76 - 4)):
+        built, listed = [0], []
+
+        def counted(*fields, original=certificate.RamificationData):
+            built[0] += 1
+            return original(*fields)
+
+        def listing(datum, original=certificate.strata_children):
+            listed.append(datum)
+            return original(datum)
+
+        monkeypatch.setattr(certificate, "RamificationData", counted)
+        monkeypatch.setattr(certificate, "strata_children", listing)
+        table = certificate._case_split(make_ramification(f, 3))
+        monkeypatch.undo()
+        # the data whose children the kernel did not list: 26 of 29 at f = 7, 72 of 76 at f = 9
+        assert len(table) - len(listed) == most
+        assert 0 < built[0] <= most, (f, built[0])
 
 
 def test_verify_walks_each_distinct_datum_once(monkeypatch):

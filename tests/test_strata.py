@@ -172,3 +172,10 @@ def test_induced_ramification_uses_the_chains_it_is_given():
     # chains (0,) and (2,) merged into one twice, so no place is added
     st = _stratum(4, set(), {0, 2})
     assert induced_ramification(st, chains=((2, 0),)).s_inf == frozenset({0, 2})
+
+
+def test_strata_children_equals_the_checked_stratum_construction():
+    # strata_children skips Stratum's checks; the checking constructor accepts each of its T and induces the same datum
+    for rd in all_ramifications(8, 3, min_dim=1):
+        children = strata_children(rd)
+        assert children == [(t, induced_ramification(Stratum(rd, t))) for t, _ in children], rd
