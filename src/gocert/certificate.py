@@ -15,8 +15,10 @@ distinct data below the root, each with its edges, a DAG of which the
 document's tree is the preorder expansion.  That table is the certificate's
 only tree form; no record is made per tree node.  Which stratum leads to which
 smaller datum depends only on the cyclic order of the split places, so the
-walk asks the stratum kernel for the children of one datum per dimension and
-relabels them for every other datum of that dimension (_case_split).
+walk asks the stratum kernel for the children of one model datum per
+dimension and every datum of that dimension relabels them (_case_split).  So
+a datum's subtree size depends on its dimension alone, and a datum of
+dimension _REFUSAL_DIM or more is refused before any walk.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  serialize_certificate writes that text
@@ -31,7 +33,6 @@ in order, by value, with the walked ones, stopping at the first differing node.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Any, Callable, NamedTuple
 
@@ -81,22 +82,10 @@ KIND_STEPS = {
 
 # Largest case split analyze builds and verify replays: at s_inf = {}, f = 9 fits and f = 10 does not.
 MAX_TREE_NODES = 100_000
-
-
-def _min_tree_size(dim: int) -> int:
-    """Fewest nodes the case split of any datum of dimension dim can have.
-
-    A datum of dimension d has 2^d - 2 children, and each of its d singleton
-    vanishing sets descends to dimension exactly d - 2, so the tree has at
-    least L(d) = 2^d - 1 + d * (L(d - 2) - 1) nodes, with L(0) = L(1) = 1.
-    """
-    if dim < 2:
-        return 1
-    return 2**dim - 1 + dim * (_min_tree_size(dim - 2) - 1)
-
-
-# Least dimension whose case split is known to exceed MAX_TREE_NODES before any walk: 12.
-_REFUSAL_DIM = next(d for d in itertools.count() if _min_tree_size(d) > MAX_TREE_NODES)
+# A datum's subtree size depends on its dimension alone (_case_split): 42 667
+# nodes at dimension 9 and 299 263 at dimension 10, so from 10 on it exceeds
+# MAX_TREE_NODES and is refused before any walk.
+_REFUSAL_DIM = 10
 _TOO_LARGE = f"the case split has more than {MAX_TREE_NODES} nodes"
 
 
@@ -129,64 +118,56 @@ class FinitenessCertificate(NamedTuple):
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     """Each distinct datum below rd with its edges in strata_children order and its subtree size.
 
-    A datum of dimension 0 or 1 has no children (2^1 - 2 = 0), and only the
-    first datum of each dimension m >= 2 in the walk gets its children from
-    strata_children.  A chain of s_inf | T runs from one free split place to the
-    next, so its part in T is a run of consecutive split places in T, and the
-    place it adds for an odd run is the free split place just before the run.
-    With its split places numbered 0..m-1, every datum of dimension m thus has
-    the children of the model datum (f = m, s_inf = {}): the split places an
-    edge adds to s_inf, as an index mask, depend on the edge alone.  They are
-    read off the first datum's edges once a second datum of its dimension
-    appears; a later datum lists the sorted T and s_inf mask of each index
-    mask, so an edge costs a few integer operations and each s_inf mask gets
-    one record.  Nothing outlives the walk.
+    A datum of dimension 0 or 1 has no children (2^1 - 2 = 0).  A chain of
+    s_inf | T runs from one free split place to the next, so its part in T is a
+    run of consecutive split places in T, and the place it adds for an odd run
+    is the free split place just before the run.  With its split places
+    numbered 0..m-1, every datum of dimension m thus has the children of the
+    model datum (f = m, s_inf = {}): the split places an edge adds to s_inf, as
+    an index mask, depend on the edge alone, and the model's children's s_inf
+    are those masks.  So the stratum kernel lists the children of one model
+    datum per dimension m >= 2 the walk reaches, and every datum relabels them:
+    it lists the sorted T and s_inf mask of each index mask of its split
+    places, so an edge costs a few integer operations and each s_inf mask gets
+    one record.  Nothing outlives the walk.  A consequence, which a test pins:
+    a datum's subtree size depends on its dimension alone.
 
-    Raises ValueError once the tree is known to exceed MAX_TREE_NODES: before
-    listing the children of a datum of dimension _REFUSAL_DIM or more, or when
-    a running subtree total passes the limit.  Raises ValueError as well for a
-    datum whose polarization bound has more digits than json converts
-    (_check_json_digits).
+    Raises ValueError, before any walk, when rd has dimension _REFUSAL_DIM or
+    more, so that its tree has more than MAX_TREE_NODES nodes.  Raises ValueError
+    as well for a datum whose polarization bound has more digits than json
+    converts (_check_json_digits).
     """
+    if shimura_dimension(rd) >= _REFUSAL_DIM:
+        raise ValueError(_TOO_LARGE)
     table: dict[RamificationData, _Split] = {}
     _split_below(rd, table, {}, {})
     return table
 
 
-def _split_below(datum: RamificationData, table: dict[RamificationData, _Split], shapes: dict[int, Any], records: dict[int, RamificationData]) -> _Split:
+def _split_below(datum: RamificationData, table: dict[RamificationData, _Split], shapes: dict[int, list[int]], records: dict[int, RamificationData]) -> _Split:
     """Enter datum, which table lacks, and every datum below it that table lacks; return datum's entry.
 
-    shapes maps each dimension of at least 2 to the walk's first datum of it,
-    then to that datum's edges' index masks; records maps s_inf masks to records.
+    shapes maps each dimension of at least 2 to its model datum's edges' index
+    masks; records maps s_inf masks to records.
     """
     dim = shimura_dimension(datum)
-    if dim >= _REFUSAL_DIM:
-        raise ValueError(_TOO_LARGE)
-    children: Any = ()
-    if dim > 1:
-        first = shapes.setdefault(dim, datum)
-        if first is datum:
-            children = [(tuple(sorted(t)), child) for t, child in strata_children(datum)]
-        else:
-            if type(first) is not list:  # its entry is complete: every datum below it has a smaller dimension
-                at = {place: 1 << i for i, place in enumerate(split_places(first))}
-                shapes[dim] = [sum([at[place] for place in child.s_inf - first.s_inf]) for _, child, _ in table[first].edges]
-            f, s_inf, count, p = datum
-            ts, masks, children = [()], [sum([1 << x for x in s_inf])], []  # by index mask: sorted places, s_inf mask
-            for place in split_places(datum):
-                ts += [t + (place,) for t in ts]
-                masks += [mask | 1 << place for mask in masks]
-            for x, grown in enumerate(shapes[dim], 1):
-                if (child := records.get(masks[grown])) is None:
-                    child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
-                children.append((ts[x], child))
     edges, size = [], 1
-    for t, child in children:
-        below = table.get(child) or _split_below(child, table, shapes, records)
-        size += below.size
-        if size > MAX_TREE_NODES:
-            raise ValueError(_TOO_LARGE)
-        edges.append((t, child, dim - len(t) - below.dim))
+    if dim > 1:
+        shape = shapes.get(dim)
+        if shape is None:
+            model = RamificationData(dim, frozenset(), 0, datum.p)
+            shape = shapes[dim] = [sum([1 << x for x in child.s_inf]) for _, child in strata_children(model)]
+        f, s_inf, count, p = datum
+        ts, masks = [()], [sum([1 << x for x in s_inf])]  # by index mask: sorted places, s_inf mask
+        for place in split_places(datum):
+            ts += [t + (place,) for t in ts]
+            masks += [mask | 1 << place for mask in masks]
+        for t, grown in zip(ts[1:], shape):
+            if (child := records.get(masks[grown])) is None:
+                child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
+            below = table.get(child) or _split_below(child, table, shapes, records)
+            size += below.size
+            edges.append((t, child, dim - len(t) - below.dim))
     bound = degree_bound(datum) if dim else None
     if bound is not None:
         _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
@@ -456,9 +437,9 @@ def verify_document(doc: Any) -> VerifyResult:
 
     In order: the top-level keys; the config, through parse_config; "nodes" is
     a non-empty list; the node count against the tree size, first by bit
-    length against the root's 2^m - 2 children and then against the bounded
-    walk of the case split (capped at MAX_TREE_NODES), so a small document
-    cannot demand a large build; the rebuild from that walk's table, which
+    length against the root's 2^m - 2 children and then against the walk of
+    the case split, which refuses a root of dimension _REFUSAL_DIM or more,
+    so a small document cannot demand a large build; the rebuild from that walk's table, which
     refuses a curve too large for json.  The one check on content is then the
     exact comparison with the rebuild: every top-level block, its fields by
     JSON type as well (_first_mismatch), then the nodes in document order, by

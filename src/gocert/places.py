@@ -149,6 +149,8 @@ def n_tau(rd: RamificationData, tau: int) -> int:
     all ramified while sigma^{-n} tau splits.  Undefined on ramified places.
     """
     f, s_inf = rd.f, rd.s_inf
+    if not is_json_int(tau):
+        raise ValueError(f"place {_show(tau)} must be an integer")
     if not 0 <= tau < f:
         raise ValueError(f"place {tau} out of range for f={f}")
     if tau in s_inf:

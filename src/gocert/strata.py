@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, NamedTuple
 
-from .places import RamificationData, shimura_dimension, split_places
+from .places import RamificationData, _show, is_json_int, shimura_dimension, split_places
 
 
 # Chains of places, each walking backwards from its head, as decompose_chains returns them.
@@ -31,6 +31,8 @@ class Stratum(_StratumFields):
 
     def __new__(cls, rd: RamificationData, t: Iterable[int]) -> Stratum:
         t = frozenset(t)
+        if not all(map(is_json_int, t)):
+            raise ValueError(f"T {_show(set(t))} must consist of integer places")
         # The split places are the places off s_inf, so T within them is proper
         # exactly when T and s_inf together leave a place free.
         if not (t.isdisjoint(rd.s_inf) and t.issubset(range(rd.f))):

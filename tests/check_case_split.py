@@ -1,13 +1,16 @@
-"""Check that the relabeling case split equals the every-datum kernel walk for every root with f <= 9.
+"""Check that the relabeling case split equals the every-datum kernel walk for every root with f <= 10.
 
 Compares certificate._case_split(rd) with helpers.kernel_case_split(rd) by
-keys, insertion order, edges and sizes, for all 3 066 roots at p in {2, 3, 5}
-(about 3 s).  The tests do the same up to f = 8; this covers f = 9 too.
+keys, insertion order, edges and sizes, for all 6 138 roots at p in {2, 3, 5}
+(about 12 s) but the one root of dimension 10 per prime, f = 10 at
+s_inf = {}, which must be refused with the tree-size message.  The tests do
+the same up to f = 8; this covers f = 9 and 10 too, every dimension-9 datum
+included.
 Run from the repository root:
 
     PYTHONPATH=src python tests/check_case_split.py
 
-Prints one line and exits 0 when every table is equal, 1 at the first that is not.
+Prints one line and exits 0 when every table is equal and each refusal holds, 1 at the first that fails.
 """
 
 from __future__ import annotations
@@ -15,23 +18,37 @@ from __future__ import annotations
 import sys
 import time
 
-from gocert import certificate
+from gocert import RamificationData, certificate
 from gocert.oracle import all_ramifications
 from helpers import kernel_case_split
 
-MAX_F, PRIMES = 9, (2, 3, 5)
+MAX_F, PRIMES = 10, (2, 3, 5)
+REFUSAL = f"the case split has more than {certificate.MAX_TREE_NODES} nodes"
+
+
+def refusal(rd: RamificationData) -> str | None:
+    """The message _case_split(rd) raises, or None when it returns."""
+    try:
+        certificate._case_split(rd)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def main() -> int:
     started, roots = time.perf_counter(), 0
     for p in PRIMES:
         for rd in all_ramifications(MAX_F, p):
-            if list(certificate._case_split(rd).items()) != list(kernel_case_split(rd).items()):
+            if rd.f == MAX_F and not rd.s_inf:  # dimension 10, 299 263 nodes
+                if refusal(rd) != REFUSAL:
+                    print(f"FAIL the case split of {rd} is not refused with {REFUSAL!r}")
+                    return 1
+            elif list(certificate._case_split(rd).items()) != list(kernel_case_split(rd).items()):
                 print(f"FAIL the case split of {rd} differs from the kernel walk")
                 return 1
             roots += 1
     scope = f"f<={MAX_F} p in {','.join(map(str, PRIMES))}"
-    print(f"PASS {roots} case splits equal the kernel walk ({scope}, {time.perf_counter() - started:.1f}s)")
+    print(f"PASS {roots} case splits equal the kernel walk or are refused ({scope}, {time.perf_counter() - started:.1f}s)")
     return 0
 
 

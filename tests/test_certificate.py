@@ -15,7 +15,6 @@ from gocert import (
     make_ramification,
     selfcheck,
     serialize_certificate,
-    shimura_dimension,
     verify_document,
 )
 from gocert import certificate
@@ -568,38 +567,24 @@ def test_build_refuses_a_case_split_over_the_limit():
 
 
 def test_build_refuses_a_high_dimensional_datum_at_once():
+    # a datum's subtree size depends on its dimension alone, so from dimension 10 on no walk is made, whatever f is
     for f in (100, 300):
-        for dim in (14, 15, 16):
+        for dim in (10, 11, 14, 15, 16):
             s_inf = range(f - dim)
             rd = make_ramification(f, 3, s_inf, len(s_inf) % 2)
             started = time.perf_counter()
-            with pytest.raises(ValueError, match="more than 100000 nodes"):
+            with pytest.raises(ValueError, match="^the case split has more than 100000 nodes$"):
                 build_certificate(rd, GENUS_TWO)
             assert time.perf_counter() - started < 0.1, (f, dim)
 
 
-def test_build_refuses_a_datum_of_dimension_10_or_11_through_the_running_total():
-    # below the refusal dimension the walk itself has to pass the limit, so it must do so quickly
-    for dim in (10, 11):
-        s_inf = range(300 - dim)
-        rd = make_ramification(300, 3, s_inf, len(s_inf) % 2)
-        started = time.perf_counter()
-        with pytest.raises(ValueError, match="^the case split has more than 100000 nodes$"):
-            build_certificate(rd, GENUS_TWO)
-        assert time.perf_counter() - started < 2, dim
-
-
-def test_min_tree_size_is_a_lower_bound_and_sets_the_refusal_dimension():
-    sizes: dict = {}
-    for rd in all_ramifications(8, 3):
-        if rd not in sizes:
-            sizes.update((datum, split.size) for datum, split in certificate._case_split(rd).items())
-    for datum, size in sizes.items():
-        assert certificate._min_tree_size(shimura_dimension(datum)) <= size, datum
+def test_refusal_dimension_is_the_least_whose_case_split_exceeds_the_limit():
+    # the model datum of a dimension has the subtree size of every datum of it
     refusal = certificate._REFUSAL_DIM
-    assert refusal == 12
-    assert certificate._min_tree_size(refusal - 1) <= certificate.MAX_TREE_NODES
-    assert certificate._min_tree_size(refusal) > certificate.MAX_TREE_NODES
+    assert refusal == 10
+    sizes = [kernel_case_split(rd)[rd].size for rd in (make_ramification(refusal - 1, 3), make_ramification(refusal, 3))]
+    assert sizes == [42667, 299263]
+    assert sizes[0] <= certificate.MAX_TREE_NODES < sizes[1]
 
 
 def test_relabeled_case_split_equals_the_kernel_walk():
@@ -636,8 +621,9 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
 
 
 def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
-    # relabeled children are found by their s_inf mask, so an edge to a datum already reached builds no record
-    for f, most in ((7, 29 - 3), (9, 76 - 4)):
+    # the kernel lists only the model datum (f = m, s_inf = {}) of each dimension m >= 2 the walk reaches; every
+    # datum relabels its model's children, found by their s_inf mask, so an edge to a datum already reached builds no record
+    for f, dims in ((7, (7, 5, 3)), (9, (9, 7, 5, 3))):
         built, listed = [0], []
 
         def counted(*fields, original=certificate.RamificationData):
@@ -652,9 +638,9 @@ def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
         monkeypatch.setattr(certificate, "strata_children", listing)
         table = certificate._case_split(make_ramification(f, 3))
         monkeypatch.undo()
-        # the data whose children the kernel did not list: 26 of 29 at f = 7, 72 of 76 at f = 9
-        assert len(table) - len(listed) == most
-        assert 0 < built[0] <= most, (f, built[0])
+        assert listed == [make_ramification(m, 3) for m in dims]
+        # one record per datum below the root, plus one per model: 31 at f = 7 and 79 at f = 9
+        assert built[0] == len(table) - 1 + len(dims) == {7: 31, 9: 79}[f]
 
 
 def test_verify_walks_each_distinct_datum_once(monkeypatch):

@@ -31,6 +31,13 @@ def test_n_tau_undefined_on_ramified_place():
         n_tau(rd, 7)
 
 
+def test_n_tau_rejects_a_place_that_is_not_an_integer():
+    rd = make_ramification(4, 2, {1, 2})
+    for tau, shown in ((1.5, r"1\.5"), (True, "True"), (3.0, r"3\.0"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^place {shown} must be an integer$"):
+            n_tau(rd, tau)
+
+
 def test_shimura_dimension_examples():
     assert shimura_dimension(make_ramification(4, 2, {1, 2})) == 2
     assert shimura_dimension(make_ramification(2, 2, {0, 1})) == 0

@@ -50,6 +50,14 @@ def test_stratum_rejects_improper_t():
         Stratum(rd=rd, t=frozenset({-1}))  # a negative place
 
 
+def test_stratum_rejects_a_place_that_is_not_an_integer():
+    # True == 1 and 1.0 == 1 pass the range check, so a bool once entered s_inf and a float failed later
+    rd = make_ramification(4, 2)
+    for place, shown in ((True, "True"), (1.0, r"1\.0"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"^T {{{shown}}} must consist of integer places$"):
+            Stratum(rd, [place])
+
+
 def test_decompose_rejects_full_cycle():
     # unreachable through the Stratum constructor; the guard still holds
     rd = make_ramification(4, 2, {1, 2})
