@@ -21,7 +21,8 @@ Failures carry the first counterexample found.
 Each suite is a generator that yields, per case, one verdict for each suite
 sharing its walk, and one runner (_run) counts them.  The three stratum suites
 share one walk: each stratum is built, split into chains once, and descended
-with those chains.  The two curve suites share the walk of the 121 curve types.
+with those chains; strata are built without Stratum's checks (see
+_suite_strata).  The two curve suites share the walk of the 121 curve types.
 Each suite counts and stops as if it walked alone.  Each oracle answer is
 computed once per input it depends on, within one selfcheck() call: the
 chain-partition verdict once per place count f, occupied set s_inf | T and
@@ -51,8 +52,11 @@ from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Chains, Stratum, decompose_chains, induced_ramification
 
 # Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 takes
-# 12 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
+# 9.4 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
 MAX_SELFCHECK_F = 12
+# Most primes selfcheck accepts: the degree suites walk every datum once per prime, about
+# 0.3 s per prime at max_f 12, where 16 primes take 13 s on the same VM.
+MAX_SELFCHECK_PRIMES = 16
 
 
 class SuiteResult(NamedTuple):
@@ -146,15 +150,18 @@ def _suite_strata(max_f: int, p: int) -> _Verdicts:
     """One walk of the strata for the three STRATUM_SUITES.
 
     Each stratum is built and its chains decomposed once, and handed to
-    induced_ramification.  Many strata share an occupied set s_inf | T, so the
-    chain-partition verdict is kept per (f, occupied set, chains): chains that
-    split one occupied set another way are checked afresh.
+    induced_ramification.  Strata are built by tuple.__new__, skipping
+    Stratum's checks as strata_children does: each T from all_vanishing_sets
+    is a proper subset of rd's integer split places by construction.  Many
+    strata share an occupied set s_inf | T, so the chain-partition verdict is
+    kept per (f, occupied set, chains): chains that split one occupied set
+    another way are checked afresh.
     """
     partitions: dict[tuple[int, frozenset[int], Chains], str | None] = {}
     for rd in all_ramifications(max_f, p, min_dim=1):
         f, s_inf, parent = rd.f, rd.s_inf, shimura_dimension(rd)
         for t in all_vanishing_sets(rd):
-            st = Stratum(rd, t)
+            st = tuple.__new__(Stratum, (rd, t))
             chains = decompose_chains(st)
             induced = induced_ramification(st, chains=chains)
             key = (f, s_inf | t, chains)
@@ -280,9 +287,9 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     not depend on p), and the certificate round trip stops at f <= 4 and the
     first two primes because each check builds and verifies a whole tree.
     Raises ValueError, before any suite runs, for a max_f that is not a JSON
-    integer, an empty prime list, a p that make_ramification rejects, a p
-    listed twice (it would be counted as coverage twice), or max_f above
-    MAX_SELFCHECK_F.
+    integer, an empty prime list, more than MAX_SELFCHECK_PRIMES primes, a p
+    that make_ramification rejects, a p listed twice (it would be counted as
+    coverage twice), or max_f above MAX_SELFCHECK_F.
     """
     # called through its module, so the benchmark's span tracer does not count it as a binding
     if not places.is_json_int(max_f):
@@ -290,6 +297,8 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     prime_tuple = tuple(primes)
     if not prime_tuple:
         raise ValueError("need at least one prime")
+    if len(prime_tuple) > MAX_SELFCHECK_PRIMES:
+        raise ValueError(f"at most {MAX_SELFCHECK_PRIMES} primes, got {len(prime_tuple)}")
     seen: set[int] = set()
     for p in prime_tuple:
         make_ramification(1, p)  # the same rule as every datum: an integer prime below P_BOUND

@@ -360,6 +360,7 @@ def test_unreadable_files_are_reported_without_a_traceback(tmp_path, capsys, con
     "argv, message",
     [
         (["--primes", ""], "need at least one prime"),
+        (["--primes", ",".join(["2"] * 17)], "at most 16 primes, got 17"),
         (["--primes", "x"], "invalid literal"),
         (["--primes", "2,4"], "p must be a prime, got 4"),
         (["--max-f", "40"], "max_f must be at most 12, got 40"),

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from gocert import RamificationData, certificate, oracle, selfcheck
+from gocert import RamificationData, Stratum, certificate, make_ramification, oracle, selfcheck
 from gocert.rigidity import RigidityVerdict
-from gocert.selfcheck import MAX_SELFCHECK_F
+from gocert.selfcheck import MAX_SELFCHECK_F, MAX_SELFCHECK_PRIMES
 
 # the module, not the function the package exports under the same name
 SELFCHECK = importlib.import_module("gocert.selfcheck")
@@ -37,8 +37,10 @@ def test_selfcheck_reports_its_coverage():
 
 def test_selfcheck_validates_its_inputs_before_running():
     assert MAX_SELFCHECK_F == 12
+    assert MAX_SELFCHECK_PRIMES == 16  # at least the 8 primes of the benchmark's wide_grid
     for primes, max_f, message in (
         ([], 3, "need at least one prime"),
+        ([2] * 17, 3, "^at most 16 primes, got 17$"),
         ([2, 9], 3, "p must be a prime, got 9"),
         ([2], MAX_SELFCHECK_F + 1, "max_f must be at most 12"),
         ([1], 0, "p must be a prime, got 1"),
@@ -70,11 +72,16 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
 
         return wrapper
 
-    for name in ("Stratum", "decompose_chains", "induced_ramification"):
+    for name in ("decompose_chains", "induced_ramification"):
         monkeypatch.setattr(SELFCHECK, name, counted(name, getattr(SELFCHECK, name)))
+    checked_new = Stratum.__new__
+    monkeypatch.setattr(Stratum, "__new__", staticmethod(counted("Stratum", checked_new)))
     assert selfcheck(5, [2]).ok
-    # 301 strata at f <= 5: one of each per stratum, shared by the three stratum suites
-    assert calls == {"Stratum": 301, "decompose_chains": 301, "induced_ramification": 301}
+    # 301 strata at f <= 5: one of each per stratum, shared by the three stratum suites,
+    # and every stratum built without the checking constructor
+    assert calls == {"decompose_chains": 301, "induced_ramification": 301}
+    Stratum(make_ramification(3, 2), {0})
+    assert calls["Stratum"] == 1  # the counter sees a checked construction
 
 
 def test_certificate_roundtrip_shares_one_walk_among_its_builds(monkeypatch):
@@ -149,12 +156,11 @@ def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
 
         return wrapper
 
-    for name in ("Stratum", "decompose_chains", "induced_ramification", "cycle_components"):
+    for name in ("decompose_chains", "induced_ramification", "cycle_components"):
         monkeypatch.setattr(SELFCHECK, name, counted(name, getattr(SELFCHECK, name)))
     assert selfcheck(5, [2]).ok
     # the occupied sets s_inf | T at f <= 5 are the proper subsets of Z/f: 1 + 3 + 7 + 15 + 31
     assert calls == {
-        "Stratum": 301,
         "decompose_chains": 301,
         "induced_ramification": 301,
         "cycle_components": 57,
@@ -279,14 +285,14 @@ def test_a_shared_walk_ends_once_all_its_suites_have_failed(monkeypatch):
     for name in ("_chain_partition", "_induced_parity_growth", "_dimension_descent"):
         monkeypatch.setattr(SELFCHECK, name, lambda *args: "broken")
     strata = 0
-    original = SELFCHECK.Stratum
+    original = SELFCHECK.decompose_chains
 
-    def counted(*args, **kwargs):
+    def counted(st):
         nonlocal strata
-        strata += 1
-        return original(*args, **kwargs)
+        strata += 1  # one decomposition per stratum walked
+        return original(st)
 
-    monkeypatch.setattr(SELFCHECK, "Stratum", counted)
+    monkeypatch.setattr(SELFCHECK, "decompose_chains", counted)
     # both curve suites fail at the first curve type, (0, 0)
     monkeypatch.setattr(SELFCHECK, "finiteness_verdict", lambda ct: RigidityVerdict(True, 1, 1))
     monkeypatch.setattr(SELFCHECK, "contradiction_check", lambda *args: SimpleNamespace(conclusion="contradiction"))

@@ -1,3 +1,4 @@
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -135,6 +136,21 @@ def test_descent_is_strict_and_counts_odd_chains():
             assert child == parent - len(t) - _odd_chains(st)
             if t:
                 assert child < parent
+
+
+def test_stratum_checks_its_places_in_time_independent_of_f():
+    # t.issubset(range(f)) built a set of all f places: 16 s and 588 MB at f = 10**7
+    start = time.perf_counter()
+    rd = make_ramification(10**12, 2, {5, 9})
+    assert Stratum(rd, {0, 6, 10**12 - 1}).t == frozenset({0, 6, 10**12 - 1})
+    assert time.perf_counter() - start < 0.1
+
+
+def test_every_vanishing_set_passes_the_checked_constructor():
+    # selfcheck's stratum walk builds each T of all_vanishing_sets by tuple.__new__, skipping these checks
+    for rd in all_ramifications(8, 2):
+        for t in all_vanishing_sets(rd):
+            assert Stratum(rd, t) == tuple.__new__(Stratum, (rd, t)), (rd, t)
 
 
 def test_children_enumerate_all_proper_nonempty_subsets():
