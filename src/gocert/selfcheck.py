@@ -51,11 +51,9 @@ from .places import RamificationData, make_ramification, n_tau, shimura_dimensio
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Chains, Stratum, decompose_chains, induced_ramification
 
-# Largest max_f selfcheck accepts, the largest measured: --max-f 12 --primes 2,3,5 takes
-# 9.4 s on a 2-core VM, and each step of f near there costs about 3 times the one before.
+# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 9.4 s with the primes
+# 2,3,5 and 13 s with 16 primes on a 2-core VM, and each step of f costs about 3 times the last.
 MAX_SELFCHECK_F = 12
-# Most primes selfcheck accepts: the degree suites walk every datum once per prime, about
-# 0.3 s per prime at max_f 12, where 16 primes take 13 s on the same VM.
 MAX_SELFCHECK_PRIMES = 16
 
 
@@ -149,13 +147,13 @@ _UNSEEN = object()
 def _suite_strata(max_f: int, p: int) -> _Verdicts:
     """One walk of the strata for the three STRATUM_SUITES.
 
-    Each stratum is built and its chains decomposed once, and handed to
-    induced_ramification.  Strata are built by tuple.__new__, skipping
-    Stratum's checks as strata_children does: each T from all_vanishing_sets
-    is a proper subset of rd's integer split places by construction.  Many
-    strata share an occupied set s_inf | T, so the chain-partition verdict is
-    kept per (f, occupied set, chains): chains that split one occupied set
-    another way are checked afresh.
+    Each stratum is built once by tuple.__new__, without Stratum's checks as
+    in strata_children: each T of all_vanishing_sets is a proper subset of
+    rd's integer split places by construction.  Its chains are decomposed
+    once and handed to induced_ramification.  Many strata share an occupied
+    set s_inf | T, so the chain-partition verdict is kept per (f, occupied
+    set, chains): chains that split one occupied set another way are checked
+    afresh.
     """
     partitions: dict[tuple[int, frozenset[int], Chains], str | None] = {}
     for rd in all_ramifications(max_f, p, min_dim=1):

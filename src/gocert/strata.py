@@ -35,7 +35,7 @@ class Stratum(_StratumFields):
             raise ValueError(f"T {_show(set(t))} must consist of integer places")
         # The split places are the places off s_inf, so T within them is proper
         # exactly when T and s_inf together leave a place free.
-        # per place, not t.issubset(range(rd.f)), which would build a set of all f places
+        # per place: t.issubset(range(rd.f)) would build a set of all f places
         if not (t.isdisjoint(rd.s_inf) and all(0 <= x < rd.f for x in t)):
             raise ValueError(f"T {sorted(t)} must consist of split places {split_places(rd)}")
         if len(t) + len(rd.s_inf) >= rd.f:

@@ -139,7 +139,7 @@ def test_descent_is_strict_and_counts_odd_chains():
 
 
 def test_stratum_checks_its_places_in_time_independent_of_f():
-    # t.issubset(range(f)) built a set of all f places: 16 s and 588 MB at f = 10**7
+    # the range check runs per place of T: a set of all f places took 1.7 s at f = 10**7, growing with f
     start = time.perf_counter()
     rd = make_ramification(10**12, 2, {5, 9})
     assert Stratum(rd, {0, 6, 10**12 - 1}).t == frozenset({0, 6, 10**12 - 1})
