@@ -135,7 +135,8 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     Raises ValueError, before any walk, when rd has dimension _REFUSAL_DIM or
     more, so that its tree has more than MAX_TREE_NODES nodes.  Raises ValueError
     as well for a datum whose polarization bound has more digits than json
-    converts (_check_json_digits).
+    converts (_check_json_digits), checked as the walk enters the datum, so
+    for the root before any walk.
     """
     if shimura_dimension(rd) >= _REFUSAL_DIM:
         raise ValueError(_TOO_LARGE)
@@ -151,6 +152,9 @@ def _split_below(datum: RamificationData, table: dict[RamificationData, _Split],
     masks; records maps s_inf masks to records.
     """
     dim = shimura_dimension(datum)
+    bound = degree_bound(datum) if dim else None
+    if bound is not None:
+        _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
     edges, size = [], 1
     if dim > 1:
         shape = shapes.get(dim)
@@ -168,9 +172,6 @@ def _split_below(datum: RamificationData, table: dict[RamificationData, _Split],
             below = table.get(child) or _split_below(child, table, shapes, records)
             size += below.size
             edges.append((t, child, dim - len(t) - below.dim))
-    bound = degree_bound(datum) if dim else None
-    if bound is not None:
-        _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
     split = table[datum] = _Split(dim, bound, tuple(edges), size)
     return split
 

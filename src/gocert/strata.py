@@ -36,8 +36,10 @@ class Stratum(_StratumFields):
         # The split places are the places off s_inf, so T within them is proper
         # exactly when T and s_inf together leave a place free.
         # per place: t.issubset(range(rd.f)) would build a set of all f places
-        if not (t.isdisjoint(rd.s_inf) and all(0 <= x < rd.f for x in t)):
-            raise ValueError(f"T {sorted(t)} must consist of split places {split_places(rd)}")
+        if bad := [x for x in t if not 0 <= x < rd.f or x in rd.s_inf]:
+            x = min(bad)
+            why = "ramified" if 0 <= x < rd.f else f"not one of the places 0..{rd.f - 1}"
+            raise ValueError(f"place {x} of T is {why}, so not a split place")
         if len(t) + len(rd.s_inf) >= rd.f:
             raise ValueError("T must be a proper subset of the split places")
         return tuple.__new__(cls, (rd, t))

@@ -1,16 +1,19 @@
-"""Check that the relabeling case split equals the every-datum kernel walk for every root with f <= 10.
+"""Check the relabeling case split against the kernel walk up to f = 10, and the degree bound up to f = 12.
 
 Compares certificate._case_split(rd) with helpers.kernel_case_split(rd) by
 keys, insertion order, edges and sizes, for all 6 138 roots at p in {2, 3, 5}
 (about 12 s) but the one root of dimension 10 per prime, f = 10 at
 s_inf = {}, which must be refused with the tree-size message.  The tests do
 the same up to f = 8; this covers f = 9 and 10 too, every dimension-9 datum
-included.
+included.  Then checks that degree_bound(rd), the anchored sum of the split
+mask's largest rotation, is the largest of max_degree_sums(rd), each anchor's
+sum from its definition, for all 40 890 data of positive dimension with
+f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
 Run from the repository root:
 
     PYTHONPATH=src python tests/check_case_split.py
 
-Prints one line and exits 0 when every table is equal and each refusal holds, 1 at the first that fails.
+Prints one line per check and exits 0 when every table and bound is equal and each refusal holds, 1 at the first that fails.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from __future__ import annotations
 import sys
 import time
 
-from gocert import RamificationData, certificate
+from gocert import RamificationData, certificate, degree_bound, max_degree_sums
 from gocert.oracle import all_ramifications
 from helpers import kernel_case_split
 
 MAX_F, PRIMES = 10, (2, 3, 5)
+BOUND_MAX_F, BOUND_PRIMES = 12, (2, 3, 5, 7, 1_000_003)
 REFUSAL = f"the case split has more than {certificate.MAX_TREE_NODES} nodes"
 
 
@@ -49,6 +53,15 @@ def main() -> int:
             roots += 1
     scope = f"f<={MAX_F} p in {','.join(map(str, PRIMES))}"
     print(f"PASS {roots} case splits equal the kernel walk or are refused ({scope}, {time.perf_counter() - started:.1f}s)")
+    started, data = time.perf_counter(), 0
+    for p in BOUND_PRIMES:
+        for rd in all_ramifications(BOUND_MAX_F, p, min_dim=1):
+            if degree_bound(rd) != max(max_degree_sums(rd).values()):
+                print(f"FAIL the degree bound of {rd} is not its largest anchored sum")
+                return 1
+            data += 1
+    scope = f"f<={BOUND_MAX_F} p in {','.join(map(str, BOUND_PRIMES))}"
+    print(f"PASS {data} degree bounds equal the largest anchored sum ({scope}, {time.perf_counter() - started:.1f}s)")
     return 0
 
 

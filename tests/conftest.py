@@ -1,0 +1,14 @@
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def default_int_digits():
+    """Set the interpreter's limit on integer string conversion to its default, 4300 digits, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer string conversion")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)

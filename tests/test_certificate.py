@@ -590,6 +590,21 @@ def test_build_refuses_a_datum_of_dimension_10_or_11_through_the_running_total()
             assert time.perf_counter() - started < 0.1, (f, dim)
 
 
+def test_an_oversized_polarization_bound_is_refused_before_any_walk(monkeypatch, default_int_digits):
+    # the root's bound is checked as the walk enters it: a walk first would list the kernel 4 times and
+    # build the subtree's data, each with an s_inf of about f places
+    def no_walk(rd):
+        raise AssertionError(f"the kernel listed the children of {rd}")
+
+    monkeypatch.setattr(certificate, "strata_children", no_walk)
+    f = 20_000
+    rd = make_ramification(f, 3, range(f - 9), 1)  # dimension 9: the bound anchored at f - 8 is about 3^(f - 1)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^the polarization bound at f={f} has more than 4300 digits, "):
+        certificate._case_split(rd)
+    assert time.perf_counter() - started < 0.1
+
+
 def test_refusal_dimension_is_the_least_whose_case_split_exceeds_the_limit():
     # the model datum of a dimension has the subtree size of every datum of it
     refusal = certificate._REFUSAL_DIM

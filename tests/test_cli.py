@@ -134,16 +134,6 @@ def test_analyze_reports_an_unwritable_out_path(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-@pytest.fixture
-def default_int_digits():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no limit on integer string conversion")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(saved)
-
-
 def test_analyze_refuses_integers_json_cannot_hold(tmp_path, capsys, default_int_digits):
     target = tmp_path / "cert.json"
     ram_inf = ",".join(map(str, range(2, 10000)))

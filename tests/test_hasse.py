@@ -10,6 +10,7 @@ from gocert import (
     make_ramification,
     max_degree_sums,
     split_places,
+    strata_children,
 )
 from gocert.oracle import all_ramifications, relaxed_profile_maxima, scan_constraints
 from helpers import enumerated_profile_max
@@ -146,6 +147,26 @@ def test_the_best_anchors_do_not_depend_on_p():
             assert _best_anchors(rd._replace(p=p)) == best, (rd, p)
         tied += len(best) > 1
     assert (checked, tied) == (2036, 71)
+
+
+def _rotated(places, f):
+    return frozenset((x + 1) % f for x in places)
+
+
+def test_rotating_the_places_by_one_step_rotates_the_bound_and_the_strata():
+    # Frobenius acts on the places by a rotation, so nothing may depend on where place 0 sits
+    checked = 0
+    for p in (2, 3):
+        for rd in all_ramifications(8, p, min_dim=1):
+            f = rd.f
+            turned = rd._replace(s_inf=_rotated(rd.s_inf, f))
+            assert degree_bound(turned) == degree_bound(rd), rd
+            assert max_degree_sums(turned) == {(a + 1) % f: total for a, total in max_degree_sums(rd).items()}, rd
+            if f <= 6:
+                children = {_rotated(t, f): child._replace(s_inf=_rotated(child.s_inf, f)) for t, child in strata_children(rd)}
+                assert dict(strata_children(turned)) == children, rd
+            checked += 1
+    assert checked == 1004
 
 
 def test_degree_bound_monotone_in_p():

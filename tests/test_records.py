@@ -109,7 +109,7 @@ def test_stratum_checks_every_way_it_is_built():
     rd = make_ramification(4, 2, {1, 2})
     st = Stratum(rd, {0})
     assert st.t == frozenset({0}) and type(st.t) is frozenset
-    with pytest.raises(ValueError, match=r"^T \[0, 1, 2, 3\] must consist of split places \[0, 3\]$"):
+    with pytest.raises(ValueError, match=r"^place 1 of T is ramified, so not a split place$"):
         st._replace(t=frozenset(range(4)))
     with pytest.raises(ValueError, match=r"^T must be a proper subset of the split places$"):
         Stratum._make((rd, [0, 3]))

@@ -39,15 +39,15 @@ def test_decompose_wraps_around_zero():
 
 def test_stratum_rejects_improper_t():
     rd = make_ramification(4, 2, {1, 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^place 1 of T is ramified, so not a split place$"):
         Stratum(rd=rd, t=frozenset({1}))  # meets s_inf
     with pytest.raises(ValueError):
         Stratum(rd=rd, t=frozenset({0, 3}))  # the whole split set
     with pytest.raises(ValueError):
         Stratum(rd=make_ramification(2, 2, {0, 1}), t=frozenset())  # no split places at all
-    with pytest.raises(ValueError, match=r"T \[7\] must consist of split places \[0, 3\]"):
+    with pytest.raises(ValueError, match=r"^place 7 of T is not one of the places 0\.\.3, so not a split place$"):
         Stratum(rd=rd, t=frozenset({7}))  # a place out of range
-    with pytest.raises(ValueError, match=r"T \[-1\] must consist of split places \[0, 3\]"):
+    with pytest.raises(ValueError, match=r"^place -1 of T is not one of the places 0\.\.3, so not a split place$"):
         Stratum(rd=rd, t=frozenset({-1}))  # a negative place
 
 
@@ -144,6 +144,17 @@ def test_stratum_checks_its_places_in_time_independent_of_f():
     rd = make_ramification(10**12, 2, {5, 9})
     assert Stratum(rd, {0, 6, 10**12 - 1}).t == frozenset({0, 6, 10**12 - 1})
     assert time.perf_counter() - start < 0.1
+
+
+def test_stratum_names_only_the_offending_place():
+    # the message once listed every split place: 7.9 MB for this T
+    with pytest.raises(ValueError) as refused:
+        Stratum(make_ramification(10**6, 2), {10**6})
+    assert len(str(refused.value)) < 200
+    assert str(refused.value) == "place 1000000 of T is not one of the places 0..999999, so not a split place"
+    rd = make_ramification(10**6, 2, {3, 10**6 - 1})
+    with pytest.raises(ValueError, match=r"^place 3 of T is ramified, so not a split place$"):
+        Stratum(rd, {0, 3, 10**6 - 1, 10**6})  # the least offending place is named
 
 
 def test_every_vanishing_set_passes_the_checked_constructor():
