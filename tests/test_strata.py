@@ -150,7 +150,6 @@ def test_stratum_names_only_the_offending_place():
     # the message once listed every split place: 7.9 MB for this T
     with pytest.raises(ValueError) as refused:
         Stratum(make_ramification(10**6, 2), {10**6})
-    assert len(str(refused.value)) < 200
     assert str(refused.value) == "place 1000000 of T is not one of the places 0..999999, so not a split place"
     rd = make_ramification(10**6, 2, {3, 10**6 - 1})
     with pytest.raises(ValueError, match=r"^place 3 of T is ramified, so not a split place$"):
