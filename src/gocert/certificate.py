@@ -17,8 +17,9 @@ only tree form; no record is made per tree node.  Which stratum leads to which
 smaller datum depends only on the cyclic order of the split places, so the
 walk asks the stratum kernel for the children of one model datum per
 dimension and every datum of that dimension relabels them (_case_split).  So
-a datum's subtree size depends on its dimension alone, and a datum of
-dimension _REFUSAL_DIM or more is refused before any walk.
+a datum's subtree size depends on its dimension alone: _TREE_SIZES lists it
+up to the largest dimension within MAX_TREE_NODES, a larger one is refused
+before any walk, and verify checks a node count against it without a walk.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  serialize_certificate writes that text
@@ -82,10 +83,10 @@ KIND_STEPS = {
 
 # Largest case split analyze builds and verify replays: at s_inf = {}, f = 9 fits and f = 10 does not.
 MAX_TREE_NODES = 100_000
-# A datum's subtree size depends on its dimension alone (_case_split): 42 667
-# nodes at dimension 9 and 299 263 at dimension 10, so from 10 on it exceeds
-# MAX_TREE_NODES and is refused before any walk.
-_REFUSAL_DIM = 10
+# The subtree size of a datum of each dimension 0..9, which depends on the
+# dimension alone (_case_split); dimension 10 has 299 263 nodes, over
+# MAX_TREE_NODES, so from len(_TREE_SIZES) on a datum is refused before any walk.
+_TREE_SIZES = (1, 1, 3, 7, 31, 91, 495, 1723, 10815, 42667)
 _TOO_LARGE = f"the case split has more than {MAX_TREE_NODES} nodes"
 
 
@@ -93,7 +94,6 @@ class _Split(NamedTuple):
     dim: int
     degree_bound: int | None
     edges: tuple[tuple[tuple[int, ...], RamificationData, int], ...]  # (sorted t, child, fiber_dim)
-    size: int
 
 
 class FinitenessCertificate(NamedTuple):
@@ -116,7 +116,7 @@ class FinitenessCertificate(NamedTuple):
 
 
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
-    """Each distinct datum below rd with its edges in strata_children order and its subtree size.
+    """Each distinct datum below rd with its degree bound and its edges in strata_children order.
 
     A datum of dimension 0 or 1 has no children (2^1 - 2 = 0).  A chain of
     s_inf | T runs from one free split place to the next, so its part in T is a
@@ -129,16 +129,17 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     datum per dimension m >= 2 the walk reaches, and every datum relabels them:
     it lists the sorted T and s_inf mask of each index mask of its split
     places, so an edge costs a few integer operations and each s_inf mask gets
-    one record.  Nothing outlives the walk.  A consequence, which a test pins:
-    a datum's subtree size depends on its dimension alone.
+    one record.  Nothing outlives the walk.  A consequence: a datum's subtree
+    size depends on its dimension alone, and is _TREE_SIZES[dim], which a test
+    pins to the kernel walk.
 
-    Raises ValueError, before any walk, when rd has dimension _REFUSAL_DIM or
-    more, so that its tree has more than MAX_TREE_NODES nodes.  Raises ValueError
+    Raises ValueError, before any walk, when rd's dimension is past
+    _TREE_SIZES, so that its tree has more than MAX_TREE_NODES nodes.  Raises ValueError
     as well for a datum whose polarization bound has more digits than json
     converts (_check_json_digits), checked as the walk enters the datum, so
     for the root before any walk.
     """
-    if shimura_dimension(rd) >= _REFUSAL_DIM:
+    if shimura_dimension(rd) >= len(_TREE_SIZES):
         raise ValueError(_TOO_LARGE)
     table: dict[RamificationData, _Split] = {}
     _split_below(rd, table, {}, {})
@@ -155,7 +156,7 @@ def _split_below(datum: RamificationData, table: dict[RamificationData, _Split],
     bound = degree_bound(datum) if dim else None
     if bound is not None:
         _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
-    edges, size = [], 1
+    edges = []
     if dim > 1:
         shape = shapes.get(dim)
         if shape is None:
@@ -170,9 +171,8 @@ def _split_below(datum: RamificationData, table: dict[RamificationData, _Split],
             if (child := records.get(masks[grown])) is None:
                 child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
             below = table.get(child) or _split_below(child, table, shapes, records)
-            size += below.size
             edges.append((t, child, dim - len(t) - below.dim))
-    split = table[datum] = _Split(dim, bound, tuple(edges), size)
+    split = table[datum] = _Split(dim, bound, tuple(edges))
     return split
 
 
@@ -437,11 +437,11 @@ def verify_document(doc: Any) -> VerifyResult:
     """Independent replay: the document must equal the one rebuilt from its own config.
 
     In order: the top-level keys; the config, through parse_config; "nodes" is
-    a non-empty list; the node count against the tree size, first by bit
-    length against the root's 2^m - 2 children and then against the walk of
-    the case split, which refuses a root of dimension _REFUSAL_DIM or more,
-    so a small document cannot demand a large build; the rebuild from that walk's table, which
-    refuses a curve too large for json.  The one check on content is then the
+    a non-empty list; the root's dimension is within _TREE_SIZES, else the
+    tree-size refusal; the node count equals _TREE_SIZES at that dimension.  No
+    walk is made before these, so a document cannot demand a build larger than
+    the one its own length implies.  Then the rebuild, which refuses a curve or
+    a polarization bound too large for json.  The one check on content is then the
     exact comparison with the rebuild: every top-level block, its fields by
     JSON type as well (_first_mismatch), then the nodes in document order, by
     value, against _walk_nodes of the table, stopping at the first differing
@@ -466,20 +466,13 @@ def verify_document(doc: Any) -> VerifyResult:
     nodes = doc["nodes"]
     if not isinstance(nodes, list) or not nodes:
         return VerifyResult(False, ("nodes must be a non-empty list",))
-    # The root alone has 2^m - 2 children (m split places); comparing bit lengths
-    # keeps a declared huge f from computing 2^m itself.
-    count, m = len(nodes), shimura_dimension(rd)
-    if (count + 1).bit_length() <= m:
-        return VerifyResult(False, (f"node count is {count}, expected at least 2^{m} - 1",))
+    m = shimura_dimension(rd)
+    if m >= len(_TREE_SIZES):
+        return VerifyResult(False, (_TOO_LARGE,))
+    if len(nodes) != _TREE_SIZES[m]:
+        return VerifyResult(False, (f"node count is {len(nodes)}, expected {_TREE_SIZES[m]}",))
     try:
-        table = _case_split(rd)
-    except ValueError as exc:
-        return VerifyResult(False, (str(exc),))
-    if count != table[rd].size:
-        return VerifyResult(False, (f"node count is {count}, expected {table[rd].size}",))
-
-    try:
-        cert = build_certificate(rd, ct, split=table)
+        cert = build_certificate(rd, ct)
     except ValueError as exc:
         return VerifyResult(False, (str(exc),))
     blocks = sorted(_blocks_doc(cert).items())
@@ -494,5 +487,5 @@ def verify_document(doc: Any) -> VerifyResult:
         failures.append(_first_mismatch(f"nodes[{i}] path={path}", got, want))
         return True
 
-    _walk_nodes(table, rd, differs)
+    _walk_nodes(cert.split, rd, differs)
     return VerifyResult(not failures, tuple(failures))

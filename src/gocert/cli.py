@@ -16,6 +16,7 @@ import sys
 from typing import Any, NoReturn
 
 from .certificate import (
+    _TREE_SIZES,
     build_certificate,
     error_document,
     parse_config,
@@ -127,10 +128,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     # finite exactly when 2g - 2 + n = 2: the Higgs map is forced and every ordinary locus is contradicted
     cause = "" if cert.verdict == "finite" else f"2g-2+n = {euler_bound(cert.curve)}, not 2; "
-    top = cert.split[cert.rd]  # the root's entry: its bound and the tree size, without listing nodes
+    top = cert.split[cert.rd]  # the root's entry: its bound and dimension, without listing nodes
     bound = top.degree_bound
     root = "dimension-zero root, no degree bound" if bound is None else f"root degree bound={bound}"
-    print(f"verdict: {cert.verdict} ({cause}nodes={top.size}, {root})", file=sys.stderr)
+    print(f"verdict: {cert.verdict} ({cause}nodes={_TREE_SIZES[top.dim]}, {root})", file=sys.stderr)
     return 0 if cert.verdict == "finite" else 2
 
 
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(run=_cmd_verify)
 
     check = sub.add_parser("selfcheck", help="run the exhaustive invariant suites")
-    check.add_argument("--max-f", default="4", help="largest place count to enumerate, at most 12")
+    check.add_argument("--max-f", default="4", help="largest place count to enumerate, 0 to 12")
     check.add_argument("--primes", default="2,3", help="comma list of primes")
     check.add_argument("--json", action="store_true", help="print the report as one JSON object")
     check.set_defaults(run=_cmd_selfcheck)

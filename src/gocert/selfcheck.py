@@ -287,7 +287,7 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     Raises ValueError, before any suite runs, for a max_f that is not a JSON
     integer, an empty prime list, more than MAX_SELFCHECK_PRIMES primes, a p
     that make_ramification rejects, a p listed twice (it would be counted as
-    coverage twice), or max_f above MAX_SELFCHECK_F.
+    coverage twice), or max_f above MAX_SELFCHECK_F or below 0.
     """
     # called through its module, so the benchmark's span tracer does not count it as a binding
     if not places.is_json_int(max_f):
@@ -305,7 +305,9 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
         seen.add(p)
     if max_f > MAX_SELFCHECK_F:
         raise ValueError(f"max_f must be at most {MAX_SELFCHECK_F}, got {max_f}")
-    if max_f < 1:
+    if max_f < 0:
+        raise ValueError(f"max_f must be at least 0, got {max_f}")
+    if max_f == 0:
         return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=())
     base_p = prime_tuple[0]
     base = _scope(max_f, (base_p,))

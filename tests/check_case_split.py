@@ -1,11 +1,13 @@
-"""Check the relabeling case split against the kernel walk up to f = 10, and the degree bound up to f = 12.
+"""Check the relabeling case split and the tree sizes against the kernel walk up to f = 10, and the degree bound up to f = 12.
 
 Compares certificate._case_split(rd) with helpers.kernel_case_split(rd) by
-keys, insertion order, edges and sizes, for all 6 138 roots at p in {2, 3, 5}
-(about 12 s) but the one root of dimension 10 per prime, f = 10 at
-s_inf = {}, which must be refused with the tree-size message.  The tests do
-the same up to f = 8; this covers f = 9 and 10 too, every dimension-9 datum
-included.  Then checks that degree_bound(rd), the anchored sum of the split
+keys, insertion order, degree bounds and edges, and the kernel walk's subtree
+size of rd with certificate._TREE_SIZES at rd's dimension, for all 6 138
+roots at p in {2, 3, 5} (about 12 s) but the one root of dimension 10 per
+prime, f = 10 at s_inf = {}: that one must be refused with the tree-size
+message, and its kernel walk must count more than MAX_TREE_NODES nodes.  The
+tests do the same up to f = 8; this covers f = 9 and 10 too, every
+dimension-9 datum included.  Then checks that degree_bound(rd), the anchored sum of the split
 mask's largest rotation, is the largest of max_degree_sums(rd), each anchor's
 sum from its definition, for all 40 890 data of positive dimension with
 f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
@@ -13,7 +15,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/check_case_split.py
 
-Prints one line per check and exits 0 when every table and bound is equal and each refusal holds, 1 at the first that fails.
+Prints one line per check and exits 0 when every table, size and bound is equal and each refusal holds, 1 at the first that fails.
 """
 
 from __future__ import annotations
@@ -43,16 +45,24 @@ def main() -> int:
     started, roots = time.perf_counter(), 0
     for p in PRIMES:
         for rd in all_ramifications(MAX_F, p):
-            if rd.f == MAX_F and not rd.s_inf:  # dimension 10, 299 263 nodes
-                if refusal(rd) != REFUSAL:
-                    print(f"FAIL the case split of {rd} is not refused with {REFUSAL!r}")
+            table, sizes = kernel_case_split(rd)
+            dim = table[rd].dim
+            if dim >= len(certificate._TREE_SIZES):  # f = 10 at s_inf = {}, 299 263 nodes
+                if refusal(rd) != REFUSAL or sizes[rd] <= certificate.MAX_TREE_NODES:
+                    print(f"FAIL the case split of {rd} is not refused with {REFUSAL!r} over {sizes[rd]} nodes")
                     return 1
-            elif list(certificate._case_split(rd).items()) != list(kernel_case_split(rd).items()):
+            elif list(certificate._case_split(rd).items()) != list(table.items()):
                 print(f"FAIL the case split of {rd} differs from the kernel walk")
+                return 1
+            elif sizes[rd] != certificate._TREE_SIZES[dim]:
+                print(f"FAIL the kernel walk of {rd} has {sizes[rd]} nodes, not {certificate._TREE_SIZES[dim]}")
                 return 1
             roots += 1
     scope = f"f<={MAX_F} p in {','.join(map(str, PRIMES))}"
-    print(f"PASS {roots} case splits equal the kernel walk or are refused ({scope}, {time.perf_counter() - started:.1f}s)")
+    print(
+        f"PASS {roots} case splits and tree sizes equal the kernel walk or are refused"
+        f" ({scope}, {time.perf_counter() - started:.1f}s)"
+    )
     started, data = time.perf_counter(), 0
     for p in BOUND_PRIMES:
         for rd in all_ramifications(BOUND_MAX_F, p, min_dim=1):

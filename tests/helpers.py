@@ -35,23 +35,28 @@ def enumerated_profile_max(rd: RamificationData, anchor: int) -> int:
     return best
 
 
-def kernel_case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
-    """The case-split table with strata_children called on every datum: what the relabeling walk must equal."""
+def kernel_case_split(rd: RamificationData) -> tuple[dict[RamificationData, _Split], dict[RamificationData, int]]:
+    """The case-split table with strata_children called on every datum, and each datum's subtree size.
+
+    The table is what the relabeling walk must equal; the sizes, summed edge by
+    edge, are what certificate._TREE_SIZES must equal.
+    """
     table: dict[RamificationData, _Split] = {}
+    sizes: dict[RamificationData, int] = {}
 
     def below(datum: RamificationData) -> _Split:
         if datum not in table:
             dim, edges, size = shimura_dimension(datum), [], 1
             for t, child in strata_children(datum) if dim else ():
                 entry = below(child)
-                size += entry.size
+                size += sizes[child]
                 edges.append((tuple(sorted(t)), child, dim - len(t) - entry.dim))
             bound = degree_bound(datum) if dim else None
-            table[datum] = _Split(dim, bound, tuple(edges), size)
+            table[datum], sizes[datum] = _Split(dim, bound, tuple(edges)), size
         return table[datum]
 
     below(rd)
-    return table
+    return table, sizes
 
 
 _NEXT_PRIME = {2: 3, 3: 5, 5: 7, 7: 11}

@@ -267,7 +267,7 @@ def test_verify_verdicts_and_messages_over_the_agreement_corpus_are_pinned():
                 for where in leaf_mutations(doc):
                     record(where, verify_document(doc))
     assert (count, accepted) == (20634, 180)
-    assert digest.hexdigest() == "19c7a8dca3f4cfd76644cad9c8eb9e514e7b25d41abbd288ece87732ce888ef2"
+    assert digest.hexdigest() == "de009040159c112e31bd1eee743b56542b1182d9e34c370b148078995b0e577d"
 
 
 def test_verify_rejects_a_value_of_another_json_type_in_the_scalar_blocks():
@@ -315,7 +315,7 @@ def test_certificates_list_no_node_records(monkeypatch, capsys):
 def test_nodes_expand_the_split_table_in_preorder():
     cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
     nodes = doc_nodes(cert)
-    assert len(nodes) == cert.split[cert.rd].size and nodes == doc_nodes(cert)
+    assert len(nodes) == certificate._TREE_SIZES[5] and nodes == doc_nodes(cert)
     data = [node_datum(node) for node in nodes]
     assert set(cert.split) == set(data)
     for i, node in enumerate(nodes):
@@ -325,7 +325,7 @@ def test_nodes_expand_the_split_table_in_preorder():
         j = i + 1
         for t, child, fiber in entry.edges:
             assert (nodes[j]["path"], data[j], nodes[j]["fiber_dim"]) == (node["path"] + [list(t)], child, fiber)
-            j += cert.split[child].size
+            j += certificate._TREE_SIZES[cert.split[child].dim]
 
 
 def test_verify_reports_the_node_path_of_a_decremented_bound():
@@ -525,7 +525,26 @@ def test_verify_rejects_a_small_document_that_declares_a_large_tree():
     result = verify_document(doc)
     assert time.perf_counter() - start < 1.0
     assert not result
-    assert result.failures == ("node count is 1, expected at least 2^40 - 1",)
+    assert result.failures == (f"the case split has more than {certificate.MAX_TREE_NODES} nodes",)
+
+
+def test_verify_rejects_a_wrong_node_count_without_calling_the_kernel(monkeypatch):
+    # one node short of the dimension-9 tree, with a config of f = 14 000: the
+    # count is checked against the table, before any walk
+    f = 14_000
+    doc = certificate_to_doc(build_certificate(make_ramification(2, 2), GENUS_TWO))
+    doc["config"]["rd"] = {"f": f, "p": 2, "s_fin_count": 1, "s_inf": list(range(f - 9))}
+    doc["nodes"] = [{} for _ in range(42666)]
+
+    def no_kernel(rd):
+        raise AssertionError("verify called the kernel")
+
+    monkeypatch.setattr(certificate, "strata_children", no_kernel)
+    monkeypatch.setattr(certificate, "degree_bound", no_kernel)
+    started = time.perf_counter()
+    result = verify_document(doc)
+    assert time.perf_counter() - started < 0.1
+    assert result.failures == ("node count is 42666, expected 42667",)
 
 
 def test_verify_compares_node_count_before_rebuilding(monkeypatch):
@@ -542,8 +561,8 @@ def test_verify_compares_node_count_before_rebuilding(monkeypatch):
 
 
 def test_verify_bounds_a_flat_document_that_passes_the_size_guard(monkeypatch):
-    # one root and 2^14 - 2 leaves: the non-empty node list and the bit-length
-    # guard pass, and the f=14 tree below the config has 393 365 759 nodes
+    # one root and 2^14 - 2 leaves, as many nodes as the root's children: the
+    # f=14 tree below the config has 393 365 759 nodes
     doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
     doc["config"]["rd"]["f"] = 14
     doc["nodes"] = [{"dim": 14, "kind": "ordinary_locus", "path": []}] + [
@@ -606,12 +625,13 @@ def test_an_oversized_polarization_bound_is_refused_before_any_walk(monkeypatch,
 
 
 def test_refusal_dimension_is_the_least_whose_case_split_exceeds_the_limit():
-    # the model datum of a dimension has the subtree size of every datum of it
-    refusal = certificate._REFUSAL_DIM
-    assert refusal == 10
-    sizes = [kernel_case_split(rd)[rd].size for rd in (make_ramification(refusal - 1, 3), make_ramification(refusal, 3))]
-    assert sizes == [42667, 299263]
-    assert sizes[0] <= certificate.MAX_TREE_NODES < sizes[1]
+    # the model datum of a dimension (f = m, s_inf = {}; at 0, f = 1, s_inf = {0}) has the subtree size of every datum of it
+    sizes = []
+    for m in range(len(certificate._TREE_SIZES) + 1):
+        rd = make_ramification(m, 3) if m else make_ramification(1, 3, [0], 1)
+        sizes.append(kernel_case_split(rd)[1][rd])
+    assert sizes == [*certificate._TREE_SIZES, 299263]
+    assert max(sizes[:-1]) <= certificate.MAX_TREE_NODES < sizes[-1]
 
 
 def test_relabeled_case_split_equals_the_kernel_walk():
@@ -619,13 +639,20 @@ def test_relabeled_case_split_equals_the_kernel_walk():
     sizes: dict = {}
     for p in (2, 3, 5):
         for rd in all_ramifications(8, p):
-            table = certificate._case_split(rd)
-            assert list(table.items()) == list(kernel_case_split(rd).items()), rd
-            for entry in table.values():
-                sizes.setdefault(entry.dim, set()).add(entry.size)
-    sizes[9] = {certificate._case_split(make_ramification(9, 3))[make_ramification(9, 3)].size}
+            table, kernel_sizes = kernel_case_split(rd)
+            assert list(certificate._case_split(rd).items()) == list(table.items()), rd
+            for datum, entry in table.items():
+                sizes.setdefault(entry.dim, set()).add(kernel_sizes[datum])
     # so every datum's subtree size depends on its dimension alone
-    assert sizes == {d: {size} for d, size in enumerate((1, 1, 3, 7, 31, 91, 495, 1723, 10815, 42667))}
+    assert sizes == {d: {size} for d, size in enumerate(certificate._TREE_SIZES[:9])}
+
+
+def test_every_datum_below_a_model_datum_is_a_direct_child_of_it():
+    # so a root's case split is one level of distinct data deep, whatever repeats in its tree
+    for m in range(1, len(certificate._TREE_SIZES)):
+        model = make_ramification(m, 3)
+        table = certificate._case_split(model)
+        assert set(table) - {model} == {child for _, child, _ in table[model].edges}, m
 
 
 def test_build_walks_each_distinct_datum_once(monkeypatch):

@@ -360,6 +360,7 @@ def test_unreadable_files_are_reported_without_a_traceback(tmp_path, capsys, con
         (["--primes", "2,\uff13"], "--primes: invalid literal for int() with base 10: '\uff13'"),
         (["--max-f", "3", "--primes", "2,2,3"], "p=2 is listed twice"),
         (["--primes", ",".join(["2"] * 17)], "at most 16 primes, got 17"),
+        (["--max-f", "-9"], "max_f must be at least 0, got -9"),
     ],
 )
 def test_selfcheck_rejects_bad_inputs(capsys, argv, message):

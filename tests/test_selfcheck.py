@@ -45,6 +45,7 @@ def test_selfcheck_validates_its_inputs_before_running():
         ([2], MAX_SELFCHECK_F + 1, "max_f must be at most 12"),
         ([1], 0, "p must be a prime, got 1"),
         ([2, 3, 2], 3, "p=2 is listed twice"),
+        ([2], -9, "^max_f must be at least 0, got -9$"),
     ):
         with pytest.raises(ValueError, match=message):
             selfcheck(max_f, primes)
