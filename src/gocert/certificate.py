@@ -16,10 +16,12 @@ document's tree is the preorder expansion.  That table is the certificate's
 only tree form; no record is made per tree node.  Which stratum leads to which
 smaller datum depends only on the cyclic order of the split places, so the
 walk asks the stratum kernel for the children of one model datum per
-dimension and every datum of that dimension relabels them (_case_split).  So
-a datum's subtree size depends on its dimension alone: _TREE_SIZES lists it
-up to the largest dimension within MAX_TREE_NODES, a larger one is refused
-before any walk, and verify checks a node count against it without a walk.
+dimension and every datum of that dimension relabels them (_case_split; each
+record is keyed by the added-place mask its parent hands down, and an edge's
+fiber count is the number of places it adds beyond T).  So a datum's subtree
+size depends on its dimension alone: _TREE_SIZES lists it up to the largest
+dimension within MAX_TREE_NODES, a larger one is refused before any walk, and
+verify checks a node count against it without a walk.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  serialize_certificate writes that text
@@ -91,7 +93,6 @@ _TOO_LARGE = f"the case split has more than {MAX_TREE_NODES} nodes"
 
 
 class _Split(NamedTuple):
-    dim: int
     degree_bound: int | None
     edges: tuple[tuple[tuple[int, ...], RamificationData, int], ...]  # (sorted t, child, fiber_dim)
 
@@ -127,30 +128,30 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     an index mask, depend on the edge alone, and the model's children's s_inf
     are those masks.  So the stratum kernel lists the children of one model
     datum per dimension m >= 2 the walk reaches, and every datum relabels them:
-    it lists the sorted T and s_inf mask of each index mask of its split
-    places, so an edge costs a few integer operations and each s_inf mask gets
-    one record.  Nothing outlives the walk.  A consequence: a datum's subtree
-    size depends on its dimension alone, and is _TREE_SIZES[dim], which a test
-    pins to the kernel walk.
+    it lists the sorted T and added-place mask (the places beyond rd's s_inf,
+    handed down by its parent) of each index mask of its split places, so an
+    edge costs a few integer operations and each mask gets one record.  An
+    edge's fiber count is the number of places it adds beyond T, one per odd
+    chain.  Nothing outlives the walk.  So a datum's subtree size depends on
+    its dimension alone: _TREE_SIZES[dim], which a test pins to the kernel walk.
 
-    Raises ValueError, before any walk, when rd's dimension is past
-    _TREE_SIZES, so that its tree has more than MAX_TREE_NODES nodes.  Raises ValueError
-    as well for a datum whose polarization bound has more digits than json
-    converts (_check_json_digits), checked as the walk enters the datum, so
-    for the root before any walk.
+    Raises ValueError before any walk when rd's dimension is past _TREE_SIZES
+    (over MAX_TREE_NODES nodes), and as the walk enters a datum whose
+    polarization bound has more digits than json converts (_check_json_digits),
+    so for the root before any walk.
     """
     if shimura_dimension(rd) >= len(_TREE_SIZES):
         raise ValueError(_TOO_LARGE)
     table: dict[RamificationData, _Split] = {}
-    _split_below(rd, table, {}, {})
+    _split_below(rd, 0, table, {}, {})
     return table
 
 
-def _split_below(datum: RamificationData, table: dict[RamificationData, _Split], shapes: dict[int, list[int]], records: dict[int, RamificationData]) -> _Split:
-    """Enter datum, which table lacks, and every datum below it that table lacks; return datum's entry.
+def _split_below(datum: RamificationData, added: int, table: dict[RamificationData, _Split], shapes: dict[int, list[int]], records: dict[int, RamificationData]) -> None:
+    """Enter datum, whose s_inf holds the places of the mask added beyond the root's, and every datum below it.
 
     shapes maps each dimension of at least 2 to its model datum's edges' index
-    masks; records maps s_inf masks to records.
+    masks; records maps the added-place masks parents hand down to their data.
     """
     dim = shimura_dimension(datum)
     bound = degree_bound(datum) if dim else None
@@ -163,17 +164,16 @@ def _split_below(datum: RamificationData, table: dict[RamificationData, _Split],
             model = RamificationData(dim, frozenset(), 0, datum.p)
             shape = shapes[dim] = [sum([1 << x for x in child.s_inf]) for _, child in strata_children(model)]
         f, s_inf, count, p = datum
-        ts, masks = [()], [sum([1 << x for x in s_inf])]  # by index mask: sorted places, s_inf mask
+        ts, masks = [()], [added]  # by index mask: sorted places, added-place mask
         for place in split_places(datum):
             ts += [t + (place,) for t in ts]
             masks += [mask | 1 << place for mask in masks]
         for t, grown in zip(ts[1:], shape):
             if (child := records.get(masks[grown])) is None:
                 child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
-            below = table.get(child) or _split_below(child, table, shapes, records)
-            edges.append((t, child, dim - len(t) - below.dim))
-    split = table[datum] = _Split(dim, bound, tuple(edges))
-    return split
+                _split_below(child, masks[grown], table, shapes, records)
+            edges.append((t, child, len(ts[grown]) - len(t)))  # fiber count: the places added beyond T
+    table[datum] = _Split(bound, tuple(edges))
 
 
 def build_certificate(
@@ -199,7 +199,7 @@ def build_certificate(
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
     root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
-    contradicted = table[rd].dim == 0 or contra.conclusion == "contradiction"
+    contradicted = shimura_dimension(rd) == 0 or contra.conclusion == "contradiction"
     verdict = "finite" if rig.finite and contradicted else "inconclusive"
     return FinitenessCertificate(
         rd=rd,
@@ -224,7 +224,7 @@ def _entry_doc(datum: RamificationData, entry: _Split, root: RamificationData, p
     is the ordinary locus, and no other node repeats the root's datum, since
     every descent lowers the dimension.
     """
-    bound, dim = entry.degree_bound, entry.dim
+    bound, dim = entry.degree_bound, shimura_dimension(datum)
     return {
         "degree_bound": bound,
         "dim": dim,

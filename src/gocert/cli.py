@@ -24,7 +24,7 @@ from .certificate import (
     serialize_document,
     verify_document,
 )
-from .places import RamificationData
+from .places import RamificationData, shimura_dimension
 from .rigidity import CurveType, euler_bound
 from .selfcheck import selfcheck
 
@@ -128,10 +128,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 1
     # finite exactly when 2g - 2 + n = 2: the Higgs map is forced and every ordinary locus is contradicted
     cause = "" if cert.verdict == "finite" else f"2g-2+n = {euler_bound(cert.curve)}, not 2; "
-    top = cert.split[cert.rd]  # the root's entry: its bound and dimension, without listing nodes
-    bound = top.degree_bound
+    bound = cert.split[cert.rd].degree_bound  # the root's entry, without listing nodes
     root = "dimension-zero root, no degree bound" if bound is None else f"root degree bound={bound}"
-    print(f"verdict: {cert.verdict} ({cause}nodes={_TREE_SIZES[top.dim]}, {root})", file=sys.stderr)
+    print(f"verdict: {cert.verdict} ({cause}nodes={_TREE_SIZES[shimura_dimension(cert.rd)]}, {root})", file=sys.stderr)
     return 0 if cert.verdict == "finite" else 2
 
 

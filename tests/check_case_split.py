@@ -1,4 +1,4 @@
-"""Check the relabeling case split and the tree sizes against the kernel walk up to f = 10, and the degree bound up to f = 12.
+"""Check the relabeling case split and the tree sizes against the kernel walk and its edges against the oracle up to f = 10, and the degree bound up to f = 12.
 
 Compares certificate._case_split(rd) with helpers.kernel_case_split(rd) by
 keys, insertion order, degree bounds and edges, and the kernel walk's subtree
@@ -7,15 +7,20 @@ roots at p in {2, 3, 5} (about 12 s) but the one root of dimension 10 per
 prime, f = 10 at s_inf = {}: that one must be refused with the tree-size
 message, and its kernel walk must count more than MAX_TREE_NODES nodes.  The
 tests do the same up to f = 8; this covers f = 9 and 10 too, every
-dimension-9 datum included.  Then checks that degree_bound(rd), the anchored sum of the split
-mask's largest rotation, is the largest of max_degree_sums(rd), each anchor's
-sum from its definition, for all 40 890 data of positive dimension with
-f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
+dimension-9 datum included.  Then checks every edge (t, child, fiber) of
+the kernel walk of each model root (f, {}) with f <= 10 at those primes,
+a walk the first check found equal to the case split up to f = 9, against
+the oracle's augmented set a = replay_augmented_set(f, s_inf, t): child's
+s_inf must be s_inf | a and fiber must be len(a) - len(t), for all 32 556
+edges (about 0.5 s).  Then checks that degree_bound(rd), the anchored sum of
+the split mask's largest rotation, is the largest of max_degree_sums(rd),
+each anchor's sum from its definition, for all 40 890 data of positive
+dimension with f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
 Run from the repository root:
 
     PYTHONPATH=src python tests/check_case_split.py
 
-Prints one line per check and exits 0 when every table, size and bound is equal and each refusal holds, 1 at the first that fails.
+Prints one line per check and exits 0 when every table, size, edge and bound is equal and each refusal holds, 1 at the first that fails.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from __future__ import annotations
 import sys
 import time
 
-from gocert import RamificationData, certificate, degree_bound, max_degree_sums
-from gocert.oracle import all_ramifications
+from gocert import RamificationData, certificate, degree_bound, make_ramification, max_degree_sums, shimura_dimension
+from gocert.oracle import all_ramifications, replay_augmented_set
 from helpers import kernel_case_split
 
 MAX_F, PRIMES = 10, (2, 3, 5)
@@ -41,12 +46,24 @@ def refusal(rd: RamificationData) -> str | None:
     return None
 
 
+def oracle_edge_mismatch(rd: RamificationData) -> tuple[str | None, int]:
+    """The first edge of rd's kernel walk whose child or fiber count the oracle's augmented set contradicts, or None; and the edges checked."""
+    edges = 0
+    for datum, entry in kernel_case_split(rd)[0].items():
+        for t, child, fiber in entry.edges:
+            added = replay_augmented_set(datum.f, datum.s_inf, frozenset(t))
+            if (child.s_inf, fiber) != (datum.s_inf | added, len(added) - len(t)):
+                return f"the edge T={list(t)} of {datum} leads to {child} with fiber {fiber}, not s_inf | {sorted(added)}", edges
+            edges += 1
+    return None, edges
+
+
 def main() -> int:
     started, roots = time.perf_counter(), 0
     for p in PRIMES:
         for rd in all_ramifications(MAX_F, p):
             table, sizes = kernel_case_split(rd)
-            dim = table[rd].dim
+            dim = shimura_dimension(rd)
             if dim >= len(certificate._TREE_SIZES):  # f = 10 at s_inf = {}, 299 263 nodes
                 if refusal(rd) != REFUSAL or sizes[rd] <= certificate.MAX_TREE_NODES:
                     print(f"FAIL the case split of {rd} is not refused with {REFUSAL!r} over {sizes[rd]} nodes")
@@ -63,6 +80,15 @@ def main() -> int:
         f"PASS {roots} case splits and tree sizes equal the kernel walk or are refused"
         f" ({scope}, {time.perf_counter() - started:.1f}s)"
     )
+    started, edges = time.perf_counter(), 0
+    for p in PRIMES:
+        for f in range(1, MAX_F + 1):
+            failure, checked = oracle_edge_mismatch(make_ramification(f, p))
+            if failure:
+                print(f"FAIL {failure}")
+                return 1
+            edges += checked
+    print(f"PASS {edges} model-root edges add the oracle's augmented set ({scope}, {time.perf_counter() - started:.1f}s)")
     started, data = time.perf_counter(), 0
     for p in BOUND_PRIMES:
         for rd in all_ramifications(BOUND_MAX_F, p, min_dim=1):

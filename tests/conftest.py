@@ -12,3 +12,15 @@ def default_int_digits():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift the interpreter's limit on integer string conversion for one test (a Python without the limit has none)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)

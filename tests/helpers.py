@@ -44,16 +44,15 @@ def kernel_case_split(rd: RamificationData) -> tuple[dict[RamificationData, _Spl
     table: dict[RamificationData, _Split] = {}
     sizes: dict[RamificationData, int] = {}
 
-    def below(datum: RamificationData) -> _Split:
+    def below(datum: RamificationData) -> None:
         if datum not in table:
             dim, edges, size = shimura_dimension(datum), [], 1
             for t, child in strata_children(datum) if dim else ():
-                entry = below(child)
+                below(child)
                 size += sizes[child]
-                edges.append((tuple(sorted(t)), child, dim - len(t) - entry.dim))
+                edges.append((tuple(sorted(t)), child, dim - len(t) - shimura_dimension(child)))
             bound = degree_bound(datum) if dim else None
-            table[datum], sizes[datum] = _Split(dim, bound, tuple(edges)), size
-        return table[datum]
+            table[datum], sizes[datum] = _Split(bound, tuple(edges)), size
 
     below(rd)
     return table, sizes
