@@ -18,10 +18,10 @@ from gocert import (
     shimura_dimension,
     verify_document,
 )
-from gocert import certificate, oracle
+from gocert import certificate
 from gocert.certificate import error_document, parse_config, serialize_document
 from gocert.cli import main
-from gocert.oracle import all_ramifications
+from gocert.oracle import all_ramifications, replay_augmented_set
 from helpers import document_mutations, kernel_case_split, leaf_mutations
 
 GENUS_TWO = CurveType(2, 0)
@@ -642,7 +642,7 @@ def test_relabeled_case_split_equals_the_kernel_walk():
         for rd in all_ramifications(8, p):
             table, kernel_sizes = kernel_case_split(rd)
             assert list(certificate._case_split(rd).items()) == list(table.items()), rd
-            for datum, entry in table.items():
+            for datum in table:
                 sizes.setdefault(shimura_dimension(datum), set()).add(kernel_sizes[datum])
     # so every datum's subtree size depends on its dimension alone
     assert sizes == {d: {size} for d, size in enumerate(certificate._TREE_SIZES[:9])}
@@ -657,7 +657,7 @@ def test_every_edge_adds_the_oracle_augmented_set():
         for f in range(1, 9):
             for datum, entry in certificate._case_split(make_ramification(f, p)).items():
                 for t, child, fiber in entry.edges:
-                    added = oracle.replay_augmented_set(f, datum.s_inf, frozenset(t))
+                    added = replay_augmented_set(f, datum.s_inf, frozenset(t))
                     assert (child.s_inf, fiber) == (datum.s_inf | added, len(added) - len(t)), (datum, t)
                     edges += 1
     assert edges == 3472
