@@ -5,10 +5,20 @@ induction bounding curves that carry nontrivial pulled-back local systems.  At
 each datum the generically ordinary case is settled by a degree bound together
 with an equal-degree contradiction; the non-ordinary case descends through
 every Goren-Oort stratum to a strictly smaller datum; dimension zero is
-automatic.  Nodes carry only what varies per datum.  Steps delegated to the
-literature are listed verbatim as prose, once per node kind under "steps", so
-an auditor sees exactly what is cited rather than computed; the equal-degree
-comparison every node of positive dimension applies is stated once.
+automatic.  Steps delegated to the literature are listed verbatim as prose,
+once per node kind under "steps", so an auditor sees exactly what is cited
+rather than computed; the equal-degree comparison every node of positive
+dimension applies is stated once.
+
+Nodes carry only what varies per datum: degree_bound (null at dimension 0),
+fiber_dim (null at the root), path (the vanishing sets from the root) and
+s_inf (sorted).  A descent grows s_inf only, so the rest of a node's datum and
+its derived fields follow from the node and the certificate's config:
+- every datum of a certificate has config.rd's f, p and s_fin_count;
+- its dimension is f - len(s_inf);
+- its kind is dimension_zero at dimension 0, otherwise ordinary_locus at the
+  root (path == []) and stratum_descent elsewhere;
+- its polarization bound is 2 * degree_bound.
 
 A certificate keeps the case split as its walk computed it: a table of the
 distinct data below the root, each with its edges, a DAG of which the
@@ -48,10 +58,6 @@ from .strata import strata_children
 
 TOOL_VERSION = f"gocert-{__version__}"
 
-KIND_ORDINARY = "ordinary_locus"
-KIND_DESCENT = "stratum_descent"
-KIND_DIM_ZERO = "dimension_zero"
-
 _PROSE_ORDINARY = (
     "generic-ordinarity: every partial Hasse invariant is assumed nonvanishing on the image of the curve",
     "kodaira-spencer: some pulled-back Kodaira-Spencer map is nonzero (generic separability, Stacks project 0CD2, plus the Kodaira-Spencer isomorphism on the ambient variety)",
@@ -76,11 +82,11 @@ class Steps(NamedTuple):
     flags: tuple[str, ...]
 
 
-# What every node of a kind cites; each certificate adds "root", the root's curve-dependent extras.
+# What every node of a kind (derived, see above) cites; each certificate adds "root", the root's curve-dependent extras.
 KIND_STEPS = {
-    KIND_ORDINARY: Steps(_PROSE_ORDINARY, ()),
-    KIND_DESCENT: Steps(_PROSE_DESCENT, ("N-from-dimension-count",)),
-    KIND_DIM_ZERO: Steps(_PROSE_DIM_ZERO, ()),
+    "ordinary_locus": Steps(_PROSE_ORDINARY, ()),
+    "stratum_descent": Steps(_PROSE_DESCENT, ("N-from-dimension-count",)),
+    "dimension_zero": Steps(_PROSE_DIM_ZERO, ()),
 }
 
 # Largest case split analyze builds and verify replays: at s_inf = {}, f = 9 fits and f = 10 does not.
@@ -136,9 +142,9 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     its dimension alone: _TREE_SIZES[dim], which a test pins to the kernel walk.
 
     Raises ValueError before any walk when rd's dimension is past _TREE_SIZES
-    (over MAX_TREE_NODES nodes), and as the walk enters a datum whose
-    polarization bound has more digits than json converts (_check_json_digits),
-    so for the root before any walk.
+    (over MAX_TREE_NODES nodes), and as the walk enters a datum whose degree
+    bound, the largest integer a node holds, has more digits than json
+    converts (_check_json_digits), so for the root before any walk.
     """
     if shimura_dimension(rd) >= len(_TREE_SIZES):
         raise ValueError(_TOO_LARGE)
@@ -156,7 +162,7 @@ def _split_below(datum: RamificationData, added: int, table: dict[RamificationDa
     dim = shimura_dimension(datum)
     bound = degree_bound(datum) if dim else None
     if bound is not None:
-        _check_json_digits(2 * bound, f"the polarization bound at f={datum.f}")
+        _check_json_digits(bound, f"the degree bound at f={datum.f}")
     edges = []
     if dim > 1:
         shape = shapes.get(dim)
@@ -187,7 +193,7 @@ def build_certificate(
     determinant, applies to each of them.  Children follow in canonical
     bitmask order, so repeated builds serialize to identical bytes.  The
     certificate keeps the case-split table and lists no nodes.  Raises
-    ValueError when the curve's 2g - 2 + n, or a polarization bound, has more
+    ValueError when the curve's 2g - 2 + n, or a degree bound, has more
     digits than json converts, and when the tree has more than MAX_TREE_NODES
     nodes.  A caller that has already walked rd passes the table
     _case_split(rd) returned as split, and no second walk is made.
@@ -213,27 +219,9 @@ def build_certificate(
     )
 
 
-def _rd_doc(rd: RamificationData) -> dict[str, Any]:
-    return {"f": rd.f, "p": rd.p, "s_fin_count": rd.s_fin_count, "s_inf": sorted(rd.s_inf)}
-
-
-def _entry_doc(datum: RamificationData, entry: _Split, root: RamificationData, path: Any, fiber: Any) -> dict[str, Any]:
-    """The document of a node of datum below root, from datum's case-split entry, with the path and fiber given.
-
-    Only the kind depends on where a datum sits: a root of positive dimension
-    is the ordinary locus, and no other node repeats the root's datum, since
-    every descent lowers the dimension.
-    """
-    bound, dim = entry.degree_bound, shimura_dimension(datum)
-    return {
-        "degree_bound": bound,
-        "dim": dim,
-        "fiber_dim": fiber,
-        "kind": KIND_DIM_ZERO if dim == 0 else KIND_ORDINARY if datum == root else KIND_DESCENT,
-        "path": path,
-        "polarization_bound": None if bound is None else 2 * bound,
-        "rd": _rd_doc(datum),
-    }
+def _entry_doc(datum: RamificationData, entry: _Split, path: Any, fiber: Any) -> dict[str, Any]:
+    """The document of a node of datum, from datum's case-split entry, with the path and fiber given."""
+    return {"degree_bound": entry.degree_bound, "fiber_dim": fiber, "path": path, "s_inf": sorted(datum.s_inf)}
 
 
 # a datum's node dict, and its edges with each vanishing set as a path step
@@ -252,7 +240,7 @@ def _walk_nodes(table: dict[RamificationData, _Split], root: RamificationData, v
     path: list[list[int]] = []
     rows: dict[RamificationData, _NodeRow] = {}
     for datum, entry in table.items():
-        node = _entry_doc(datum, entry, root, path, None)
+        node = _entry_doc(datum, entry, path, None)
         rows[datum] = node, tuple((list(t), child, fiber) for t, child, fiber in entry.edges)
     _visit_below(root, None, rows, path, visit)
 
@@ -275,10 +263,11 @@ def _visit_below(
 
 def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
     """Every top-level block of the certificate's document except "nodes"."""
+    rd = cert.rd
     return {
         "config": {
             "curve": {"g": cert.curve.g, "n": cert.curve.n},
-            "rd": _rd_doc(cert.rd),
+            "rd": {"f": rd.f, "p": rd.p, "s_fin_count": rd.s_fin_count, "s_inf": sorted(rd.s_inf)},
         },
         "contradiction": cert.contradiction._asdict(),
         "rigidity": {**cert.rigidity._asdict(), "euler_bound": euler_bound(cert.curve)},
@@ -293,12 +282,7 @@ def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
     nodes: list[dict[str, Any]] = []
 
     def keep(path: list[list[int]], node: dict[str, Any]) -> None:
-        rd_doc = node["rd"]
-        nodes.append({
-            **node,
-            "path": [step.copy() for step in path],
-            "rd": {**rd_doc, "s_inf": rd_doc["s_inf"].copy()},
-        })
+        nodes.append({**node, "path": [step.copy() for step in path], "s_inf": node["s_inf"].copy()})
 
     _walk_nodes(cert.split, cert.rd, keep)
     return {**_blocks_doc(cert), "nodes": nodes}
@@ -348,7 +332,7 @@ def serialize_certificate(cert: FinitenessCertificate) -> str:
 
     rows: dict[RamificationData, _TextRow] = {}
     for datum, entry in table.items():
-        head, _, after = _ENCODER.encode(_entry_doc(datum, entry, root, _PATH_SLOT, _FIBER_SLOT)).partition(_FIBER_TEXT)
+        head, _, after = _ENCODER.encode(_entry_doc(datum, entry, _PATH_SLOT, _FIBER_SLOT)).partition(_FIBER_TEXT)
         mid, _, tail = after.partition(_PATH_TEXT)
         rows[datum] = head, mid, tail, tuple((encode(t), child, encode(fiber)) for t, child, fiber in entry.edges)
     texts: list[str] = []
@@ -441,7 +425,7 @@ def verify_document(doc: Any) -> VerifyResult:
     tree-size refusal; the node count equals _TREE_SIZES at that dimension.  No
     walk is made before these, so a document cannot demand a build larger than
     the one its own length implies.  Then the rebuild, which refuses a curve or
-    a polarization bound too large for json.  The one check on content is then the
+    a degree bound too large for json.  The one check on content is then the
     exact comparison with the rebuild: every top-level block, its fields by
     JSON type as well (_first_mismatch), then the nodes in document order, by
     value, against _walk_nodes of the table, stopping at the first differing

@@ -12,8 +12,8 @@ import copy
 import itertools
 from typing import Any, Callable, Iterator
 
-from gocert import RamificationData, shimura_dimension, strata_children
-from gocert.certificate import _Split
+from gocert import RamificationData, build_certificate, serialize_certificate, shimura_dimension, strata_children
+from gocert.certificate import _Split, parse_config, serialize_document
 from gocert.hasse import degree_bound
 from gocert.oracle import scan_constraints
 
@@ -61,17 +61,31 @@ def kernel_case_split(rd: RamificationData) -> tuple[dict[RamificationData, _Spl
 _NEXT_PRIME = {2: 3, 3: 5, 5: 7, 7: 11}
 
 
+def is_own_certificate(doc: dict[str, Any]) -> bool:
+    """Whether doc, in canonical text, is the certificate of its own config.
+
+    Nodes name neither p nor s_fin_count, so an edit of the config alone can
+    yield another genuine certificate: a sound verifier accepts it.
+    """
+    try:
+        expected = serialize_certificate(build_certificate(*parse_config(doc["config"])))
+    except (ValueError, TypeError):
+        return False
+    return serialize_document(doc) == expected
+
+
 def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any]]]:
     """Deterministic single-field corruptions of a certificate document.
 
-    Every yielded document differs from the original and stays JSON
-    serializable; a sound verifier must reject each one.
+    Every yielded document differs from the original, stays JSON serializable
+    and is not the certificate of its own config; a sound verifier must reject
+    each one.
     """
 
     def variant(label: str, mutate: Callable[[dict[str, Any]], None]) -> tuple[str, dict[str, Any]] | None:
         mutated = copy.deepcopy(doc)
         mutate(mutated)
-        if mutated == doc:
+        if mutated == doc or is_own_certificate(mutated):
             return None
         return label, mutated
 
@@ -81,7 +95,9 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
         target[path[-1]] = value
 
     nodes = doc["nodes"]
-    root = nodes[0]
+    root, f = nodes[0], doc["config"]["rd"]["f"]
+    root_kind = "dimension_zero" if len(root["s_inf"]) == f else "ordinary_locus"
+    free = [place for place in range(f) if place not in root["s_inf"]]
     steps, contradiction = doc["steps"], doc["contradiction"]
     recipes: list[tuple[str, Callable[[dict[str, Any]], None]]] = [
         ("verdict-flip", lambda d: set_in(d, ["verdict"], "inconclusive" if d["verdict"] == "finite" else "finite")),
@@ -105,12 +121,13 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
         ("duplicate-last-node", lambda d: d["nodes"].append(copy.deepcopy(d["nodes"][-1]))),
         ("root-degree-bound-down", lambda d: set_in(d, ["nodes", 0, "degree_bound"], (root["degree_bound"] or 1) - 1)),
         ("root-degree-bound-up", lambda d: set_in(d, ["nodes", 0, "degree_bound"], (root["degree_bound"] or 0) + 1)),
-        ("root-polarization", lambda d: set_in(d, ["nodes", 0, "polarization_bound"], (root["polarization_bound"] or 0) + 2)),
-        ("root-dim", lambda d: set_in(d, ["nodes", 0, "dim"], root["dim"] + 1)),
-        ("root-kind", lambda d: set_in(d, ["nodes", 0, "kind"], "stratum_descent" if root["kind"] == "ordinary_locus" else "ordinary_locus")),
-        ("root-rd-p", lambda d: set_in(d, ["nodes", 0, "rd", "p"], _NEXT_PRIME[root["rd"]["p"]])),
+        ("root-sinf-grows", lambda d: set_in(d, ["nodes", 0, "s_inf"], sorted(root["s_inf"] + free[:1]))),
+        ("root-sinf-out-of-range", lambda d: set_in(d, ["nodes", 0, "s_inf"], root["s_inf"] + [f])),
+        ("root-fiber", lambda d: set_in(d, ["nodes", 0, "fiber_dim"], 0)),
+        ("root-path", lambda d: set_in(d, ["nodes", 0, "path"], [free[:1]])),
+        ("leaf-degree-bound-zero", lambda d: set_in(d, ["nodes", -1, "degree_bound"], 0)),
         ("root-flags", lambda d: set_in(d, ["steps", "root", "flags"], steps["root"]["flags"] + ["unchecked"])),
-        ("root-prose-drop", lambda d: set_in(d, ["steps", root["kind"], "prose"], steps[root["kind"]]["prose"][1:])),
+        ("root-prose-drop", lambda d: set_in(d, ["steps", root_kind, "prose"], steps[root_kind]["prose"][1:])),
         ("root-extra-prose-drop", lambda d: set_in(d, ["steps", "root", "prose"], steps["root"]["prose"][1:])),
         ("descent-flags-drop", lambda d: set_in(d, ["steps", "stratum_descent", "flags"], [])),
         ("contradiction-conclusion", lambda d: set_in(
@@ -128,10 +145,11 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
     if len(nodes) >= 2:
         child = nodes[1]
         recipes += [
-            ("child-dim-not-smaller", lambda d: set_in(d, ["nodes", 1, "dim"], root["dim"])),
+            ("child-sinf-of-parent", lambda d: set_in(d, ["nodes", 1, "s_inf"], root["s_inf"])),
+            ("child-sinf-shrinks", lambda d: set_in(d, ["nodes", 1, "s_inf"], child["s_inf"][1:])),
+            ("child-degree-bound-up", lambda d: set_in(d, ["nodes", 1, "degree_bound"], (child["degree_bound"] or 0) + 1)),
             ("child-fiber", lambda d: set_in(d, ["nodes", 1, "fiber_dim"], (child["fiber_dim"] or 0) + 1)),
             ("child-path-truncated", lambda d: set_in(d, ["nodes", 1, "path"], [])),
-            ("child-rd-sinf", lambda d: set_in(d, ["nodes", 1, "rd", "s_inf"], child["rd"]["s_inf"][1:])),
         ]
     if len(nodes) >= 3:
         def swap(d: dict[str, Any]) -> None:
@@ -145,9 +163,8 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
             yield produced
 
 
-# Strings that can stand in for each other: node kinds, verdicts, contradiction conclusions.
+# Strings that can stand in for each other: verdicts, contradiction conclusions.
 _STRING_FAMILIES = (
-    ("ordinary_locus", "stratum_descent", "dimension_zero"),
     ("finite", "inconclusive"),
     ("contradiction", "inconclusive"),
 )

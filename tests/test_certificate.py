@@ -22,19 +22,27 @@ from gocert import certificate
 from gocert.certificate import error_document, parse_config, serialize_document
 from gocert.cli import main
 from gocert.oracle import all_ramifications, replay_augmented_set
-from helpers import document_mutations, kernel_case_split, leaf_mutations
+from helpers import document_mutations, is_own_certificate, kernel_case_split, leaf_mutations
 
 GENUS_TWO = CurveType(2, 0)
 FOUR_PUNCTURED = CurveType(0, 4)
-NODE_KEYS = ["degree_bound", "dim", "fiber_dim", "kind", "path", "polarization_bound", "rd"]
+NODE_KEYS = ["degree_bound", "fiber_dim", "path", "s_inf"]
 
 
 def doc_nodes(cert):
     return certificate_to_doc(cert)["nodes"]
 
 
-def node_datum(node):
-    return make_ramification(**node["rd"])
+def node_datum(config, node):
+    """A node's datum: config.rd's f, p and s_fin_count, with the node's s_inf."""
+    return make_ramification(**{**config["rd"], "s_inf": node["s_inf"]})
+
+
+def node_kind(f, node):
+    """The kind a node of a certificate over f places derives from its dimension and position."""
+    if len(node["s_inf"]) == f:
+        return "dimension_zero"
+    return "ordinary_locus" if node["path"] == [] else "stratum_descent"
 
 
 def test_worked_example_quadratic_field():
@@ -43,23 +51,22 @@ def test_worked_example_quadratic_field():
     nodes = doc_nodes(cert)
     assert len(nodes) == 3
     root, left, right = nodes
-    assert root["kind"] == "ordinary_locus" and root["dim"] == 2
-    assert root["degree_bound"] == 4 and root["polarization_bound"] == 8
+    # the ordinary locus of dimension 2, with polarization bound 8
+    assert root == {"degree_bound": 4, "fiber_dim": None, "path": [], "s_inf": []}
+    assert node_kind(2, root) == "ordinary_locus"
     assert cert.contradiction.conclusion == "contradiction"
     assert (cert.contradiction.deg_tangent, cert.contradiction.deg_hom) == (-2, -2)
     for node, t in ((left, [0]), (right, [1])):
-        assert node["kind"] == "dimension_zero" and node["dim"] == 0
-        assert node["path"] == [t]
-        assert node["fiber_dim"] == 1
-        assert node["degree_bound"] is None and node["polarization_bound"] is None
+        assert node == {"degree_bound": None, "fiber_dim": 1, "path": [t], "s_inf": [0, 1]}
+        assert node_kind(2, node) == "dimension_zero"
 
 
 def test_worked_example_single_place():
     cert = build_certificate(make_ramification(1, 2), FOUR_PUNCTURED)
     assert cert.verdict == "finite"
     (node,) = doc_nodes(cert)
-    assert node["kind"] == "ordinary_locus"
-    assert node["degree_bound"] == 1 and node["polarization_bound"] == 2
+    # the ordinary locus of dimension 1, with polarization bound 2
+    assert node == {"degree_bound": 1, "fiber_dim": None, "path": [], "s_inf": []}
     assert (cert.contradiction.deg_tangent, cert.contradiction.deg_hom) == (-2, -2)
 
 
@@ -76,10 +83,10 @@ def test_descent_nodes_carry_their_own_ordinary_data():
     cert = build_certificate(make_ramification(3, 2), GENUS_TWO)
     nodes = doc_nodes(cert)
     assert len(nodes) == 7
-    descents = [n for n in nodes if n["kind"] == "stratum_descent"]
+    descents = [n for n in nodes if node_kind(3, n) == "stratum_descent"]
     assert descents, "expected positive-dimensional children"
     for node in descents:
-        assert node["dim"] >= 1
+        assert 3 - len(node["s_inf"]) >= 1
         assert node["degree_bound"] is not None
         assert node["fiber_dim"] is not None
     assert cert.contradiction.conclusion == "contradiction"
@@ -101,7 +108,8 @@ def test_dimension_zero_root():
     rd = make_ramification(2, 3, {0, 1})
     cert = build_certificate(rd, GENUS_TWO)
     (node,) = doc_nodes(cert)
-    assert node["kind"] == "dimension_zero"
+    assert node == {"degree_bound": None, "fiber_dim": None, "path": [], "s_inf": [0, 1]}
+    assert node_kind(2, node) == "dimension_zero"
     assert cert.verdict == "finite"
     assert build_certificate(rd, CurveType(3, 0)).verdict == "inconclusive"
 
@@ -110,16 +118,19 @@ def test_tree_shape_invariants():
     for rd in all_ramifications(5, 2):
         cert = build_certificate(rd, GENUS_TWO)
         nodes = doc_nodes(cert)
-        dims = {json.dumps(node["path"]): node["dim"] for node in nodes}
+        # dimension f - len(s_inf), kind from dimension and position, polarization bound 2 * degree_bound
+        by_path = {json.dumps(node["path"]): node for node in nodes}
         for node in nodes:
-            path, dim = node["path"], node["dim"]
-            assert (node["kind"] == "dimension_zero") == (dim == 0)
-            if dim > 0:
-                assert node["polarization_bound"] == 2 * node["degree_bound"]
+            path, dim = node["path"], rd.f - len(node["s_inf"])
+            assert node["s_inf"] == sorted(set(node["s_inf"]))
+            assert (node["degree_bound"] is None) == (dim == 0)
+            assert (node["fiber_dim"] is None) == (path == [])
             if path:
-                assert dims[json.dumps(path[:-1])] > dim
+                parent = by_path[json.dumps(path[:-1])]
+                assert rd.f - len(parent["s_inf"]) > dim
+                assert set(parent["s_inf"]) < set(node["s_inf"])
                 assert path[-1] == sorted(set(path[-1]))
-        assert {node["kind"] for node in nodes} <= set(certificate.KIND_STEPS)
+        assert {node_kind(rd.f, node) for node in nodes} <= set(certificate.KIND_STEPS)
         assert cert.steps == {**certificate.KIND_STEPS, "root": cert.steps["root"]}
 
 
@@ -132,7 +143,7 @@ def test_nodes_carry_only_per_datum_fields_and_steps_appear_once():
         for steps in certificate.KIND_STEPS.values():
             assert text.count(json.dumps(list(steps.prose), separators=(",", ":"))) == 1
         assert text.count('"prose"') == 4 and text.count('"deg_tangent"') == 1
-    assert len(doc_nodes(cert)) == 1723 and len(text) < 350_000
+    assert len(doc_nodes(cert)) == 1723 and len(text) < 150_000
 
 
 def test_documents_share_no_mutable_objects_between_nodes():
@@ -141,10 +152,10 @@ def test_documents_share_no_mutable_objects_between_nodes():
     cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
     doc, fresh = certificate_to_doc(cert), certificate_to_doc(cert)
     nodes = doc["nodes"]
-    occurs = Counter(json.dumps(node["rd"]) for node in nodes)
-    i = next(i for i, node in enumerate(nodes) if node["path"] and occurs[json.dumps(node["rd"])] > 2)
-    nodes[i]["rd"]["s_inf"].append(99)
-    nodes[i]["rd"]["extra"] = True
+    occurs = Counter(json.dumps(node["s_inf"]) for node in nodes)
+    i = next(i for i, node in enumerate(nodes) if node["path"] and occurs[json.dumps(node["s_inf"])] > 2)
+    nodes[i]["s_inf"].append(99)
+    nodes[i]["extra"] = True
     nodes[i]["path"][0][0] += 1
     assert nodes[i] != fresh["nodes"][i]
     assert nodes[:i] + nodes[i + 1 :] == fresh["nodes"][:i] + fresh["nodes"][i + 1 :]
@@ -225,7 +236,7 @@ def test_verify_rejects_every_mutation():
 
 def test_verify_rejects_every_single_leaf_mutation_at_its_field():
     # the comparison with the rebuild is the only node check: a changed path,
-    # dim or kind is reported as a differing field like any other value
+    # s_inf or fiber_dim is reported as a differing field like any other value
     checked = 0
     for rd in all_ramifications(4, 3):
         for ct in (GENUS_TWO, CurveType(3, 0)):
@@ -243,17 +254,21 @@ def test_verify_rejects_every_single_leaf_mutation_at_its_field():
                     message = certificate._first_mismatch(f"nodes[{i}] path={ref['path']}", doc["nodes"][i], ref)
                     assert message.startswith(f"nodes[{i}] path={ref['path']}: field {where[2]!r} ")
                     assert result.failures[0] == message, (where, result.failures)
-    assert checked == 4698
+    assert checked == 3158
 
 
 def test_verify_verdicts_and_messages_over_the_agreement_corpus_are_pinned():
     # every datum f <= 4 at p = 2 and 3 with three curves: each genuine document,
     # every document mutation and every single-leaf mutation; the digest covers
-    # each document's label or leaf location, verdict and failure messages
+    # each document's label or leaf location, verdict and failure messages.  Nodes
+    # name neither p nor s_fin_count, so a config edit may give another genuine
+    # certificate: verify accepts exactly those
     digest, count, accepted = hashlib.sha256(), 0, 0
 
-    def record(where, result):
+    def record(where, doc):
         nonlocal count, accepted
+        result = verify_document(doc)
+        assert not result or is_own_certificate(doc), where
         count += 1
         accepted += result.ok
         digest.update(json.dumps([where, result.ok, list(result.failures)]).encode() + b"\n")
@@ -262,13 +277,13 @@ def test_verify_verdicts_and_messages_over_the_agreement_corpus_are_pinned():
         for rd in all_ramifications(4, p):
             for ct in (GENUS_TWO, FOUR_PUNCTURED, CurveType(3, 0)):
                 doc = certificate_to_doc(build_certificate(rd, ct))
-                record("genuine", verify_document(doc))
+                record("genuine", doc)
                 for label, mutated in document_mutations(doc):
-                    record(label, verify_document(mutated))
+                    record(label, mutated)
                 for where in leaf_mutations(doc):
-                    record(where, verify_document(doc))
-    assert (count, accepted) == (20634, 180)
-    assert digest.hexdigest() == "de009040159c112e31bd1eee743b56542b1182d9e34c370b148078995b0e577d"
+                    record(where, doc)
+    assert (count, accepted) == (16002, 222)
+    assert digest.hexdigest() == "69da4c07cdfdcb29e3166f59faa2575ec16cea516e1f4f5fb60b7cc4a3b641f1"
 
 
 def test_verify_rejects_a_value_of_another_json_type_in_the_scalar_blocks():
@@ -304,7 +319,7 @@ def test_certificates_list_no_node_records(monkeypatch, capsys):
         assert main(["analyze", "--f", "6", "--p", "3", "--curve", "2,0"]) == 0
     assert "nodes=495," in capsys.readouterr().err
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "6bec000afc114a0e10b554fc0d93241b2ef506d8502dacad55b8e6f0ce9e9d2c"
+        "388dd202e73f1441dcebe0c40630963a9681906fac3c279a8e435b0fa0a7d9ac"
     )
     doc = json.loads(text)
     assert verify_document(doc)
@@ -315,13 +330,14 @@ def test_certificates_list_no_node_records(monkeypatch, capsys):
 
 def test_nodes_expand_the_split_table_in_preorder():
     cert = build_certificate(make_ramification(5, 3), GENUS_TWO)
-    nodes = doc_nodes(cert)
+    doc = certificate_to_doc(cert)
+    nodes = doc["nodes"]
     assert len(nodes) == certificate._TREE_SIZES[5] and nodes == doc_nodes(cert)
-    data = [node_datum(node) for node in nodes]
+    data = [node_datum(doc["config"], node) for node in nodes]
     assert set(cert.split) == set(data)
     for i, node in enumerate(nodes):
         entry = cert.split[data[i]]
-        assert (node["dim"], node["degree_bound"]) == (shimura_dimension(data[i]), entry.degree_bound)
+        assert node["degree_bound"] == entry.degree_bound
         # the children follow, each after the whole subtree of its elder sibling
         j = i + 1
         for t, child, fiber in entry.edges:
@@ -338,11 +354,12 @@ def test_verify_reports_the_node_path_of_a_decremented_bound():
 
 
 def test_verify_rejects_non_decreasing_child_dimension():
+    # a child with its parent's s_inf has its parent's dimension
     doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
-    doc["nodes"][1]["dim"] = doc["nodes"][0]["dim"]
+    doc["nodes"][1]["s_inf"] = doc["nodes"][0]["s_inf"]
     result = verify_document(doc)
     assert not result
-    assert result.failures == ("nodes[1] path=[[0]]: field 'dim' is 2, expected 0",)
+    assert result.failures == ("nodes[1] path=[[0]]: field 's_inf' is [], expected [0, 1]",)
 
 
 def test_verify_rejects_foreign_tool_version():
@@ -361,10 +378,18 @@ def test_verify_rejects_error_documents_and_junk():
     contradiction = old.pop("contradiction")
     del old["steps"]
     for node in old["nodes"]:
-        node["contradiction"] = contradiction if node["dim"] else None
+        node["contradiction"] = contradiction if node["degree_bound"] is not None else None
     assert verify_document(old).failures == (
         "document keys are wrong (missing ['contradiction', 'steps'], extra [])",
     )
+    # nor has the one whose nodes repeated their datum, dimension, kind and polarization bound
+    old = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
+    rd = old["config"]["rd"]
+    for node in old["nodes"]:
+        dim, bound = rd["f"] - len(node["s_inf"]), node["degree_bound"]
+        node.update(dim=dim, kind=node_kind(rd["f"], node), polarization_bound=bound and 2 * bound)
+        node["rd"] = {**rd, "s_inf": node.pop("s_inf")}
+    assert verify_document(old).failures == ("nodes[0] path=[]: field 'dim' is unexpected",)
 
 
 def test_verify_survives_hostile_node_structures():
@@ -375,7 +400,7 @@ def test_verify_survives_hostile_node_structures():
         result = verify_document(hostile)
         assert not result and result.failures
     hostile = json.loads(json.dumps(doc))
-    hostile["nodes"][1]["dim"] = True
+    hostile["nodes"][1]["s_inf"] = True
     assert not verify_document(hostile)
     # a missing field whose expected value is null, and a node that is not an object
     hostile = json.loads(json.dumps(doc))
@@ -429,7 +454,7 @@ def _refused_by(call):
     "site, field",
     [
         (_verify_with("nodes", 1, "path"), "nodes[1] path=[[2]]: field 'path' is "),
-        (_verify_with("nodes", 0, "rd"), "nodes[0] path=[]: field 'rd' is "),
+        (_verify_with("nodes", 0, "s_inf"), "nodes[0] path=[]: field 's_inf' is "),
         (_verify_with("verdict"), "verdict is "),
         (_verify_with("config", "rd", "f"), "config: f must be an integer, got "),
         (_verify_with("config", "rd", "s_inf", 0), "config: ramified place "),
@@ -456,11 +481,13 @@ def test_verify_rejects_a_node_field_of_another_json_type():
     doc = certificate_to_doc(build_certificate(make_ramification(3, 3), GENUS_TWO))
     assert verify_document(doc)
 
-    def set_dim(d):
-        d["nodes"][1]["dim"] = True
+    def set_fiber_dim(d):
+        i = next(i for i, node in enumerate(d["nodes"]) if node["fiber_dim"] == 1)
+        d["nodes"][i]["fiber_dim"] = True
 
-    def set_s_fin_count(d):
-        d["nodes"][1]["rd"]["s_fin_count"] = False
+    def set_s_inf_entry(d):
+        i = next(i for i, node in enumerate(d["nodes"]) if node["s_inf"])
+        d["nodes"][i]["s_inf"][0] = float(d["nodes"][i]["s_inf"][0])
 
     def set_path_step(d):
         d["nodes"][1]["path"][0][0] = 0.0
@@ -476,17 +503,17 @@ def test_verify_rejects_a_node_field_of_another_json_type():
     def set_nodes_always_equal(d):
         d["nodes"] = [AlwaysEqual() for _ in d["nodes"]]
 
-    def set_root_rd_always_equal(d):
-        d["nodes"][0]["rd"] = AlwaysEqual()
+    def set_root_s_inf_always_equal(d):
+        d["nodes"][0]["s_inf"] = AlwaysEqual()
 
     accepted = []
     for mutate in (
-        set_dim,
-        set_s_fin_count,
+        set_fiber_dim,
+        set_s_inf_entry,
         set_path_step,
         set_root_bound,
         set_nodes_always_equal,
-        set_root_rd_always_equal,
+        set_root_s_inf_always_equal,
     ):
         mutated = json.loads(json.dumps(doc))
         mutate(mutated)
@@ -520,7 +547,7 @@ def test_verify_rejects_a_small_document_that_declares_a_large_tree():
     doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
     doc["config"]["rd"]["f"] = 40
     doc["contradiction"], doc["steps"] = {}, {}  # compared only after the rebuild
-    doc["nodes"] = [{"dim": 40, "kind": "ordinary_locus", "path": []}]
+    doc["nodes"] = [{"degree_bound": 1, "fiber_dim": None, "path": [], "s_inf": []}]
     assert len(json.dumps(doc)) < 400
     start = time.perf_counter()
     result = verify_document(doc)
@@ -566,8 +593,8 @@ def test_verify_bounds_a_flat_document_that_passes_the_size_guard(monkeypatch):
     # f=14 tree below the config has 393 365 759 nodes
     doc = certificate_to_doc(build_certificate(make_ramification(2, 3), GENUS_TWO))
     doc["config"]["rd"]["f"] = 14
-    doc["nodes"] = [{"dim": 14, "kind": "ordinary_locus", "path": []}] + [
-        {"dim": 0, "kind": "dimension_zero", "path": [[i]]} for i in range(2**14 - 2)
+    doc["nodes"] = [{"fiber_dim": None, "path": [], "s_inf": []}] + [
+        {"fiber_dim": 1, "path": [[i]], "s_inf": list(range(14))} for i in range(2**14 - 2)
     ]
 
     def no_rebuild(*args):
@@ -610,7 +637,7 @@ def test_build_refuses_a_datum_of_dimension_10_or_11_through_the_running_total()
             assert time.perf_counter() - started < 0.1, (f, dim)
 
 
-def test_an_oversized_polarization_bound_is_refused_before_any_walk(monkeypatch, default_int_digits):
+def test_an_oversized_degree_bound_is_refused_before_any_walk(monkeypatch, default_int_digits):
     # the root's bound is checked as the walk enters it: a walk first would list the kernel 4 times and
     # build the subtree's data, each with an s_inf of about f places
     def no_walk(rd):
@@ -620,7 +647,7 @@ def test_an_oversized_polarization_bound_is_refused_before_any_walk(monkeypatch,
     f = 20_000
     rd = make_ramification(f, 3, range(f - 9), 1)  # dimension 9: the bound anchored at f - 8 is about 3^(f - 1)
     started = time.perf_counter()
-    with pytest.raises(ValueError, match=rf"^the polarization bound at f={f} has more than 4300 digits, "):
+    with pytest.raises(ValueError, match=rf"^the degree bound at f={f} has more than 4300 digits, "):
         certificate._case_split(rd)
     assert time.perf_counter() - started < 0.1
 
@@ -691,8 +718,9 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
 
         monkeypatch.setattr(certificate, name, counted)
     cert = build_certificate(make_ramification(7, 3), GENUS_TWO)
-    nodes = doc_nodes(cert)
-    distinct = {node_datum(node) for node in nodes if node["dim"] > 0}
+    doc = certificate_to_doc(cert)
+    nodes = doc["nodes"]
+    distinct = {node_datum(doc["config"], node) for node in nodes if node["degree_bound"] is not None}
     assert len(nodes) == 1723 and len(distinct) == 29
     # the kernel lists the children of one datum per dimension 7, 5 and 3; the rest are
     # relabeled, and a datum of dimension 1 has no children
@@ -741,9 +769,9 @@ def test_verify_walks_each_distinct_datum_once(monkeypatch):
 @pytest.mark.parametrize(
     "f, p, s_inf, curve, sha256",
     [
-        (6, 3, (), GENUS_TWO, "6bec000afc114a0e10b554fc0d93241b2ef506d8502dacad55b8e6f0ce9e9d2c"),
-        (5, 2, (1, 2), FOUR_PUNCTURED, "d69f3da73fb02aad778080b00c9eb5d71aae1bc8fec1b251094357a5c55b1025"),
-        (4, 5, (), CurveType(3, 0), "df4d7684c98d272be082fa11e4947f469b8448f958c27510c80664e851ffce1a"),
+        (6, 3, (), GENUS_TWO, "388dd202e73f1441dcebe0c40630963a9681906fac3c279a8e435b0fa0a7d9ac"),
+        (5, 2, (1, 2), FOUR_PUNCTURED, "03e0ab89a06cb448f4a3339fdf6ec3df74581a592be134699915e7a4c337af6d"),
+        (4, 5, (), CurveType(3, 0), "69065ce85c6a4431be08a63af1a09159eeba3422ddd5fe9e566f9de8488c083d"),
     ],
 )
 def test_certificate_bytes_are_pinned(f, p, s_inf, curve, sha256):

@@ -140,7 +140,7 @@ def test_analyze_refuses_integers_json_cannot_hold(tmp_path, capsys, default_int
     argv = ("analyze", "--f", "10000", "--p", "3", "--ram-inf", ram_inf, "--curve", "2,0")
     code, out, err = run_cli(capsys, *argv, "--out", str(target))
     message = (
-        "the polarization bound at f=10000 has more than 4300 digits, "
+        "the degree bound at f=10000 has more than 4300 digits, "
         "the interpreter's limit for integers in JSON"
     )
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -149,9 +149,9 @@ def test_analyze_refuses_integers_json_cannot_hold(tmp_path, capsys, default_int
 
 
 def test_the_digit_limit_refuses_exactly_what_json_cannot_write(capsys, default_int_digits):
-    # at s_inf = {2, ..., f - 1} and p = 3 the root's polarization bound has 4300 digits at
-    # f = 9012 and 4301 at f = 9013
-    for f, ram_fin, written in ((9012, "0", True), (9013, "1", False)):
+    # at s_inf = {2, ..., f - 1} and p = 3 the root's degree bound, the largest integer a
+    # node holds, has 4300 digits at f = 9013 and 4301 at f = 9014
+    for f, ram_fin, written in ((9013, "1", True), (9014, "0", False)):
         ram_inf = ",".join(map(str, range(2, f)))
         code, out, _ = run_cli(
             capsys, "analyze", "--f", str(f), "--p", "3", "--ram-inf", ram_inf, "--ram-fin", ram_fin, "--curve", "2,0"
@@ -159,7 +159,7 @@ def test_the_digit_limit_refuses_exactly_what_json_cannot_write(capsys, default_
         doc = json.loads(out)
         assert (code, doc["verdict"]) == ((0, "finite") if written else (1, "error"))
         if written:
-            assert len(str(doc["nodes"][0]["polarization_bound"])) == 4300
+            assert len(str(doc["nodes"][0]["degree_bound"])) == 4300
             assert verify_document(doc)
 
 
@@ -231,7 +231,7 @@ def test_verify_never_raises_on_a_hostile_leaf(default_int_digits):
             assert isinstance(result, gocert.VerifyResult), (where, value)
             # accepted only for a value equal to the leaf's (the nodes compare by value)
             assert not result or value == leaf, (where, value)
-    assert checked == 2940
+    assert checked == 1764
 
 
 def test_analyze_from_config_file(tmp_path, capsys):

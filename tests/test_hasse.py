@@ -89,11 +89,11 @@ def test_degree_bound_geometric_series_when_unramified():
             assert degree_bound(make_ramification(f, p)) == sum(p**k for k in range(f))
 
 
-def test_polarization_bound_is_twice_the_omega_bound():
+def test_the_root_degree_bound_is_the_omega_bound():
+    # the polarization bound is twice it, derived and not stored
     for rd in all_ramifications(5, 3, min_dim=1):
         root = certificate_to_doc(build_certificate(rd, CurveType(2, 0)))["nodes"][0]
         assert root["degree_bound"] == degree_bound(rd)
-        assert root["polarization_bound"] == 2 * degree_bound(rd)
 
 
 def test_bound_matches_enumerated_brute_force():
