@@ -25,13 +25,18 @@ distinct data below the root, each with its edges, a DAG of which the
 document's tree is the preorder expansion.  That table is the certificate's
 only tree form; no record is made per tree node.  Which stratum leads to which
 smaller datum depends only on the cyclic order of the split places, so the
-walk asks the stratum kernel for the children of one model datum per
-dimension and every datum of that dimension relabels them (_case_split; each
-record is keyed by the added-place mask its parent hands down, and an edge's
-fiber count is the number of places it adds beyond T).  So a datum's subtree
-size depends on its dimension alone: _TREE_SIZES lists it up to the largest
-dimension within MAX_TREE_NODES, a larger one is refused before any walk, and
-verify checks a node count against it without a walk.
+walk lists the children of the model datum (f = m, s_inf = {}) once per
+dimension m, as integer masks (strata.model_child_masks), and every datum of
+that dimension relabels them onto its own split places (_case_split; each
+record is keyed by the added-place mask its parent hands down, its split
+places are its parent's less the added ones, and an edge's fiber count is the
+number of places it adds beyond T).  The case split relies on two facts,
+stated with the checks that reach them in _case_split: every datum of
+dimension m relabels the model's children, and every datum below a model
+root is a direct child of it.  So a datum's subtree size depends on its
+dimension alone: _TREE_SIZES lists it up to the largest dimension within
+MAX_TREE_NODES, a larger one is refused before any walk, and verify checks a
+node count against it without a walk.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  serialize_certificate writes that text
@@ -47,14 +52,14 @@ in order, by value, with the walked ones, stopping at the first differing node.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, Sequence
 
 from ._version import __version__
 from .hasse import degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
 from .places import RamificationData, _check_json_digits, _show, make_ramification, shimura_dimension, split_places
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
-from .strata import strata_children
+from .strata import model_child_masks
 
 TOOL_VERSION = f"gocert-{__version__}"
 
@@ -131,15 +136,29 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     is the free split place just before the run.  With its split places
     numbered 0..m-1, every datum of dimension m thus has the children of the
     model datum (f = m, s_inf = {}): the split places an edge adds to s_inf, as
-    an index mask, depend on the edge alone, and the model's children's s_inf
-    are those masks.  So the stratum kernel lists the children of one model
-    datum per dimension m >= 2 the walk reaches, and every datum relabels them:
-    it lists the sorted T and added-place mask (the places beyond rd's s_inf,
-    handed down by its parent) of each index mask of its split places, so an
-    edge costs a few integer operations and each mask gets one record.  An
-    edge's fiber count is the number of places it adds beyond T, one per odd
-    chain.  Nothing outlives the walk.  So a datum's subtree size depends on
-    its dimension alone: _TREE_SIZES[dim], which a test pins to the kernel walk.
+    an index mask, depend on the edge alone, and they are the model's
+    children's s_inf masks, which model_child_masks(m) lists on integers,
+    building no stratum or record.  So the walk lists them once per dimension
+    m >= 2 it reaches, and every datum relabels them: it lists the sorted T
+    and added-place mask (the places beyond rd's s_inf, handed down by its
+    parent) of each index mask of its split places, so an edge costs a few
+    integer operations and each mask gets one record.  A child's split places
+    are its parent's less the ones its edge adds, so split_places scans rd
+    alone.  An edge's fiber count is the number of places it adds beyond T,
+    one per odd chain.  Nothing outlives the walk.  So a datum's subtree size
+    depends on its dimension alone: _TREE_SIZES[dim], which a test pins to the
+    kernel walk.
+
+    Two facts carry this, each checked up to the size stated:
+    - every datum of dimension m relabels the model's children: the walk equals
+      the one that calls strata_children on every datum for every root with
+      f <= 8 (tier-1, test_relabeled_case_split_equals_the_kernel_walk) and
+      f <= 10 (CI, tests/check_case_split.py), and model_child_masks(m) equals
+      the masks of strata_children on the model for m <= 12 (tier-1),
+      m <= max_f <= 12 (selfcheck's model-masks suite) and m <= 16 (CI);
+    - every datum below a model root is a direct child of it, so a walk makes
+      one record per distinct child of its root: for m <= 9 (tier-1,
+      test_every_datum_below_a_model_datum_is_a_direct_child_of_it).
 
     Raises ValueError before any walk when rd's dimension is past _TREE_SIZES
     (over MAX_TREE_NODES nodes), and as the walk enters a datum whose degree
@@ -149,17 +168,24 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     if shimura_dimension(rd) >= len(_TREE_SIZES):
         raise ValueError(_TOO_LARGE)
     table: dict[RamificationData, _Split] = {}
-    _split_below(rd, 0, table, {}, {})
+    _split_below(rd, split_places(rd), 0, table, {}, {})
     return table
 
 
-def _split_below(datum: RamificationData, added: int, table: dict[RamificationData, _Split], shapes: dict[int, list[int]], records: dict[int, RamificationData]) -> None:
-    """Enter datum, whose s_inf holds the places of the mask added beyond the root's, and every datum below it.
+def _split_below(
+    datum: RamificationData,
+    splits: Sequence[int],
+    added: int,
+    table: dict[RamificationData, _Split],
+    shapes: dict[int, list[int]],
+    records: dict[int, RamificationData],
+) -> None:
+    """Enter datum, given its split places in ascending order and the mask of the places its s_inf adds beyond the root's, and every datum below it.
 
-    shapes maps each dimension of at least 2 to its model datum's edges' index
-    masks; records maps the added-place masks parents hand down to their data.
+    shapes maps each dimension of at least 2 to model_child_masks of it;
+    records maps the added-place masks parents hand down to their data.
     """
-    dim = shimura_dimension(datum)
+    dim = len(splits)
     bound = degree_bound(datum) if dim else None
     if bound is not None:
         _check_json_digits(bound, f"the degree bound at f={datum.f}")
@@ -167,17 +193,18 @@ def _split_below(datum: RamificationData, added: int, table: dict[RamificationDa
     if dim > 1:
         shape = shapes.get(dim)
         if shape is None:
-            model = RamificationData(dim, frozenset(), 0, datum.p)
-            shape = shapes[dim] = [sum([1 << x for x in child.s_inf]) for _, child in strata_children(model)]
+            shape = shapes[dim] = model_child_masks(dim)
         f, s_inf, count, p = datum
         ts, masks = [()], [added]  # by index mask: sorted places, added-place mask
-        for place in split_places(datum):
+        for place in splits:
             ts += [t + (place,) for t in ts]
             masks += [mask | 1 << place for mask in masks]
+        full = len(ts) - 1
         for t, grown in zip(ts[1:], shape):
             if (child := records.get(masks[grown])) is None:
                 child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
-                _split_below(child, masks[grown], table, shapes, records)
+                # the child's split places are datum's but for the ones the edge adds
+                _split_below(child, ts[full ^ grown], masks[grown], table, shapes, records)
             edges.append((t, child, len(ts[grown]) - len(t)))  # fiber count: the places added beyond T
     table[datum] = _Split(bound, tuple(edges))
 
@@ -192,10 +219,14 @@ def build_certificate(
     equal-degree comparison, with filtration degree one and trivial
     determinant, applies to each of them.  Children follow in canonical
     bitmask order, so repeated builds serialize to identical bytes.  The
-    certificate keeps the case-split table and lists no nodes.  Raises
-    ValueError when the curve's 2g - 2 + n, or a degree bound, has more
-    digits than json converts, and when the tree has more than MAX_TREE_NODES
-    nodes.  A caller that has already walked rd passes the table
+    verdict depends on the curve alone: it is "finite" exactly when the
+    curve's rigidity verdict is, when 2g - 2 + n = 2, which is also exactly
+    when the equal-degree comparison yields a contradiction (selfcheck's
+    contradiction-agreement suite); the case split is the certificate's
+    content, never a term of its verdict.  The certificate keeps the
+    case-split table and lists no nodes.  Raises ValueError when the curve's
+    2g - 2 + n, or a degree bound, has more digits than json converts, and
+    when the tree has more than MAX_TREE_NODES nodes.  A caller that has already walked rd passes the table
     _case_split(rd) returned as split, and no second walk is made.
     """
     # no integer the curve puts in the document has more digits than 2g - 2 + n
@@ -205,8 +236,7 @@ def build_certificate(
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
     root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
-    contradicted = shimura_dimension(rd) == 0 or contra.conclusion == "contradiction"
-    verdict = "finite" if rig.finite and contradicted else "inconclusive"
+    verdict = "finite" if rig.finite else "inconclusive"
     return FinitenessCertificate(
         rd=rd,
         curve=ct,

@@ -7,6 +7,10 @@ bound and checks its invariant against:
 - induced-parity-growth, dimension-descent: properties of the kernel's own
   output (the induced datum's parity, its augmented set holding s_inf and T
   with an even number of places beyond s_inf, the descent formula);
+- model-masks: the datum-level kernel, not the oracle: model_child_masks(m),
+  the listing the case split uses, against the s_inf masks of strata_children
+  on the model datum (f = m, s_inf = {}) for each m from 2 to max_f, so with
+  the stratum suites the chain from oracle to kernel to listing is checked;
 - degree-oracle: the oracle's fixpoint relaxation of the Hasse constraints,
   scanned from their definition;
 - degree-monotone: the kernel's own bound at the next larger prime;
@@ -49,7 +53,7 @@ from .oracle import (
 )
 from .places import RamificationData, make_ramification, n_tau, shimura_dimension, split_places
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
-from .strata import Chains, Stratum, decompose_chains, induced_ramification
+from .strata import Chains, Stratum, decompose_chains, induced_ramification, model_child_masks, strata_children
 
 # Largest max_f and most primes selfcheck accepts: --max-f 12 takes 9.4 s with the primes
 # 2,3,5 and 13 s with 16 primes on a 2-core VM, and each step of f costs about 3 times the last.
@@ -178,6 +182,19 @@ def _suite_strata(max_f: int, p: int) -> _Verdicts:
                 yield _STRATUM_PASSED
 
 
+def _suite_model_masks(max_f: int, p: int) -> _Verdicts:
+    """One case per T of each model datum (f = m, s_inf = {}), 2 <= m <= max_f: its mask against strata_children's."""
+    for m in range(2, max_f + 1):
+        masks = model_child_masks(m)
+        children = strata_children(make_ramification(m, p))
+        if len(masks) != len(children):
+            yield (f"m={m}: {len(masks)} masks for {len(children)} children",)
+            continue
+        for got, (t, child) in zip(masks, children):
+            want = sum([1 << x for x in child.s_inf])
+            yield (None if got == want else f"m={m} t={sorted(t)}: mask {got}, expected {want}",)
+
+
 class _Bounds(dict[RamificationData, int]):
     """degree_bound per datum, computed at the first lookup: degree-oracle fills it, and
     degree-monotone reads it and computes what degree-oracle left out after a failure."""
@@ -281,9 +298,10 @@ def _scope(max_f: int, primes: tuple[int, ...]) -> str:
 def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     """Run every suite over the configurations its scope names.
 
-    The stratum suites use the first prime only (the place combinatorics does
-    not depend on p), and the certificate round trip stops at f <= 4 and the
-    first two primes because each check builds and verifies a whole tree.
+    The stratum suites and model-masks use the first prime only (the place
+    combinatorics does not depend on p), and the certificate round trip stops
+    at f <= 4 and the first two primes because each check builds and verifies
+    a whole tree.
     Raises ValueError, before any suite runs, for a max_f that is not a JSON
     integer, an empty prime list, more than MAX_SELFCHECK_PRIMES primes, a p
     that make_ramification rejects, a p listed twice (it would be counted as
@@ -318,6 +336,7 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     runs = (
         (("n-tau-tiling",), base, _suite_n_tau_tiling(max_f, base_p)),
         (STRATUM_SUITES, base, _suite_strata(max_f, base_p)),
+        (("model-masks",), base, _suite_model_masks(max_f, base_p)),
         (("degree-oracle",), every, _suite_degree_oracle(max_f, prime_tuple, bounds)),
         (("degree-monotone",), every, _suite_degree_monotone(max_f, prime_tuple, bounds)),
         (("rigidity-table", "contradiction-agreement"), "g<=10 n<=10", _suite_curves()),

@@ -115,3 +115,44 @@ def strata_children(rd: RamificationData) -> list[tuple[frozenset[int], Ramifica
         single = frozenset((place,))
         subsets += [t | single for t in subsets]
     return [(t, induced_ramification(tuple.__new__(Stratum, (rd, t)))) for t in subsets[1:-1]]
+
+
+def model_child_masks(m: int) -> list[int]:
+    """The added-place mask of each child of the model datum (f = m, s_inf = {}), in bitmask order.
+
+    The model's split places are 0..m-1, so each proper nonempty T is its own
+    index mask, and the mask listed for it is the s_inf mask of its induced
+    datum in strata_children: T plus, for each maximal cyclic run of T of odd
+    length, the place just before the run's backward end.  No stratum,
+    frozenset or record is built.
+
+    Each T is worked on reflected, i -> m - 1 - i, which sends that place to
+    the one just after the reflected run's head: the place a carry reaches when
+    the run's start bit is added.  A run has odd length exactly when it starts
+    and ends at places of equal parity, so when its carry lands on the other
+    parity than its start: the starts at even places and at odd places are
+    added apart, and only carries onto the other parity are kept.  Doubling
+    the reflected T to 2m bits makes every run linear: the upper copy of a
+    run, or the copy across the middle of one that wraps past place 0,
+    carries into bits m..2m, which fold onto the places mod m.  A run that
+    wraps also carries out of its cut-off top copy into bit 2m, place 0,
+    which that run already holds; the carries of lower copies stay below bit
+    m, but for a run ending at place m - 1, whose two copies agree.
+    """
+    if m < 1:
+        raise ValueError("strata enumeration needs at least one split place")
+    # reflected[t] is t with its m bits reversed, built by doubling as strata_children builds its subsets
+    reflected = [0]
+    for k in range(m - 1, -1, -1):
+        reflected += [r | 1 << k for r in reflected]
+    full = (1 << m) - 1
+    even = int("01" * (m + 1), 2)  # the even bits 0..2m
+    odd = even << 1
+    masks = []
+    for r in reflected[1:-1]:
+        doubled = r | r << m
+        starts = doubled & ~(doubled << 1)
+        carried = ((doubled + (starts & even)) & odd | (doubled + (starts & odd)) & even) & ~doubled
+        upper = carried >> m
+        masks.append(reflected[(r | upper | upper >> m) & full])
+    return masks

@@ -1,4 +1,4 @@
-"""Check the relabeling case split and the tree sizes against the kernel walk and its edges against the oracle up to f = 10, and the degree bound up to f = 12.
+"""Check the relabeling case split and the tree sizes against the kernel walk and its edges against the oracle up to f = 10, the degree bound up to f = 12, and the model-child mask listing up to m = 16.
 
 Compares certificate._case_split(rd) with helpers.kernel_case_split(rd) by
 keys, insertion order, degree bounds and edges, and the kernel walk's subtree
@@ -16,11 +16,15 @@ edges (about 0.5 s).  Then checks that degree_bound(rd), the anchored sum of
 the split mask's largest rotation, is the largest of max_degree_sums(rd),
 each anchor's sum from its definition, for all 40 890 data of positive
 dimension with f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
+Last, checks that model_child_masks(m), the listing the case split relabels,
+equals the s_inf masks of strata_children on the model datum (f = m,
+s_inf = {}, p = 2) for every m from 1 to 16 (131 038 children, about
+1.2 s, nearly all of it in strata_children).
 Run from the repository root:
 
     PYTHONPATH=src python tests/check_case_split.py
 
-Prints one line per check and exits 0 when every table, size, edge and bound is equal and each refusal holds, 1 at the first that fails.
+Prints one line per check and exits 0 when every table, size, edge, bound and mask is equal and each refusal holds, 1 at the first that fails.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ import time
 
 from gocert import RamificationData, certificate, degree_bound, make_ramification, max_degree_sums, shimura_dimension
 from gocert.oracle import all_ramifications, replay_augmented_set
+from gocert.strata import model_child_masks, strata_children
 from helpers import kernel_case_split
 
 MAX_F, PRIMES = 10, (2, 3, 5)
 BOUND_MAX_F, BOUND_PRIMES = 12, (2, 3, 5, 7, 1_000_003)
+MASK_MAX_M = 16
 REFUSAL = f"the case split has more than {certificate.MAX_TREE_NODES} nodes"
 
 
@@ -98,6 +104,14 @@ def main() -> int:
             data += 1
     scope = f"f<={BOUND_MAX_F} p in {','.join(map(str, BOUND_PRIMES))}"
     print(f"PASS {data} degree bounds equal the largest anchored sum ({scope}, {time.perf_counter() - started:.1f}s)")
+    started, children = time.perf_counter(), 0
+    for m in range(1, MASK_MAX_M + 1):
+        kernel = [sum(1 << x for x in child.s_inf) for _, child in strata_children(make_ramification(m, 2))]
+        if model_child_masks(m) != kernel:
+            print(f"FAIL model_child_masks({m}) differs from the masks of strata_children on the model datum")
+            return 1
+        children += len(kernel)
+    print(f"PASS {children} model-child masks equal strata_children's (m<={MASK_MAX_M}, {time.perf_counter() - started:.1f}s)")
     return 0
 
 

@@ -564,10 +564,10 @@ def test_verify_rejects_a_wrong_node_count_without_calling_the_kernel(monkeypatc
     doc["config"]["rd"] = {"f": f, "p": 2, "s_fin_count": 1, "s_inf": list(range(f - 9))}
     doc["nodes"] = [{} for _ in range(42666)]
 
-    def no_kernel(rd):
+    def no_kernel(arg):
         raise AssertionError("verify called the kernel")
 
-    monkeypatch.setattr(certificate, "strata_children", no_kernel)
+    monkeypatch.setattr(certificate, "model_child_masks", no_kernel)
     monkeypatch.setattr(certificate, "degree_bound", no_kernel)
     started = time.perf_counter()
     result = verify_document(doc)
@@ -640,10 +640,10 @@ def test_build_refuses_a_datum_of_dimension_10_or_11_through_the_running_total()
 def test_an_oversized_degree_bound_is_refused_before_any_walk(monkeypatch, default_int_digits):
     # the root's bound is checked as the walk enters it: a walk first would list the kernel 4 times and
     # build the subtree's data, each with an s_inf of about f places
-    def no_walk(rd):
-        raise AssertionError(f"the kernel listed the children of {rd}")
+    def no_walk(m):
+        raise AssertionError(f"the kernel listed the model children of dimension {m}")
 
-    monkeypatch.setattr(certificate, "strata_children", no_walk)
+    monkeypatch.setattr(certificate, "model_child_masks", no_walk)
     f = 20_000
     rd = make_ramification(f, 3, range(f - 9), 1)  # dimension 9: the bound anchored at f - 8 is about 3^(f - 1)
     started = time.perf_counter()
@@ -708,13 +708,13 @@ def test_every_datum_below_a_model_datum_is_a_direct_child_of_it():
 
 
 def test_build_walks_each_distinct_datum_once(monkeypatch):
-    calls = {"strata_children": 0, "degree_bound": 0}
+    calls = {"model_child_masks": 0, "degree_bound": 0}
     for name in calls:
         original = getattr(certificate, name)
 
-        def counted(rd, name=name, original=original):
+        def counted(arg, name=name, original=original):
             calls[name] += 1
-            return original(rd)
+            return original(arg)
 
         monkeypatch.setattr(certificate, name, counted)
     cert = build_certificate(make_ramification(7, 3), GENUS_TWO)
@@ -722,14 +722,14 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
     nodes = doc["nodes"]
     distinct = {node_datum(doc["config"], node) for node in nodes if node["degree_bound"] is not None}
     assert len(nodes) == 1723 and len(distinct) == 29
-    # the kernel lists the children of one datum per dimension 7, 5 and 3; the rest are
-    # relabeled, and a datum of dimension 1 has no children
-    assert calls == {"strata_children": 3, "degree_bound": 29}
+    # the model children are listed once per dimension 7, 5 and 3; every datum relabels
+    # them, and a datum of dimension 1 has no children
+    assert calls == {"model_child_masks": 3, "degree_bound": 29}
 
 
 def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
-    # the kernel lists only the model datum (f = m, s_inf = {}) of each dimension m >= 2 the walk reaches; every
-    # datum relabels its model's children, found by their s_inf mask, so an edge to a datum already reached builds no record
+    # the model children (f = m, s_inf = {}) are listed as masks once per dimension m >= 2 the walk reaches; every
+    # datum relabels them, found by their added-place mask, so an edge to a datum already reached builds no record
     for f, dims in ((7, (7, 5, 3)), (9, (9, 7, 5, 3))):
         built, listed = [0], []
 
@@ -737,33 +737,33 @@ def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
             built[0] += 1
             return original(*fields)
 
-        def listing(datum, original=certificate.strata_children):
-            listed.append(datum)
-            return original(datum)
+        def listing(m, original=certificate.model_child_masks):
+            listed.append(m)
+            return original(m)
 
         monkeypatch.setattr(certificate, "RamificationData", counted)
-        monkeypatch.setattr(certificate, "strata_children", listing)
+        monkeypatch.setattr(certificate, "model_child_masks", listing)
         table = certificate._case_split(make_ramification(f, 3))
         monkeypatch.undo()
-        assert listed == [make_ramification(m, 3) for m in dims]
-        # one record per datum below the root, plus one per model: 31 at f = 7 and 79 at f = 9
-        assert built[0] == len(table) - 1 + len(dims) == {7: 31, 9: 79}[f]
+        assert listed == list(dims)
+        # one record per datum below the root, and none for a model: 28 at f = 7 and 75 at f = 9
+        assert built[0] == len(table) - 1 == {7: 28, 9: 75}[f]
 
 
 def test_verify_walks_each_distinct_datum_once(monkeypatch):
     # the node-count check and the rebuild share one walk of the case split
     doc = certificate_to_doc(build_certificate(make_ramification(7, 3), GENUS_TWO))
-    calls = {"strata_children": 0, "degree_bound": 0}
+    calls = {"model_child_masks": 0, "degree_bound": 0}
     for name in calls:
         original = getattr(certificate, name)
 
-        def counted(rd, name=name, original=original):
+        def counted(arg, name=name, original=original):
             calls[name] += 1
-            return original(rd)
+            return original(arg)
 
         monkeypatch.setattr(certificate, name, counted)
     assert verify_document(doc)
-    assert calls == {"strata_children": 3, "degree_bound": 29}
+    assert calls == {"model_child_masks": 3, "degree_bound": 29}
 
 
 @pytest.mark.parametrize(
@@ -798,8 +798,8 @@ def test_config_parsing_rejects_malformed_documents():
 
 
 def test_finite_verdict_over_every_small_datum():
-    # the verdict depends on the curve type and the contradiction at each node,
-    # so it is uniform over the ramification data; check that exhaustively
+    # the verdict depends on the curve type alone, so it is uniform over the
+    # ramification data; check that exhaustively
     for rd in all_ramifications(8, 2):
         assert build_certificate(rd, GENUS_TWO).verdict == "finite"
     for p in (3, 5):

@@ -446,6 +446,7 @@ def test_selfcheck_json(capsys):
         "chain-partition",
         "induced-parity-growth",
         "dimension-descent",
+        "model-masks",
         "degree-oracle",
         "degree-monotone",
         "rigidity-table",
@@ -476,6 +477,7 @@ def test_selfcheck_counts_at_max_f_8(capsys):
         ("chain-partition", 9330, base),
         ("induced-parity-growth", 9330, base),
         ("dimension-descent", 9330, base),
+        ("model-masks", 494, base),
         ("degree-oracle", 1506, every),
         ("degree-monotone", 1004, every),
         ("rigidity-table", 121, curves),
@@ -493,7 +495,7 @@ def test_selfcheck_small(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--max-f", "3", "--primes", "2,3")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert "all suites passed" in out
 
 

@@ -19,6 +19,7 @@ EXPECTED_COVERAGE = [
     ("chain-partition", 301, "f<=5 p=2"),
     ("induced-parity-growth", 301, "f<=5 p=2"),
     ("dimension-descent", 301, "f<=5 p=2"),
+    ("model-masks", 52, "f<=5 p=2"),
     ("degree-oracle", 114, "f<=5 p in 2,3"),
     ("degree-monotone", 57, "f<=5 p in 2,3"),
     ("rigidity-table", 121, "g<=10 n<=10"),
@@ -87,18 +88,18 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
 
 def test_certificate_roundtrip_shares_one_walk_among_its_builds(monkeypatch):
     calls = 0
-    original = certificate.strata_children
+    original = certificate.model_child_masks
 
-    def counted(rd):
+    def counted(m):
         nonlocal calls
         calls += 1
-        return original(rd)
+        return original(m)
 
-    monkeypatch.setattr(certificate, "strata_children", counted)
+    monkeypatch.setattr(certificate, "model_child_masks", counted)
     assert selfcheck(4, [2, 3]).ok
-    # 34 calls list the kernel children of one datum per dimension of at least 2 in
-    # each root's walk: one walk shared by the three curves' builds, and one in
-    # each of the three verifies
+    # 34 calls list the model children of each dimension of at least 2 in each
+    # root's walk: one walk shared by the three curves' builds, and one in each
+    # of the three verifies
     assert calls == 4 * 34
 
 
@@ -307,3 +308,35 @@ def test_a_shared_walk_ends_once_all_its_suites_have_failed(monkeypatch):
         "(g,n)=(0,0): verdict is RigidityVerdict(finite=True, d=1, count=1), expected (False, None, None)",
     )
     assert got["contradiction-agreement"] == (False, 1, "(g,n)=(0,0)")
+
+
+def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(monkeypatch):
+    def after_the_head(m):
+        # adds the place just after each odd run's head, not the one before its backward end;
+        # at m = 2 the two places coincide
+        masks = []
+        for t in range(1, (1 << m) - 1):
+            added = t
+            for head in range(m):
+                if t >> head & 1 and not t >> (head + 1) % m & 1:
+                    length = 0
+                    while t >> (head - length) % m & 1:
+                        length += 1
+                    if length % 2:
+                        added |= 1 << (head + 1) % m
+            masks.append(added)
+        return masks
+
+    assert after_the_head(2) == SELFCHECK.model_child_masks(2)
+    monkeypatch.setattr(SELFCHECK, "model_child_masks", after_the_head)
+    report = selfcheck(5, [2, 3])
+    failures = {"model-masks": (3, "m=3 t=[0]: mask 3, expected 5")}
+    expected = [
+        (name, name not in failures, *failures.get(name, (checked, None)), scope)
+        for name, checked, scope in EXPECTED_COVERAGE
+    ]
+    got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
+    assert got == expected
+    assert not report.ok
+    monkeypatch.undo()
+    assert selfcheck(5, [2, 3]).ok

@@ -13,6 +13,7 @@ from gocert import (
     strata_children,
 )
 from gocert.oracle import all_ramifications, all_vanishing_sets, cycle_components, replay_augmented_set
+from gocert.strata import model_child_masks
 
 
 def _stratum(f, s_inf, t, p=2):
@@ -101,6 +102,23 @@ def test_strata_children_examples():
 def test_strata_children_requires_positive_dimension():
     with pytest.raises(ValueError):
         strata_children(make_ramification(2, 2, {0, 1}))
+
+
+def test_model_child_masks_examples():
+    assert model_child_masks(1) == []
+    assert model_child_masks(2) == [3, 3]
+    # T = {0, 2} at m = 3 is one run that wraps past place 0, of even length
+    assert model_child_masks(3) == [5, 3, 3, 6, 5, 6]
+    with pytest.raises(ValueError, match="^strata enumeration needs at least one split place$"):
+        model_child_masks(0)
+
+
+def test_model_child_masks_equal_the_kernel_children_masks():
+    # the case split's listing against the datum-level kernel on the model datum (f = m, s_inf = {})
+    for p in (2, 3):
+        for m in range(1, 13):
+            children = strata_children(make_ramification(m, p))
+            assert model_child_masks(m) == [sum(1 << x for x in child.s_inf) for _, child in children], (m, p)
 
 
 def test_chains_match_cycle_components():
