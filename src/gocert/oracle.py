@@ -56,23 +56,28 @@ def cycle_components(f: int, occupied: frozenset[int]) -> list[frozenset[int]]:
     return components
 
 
+def component_ends(f: int, occupied: frozenset[int]) -> list[tuple[frozenset[int], int]]:
+    """Each component of a proper occupied set with the place just before its backward end."""
+    if len(occupied) == f:
+        raise ValueError("replay undefined on the full cycle")
+    ends = []
+    for comp in cycle_components(f, occupied):
+        tails = [x for x in comp if (x - 1) % f not in comp]
+        assert len(tails) == 1, "components of a proper subset have one backward end"
+        ends.append((comp, (tails[0] - 1) % f))
+    return ends
+
+
 def replay_augmented_set(f: int, s_inf: frozenset[int], t: frozenset[int]) -> frozenset[int]:
     """Definition replay of the augmented vanishing set on connectivity components.
 
-    For each component, take its intersection with t; when that is odd, add
-    the predecessor of the component's backward end.
+    T, plus the place just before the backward end of each component that
+    meets T an odd number of times.
     """
-    occupied = frozenset(s_inf | t)
-    if len(occupied) == f:
-        raise ValueError("replay undefined on the full cycle")
-    augmented: set[int] = set()
-    for comp in cycle_components(f, occupied):
-        met = comp & t
-        augmented |= met
-        if len(met) % 2 == 1:
-            tails = [x for x in comp if (x - 1) % f not in comp]
-            assert len(tails) == 1, "components of a proper subset have one backward end"
-            augmented.add((tails[0] - 1) % f)
+    augmented = set(t)
+    for comp, before_end in component_ends(f, frozenset(s_inf | t)):
+        if len(comp & t) % 2 == 1:
+            augmented.add(before_end)
     return frozenset(augmented)
 
 

@@ -4,9 +4,9 @@ Every suite enumerates the full configuration space up to the requested degree
 bound and checks its invariant against:
 - n-tau-tiling: the identity that the n_tau of the split places sum to f;
 - chain-partition: the oracle's connectivity-based chain finding;
-- induced-parity-growth, dimension-descent: properties of the kernel's own
-  output (the induced datum's parity, its augmented set holding s_inf and T
-  with an even number of places beyond s_inf, the descent formula);
+- augmented-oracle: the oracle's augmented set on those components, s_inf | T
+  plus the place before the backward end of each component that meets T
+  oddly; equal data also have the induced datum's parity and dimension right;
 - model-masks: the datum-level kernel, not the oracle: model_child_masks(m),
   the listing the case split uses, against the s_inf masks of strata_children
   on the model datum (f = m, s_inf = {}) for each m from 2 to max_f, so with
@@ -23,16 +23,17 @@ bound and checks its invariant against:
 Failures carry the first counterexample found.
 
 Each suite is a generator that yields, per case, one verdict for each suite
-sharing its walk, and one runner (_run) counts them.  The three stratum suites
+sharing its walk, and one runner (_run) counts them.  The two stratum suites
 share one walk: each stratum is built, split into chains once, and descended
 with those chains; strata are built without Stratum's checks (see
 _suite_strata).  The two curve suites share the walk of the 121 curve types.
 Each suite counts and stops as if it walked alone.  Each oracle answer is
 computed once per input it depends on, within one selfcheck() call: the
-chain-partition verdict once per place count f, occupied set s_inf | T and
-chains (about 500 occupied sets serve the 9 330 strata at f <= 8), the
-degree oracle's Hasse constraints once per datum for all its anchors, and
-degree_bound once per datum and prime, for degree-oracle and degree-monotone.
+oracle's components once per place count f and occupied set s_inf | T, and
+the chain-partition verdict once per f, occupied set and chains (about 500
+occupied sets serve the 9 330 strata at f <= 8), the degree oracle's Hasse
+constraints once per datum for all its anchors, and degree_bound once per
+datum and prime, for degree-oracle and degree-monotone.
 """
 
 from __future__ import annotations
@@ -44,14 +45,8 @@ from . import places
 from .certificate import build_certificate, certificate_to_doc, verify_document
 from .hasse import degree_bound, max_degree_sums
 from .ledger import contradiction_check
-from .oracle import (
-    all_ramifications,
-    all_vanishing_sets,
-    cycle_components,
-    hodge_degrees,
-    relaxed_profile_maxima,
-)
-from .places import RamificationData, make_ramification, n_tau, shimura_dimension, split_places
+from .oracle import all_ramifications, all_vanishing_sets, component_ends, hodge_degrees, relaxed_profile_maxima
+from .places import RamificationData, make_ramification, n_tau, split_places
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Chains, Stratum, decompose_chains, induced_ramification, model_child_masks, strata_children
 
@@ -95,11 +90,14 @@ def _suite_n_tau_tiling(max_f: int, p: int) -> _Verdicts:
         yield (None if tiled else f"f={rd.f} s_inf={sorted(rd.s_inf)}",)
 
 
-# The chain-partition verdict depends only on f, the occupied set s_inf | T and the chains;
-# the other two stratum checks see T, its datum's s_inf and dimension, its induced datum
-# and its count of odd chains (those that meet T in an odd number of places).  Each
-# returns the kind of its first failure, or None.
-def _chain_partition(f: int, occupied: frozenset[int], chains: Chains) -> str | None:
+# The components of an occupied set s_inf | T, each with the place just before its
+# backward end, as the oracle gives them.
+_Ends = list[tuple[frozenset[int], int]]
+
+
+# The chain-partition verdict depends only on f, the occupied set and the chains: the
+# kind of its first failure, or None.
+def _chain_partition(f: int, occupied: frozenset[int], chains: Chains, ends: _Ends) -> str | None:
     covered: set[int] = set()
     for c in chains:
         if not covered.isdisjoint(c):
@@ -111,73 +109,56 @@ def _chain_partition(f: int, occupied: frozenset[int], chains: Chains) -> str | 
             return "not maximal"
     if covered != occupied:
         return "not covering"
-    if {frozenset(c) for c in chains} != set(cycle_components(f, occupied)):
+    if {frozenset(c) for c in chains} != {comp for comp, _ in ends}:
         return "component mismatch"
     return None
 
 
-def _induced_parity_growth(
-    t: frozenset[int], s_inf: frozenset[int], induced: RamificationData, parent: int, odd: int
-) -> str | None:
-    augmented = induced.s_inf
-    if (len(augmented) + induced.s_fin_count) % 2:
-        return "parity"
-    if not t <= augmented:
-        return "T not contained in the augmented set"
-    if not s_inf <= augmented:
-        return "s_inf not contained in the augmented set"
-    if (len(augmented) - len(s_inf)) % 2:  # T and the added places
-        return "odd augmented set"
-    return None
-
-
-def _dimension_descent(
-    t: frozenset[int], s_inf: frozenset[int], induced: RamificationData, parent: int, odd: int
-) -> str | None:
-    child = shimura_dimension(induced)
-    if child != parent - len(t) - odd:
-        return "descent formula"
-    if t and child >= parent:
-        return "no strict descent"
-    return None
-
-
-STRATUM_SUITES = ("chain-partition", "induced-parity-growth", "dimension-descent")
-# what _suite_strata yields for every stratum that passes all three, and _run skips at once
+STRATUM_SUITES = ("chain-partition", "augmented-oracle")
+# what _suite_strata yields for every stratum that passes both, and _run skips at once
 _STRATUM_PASSED = (None,) * len(STRATUM_SUITES)
 _UNSEEN = object()
 
 
 def _suite_strata(max_f: int, p: int) -> _Verdicts:
-    """One walk of the strata for the three STRATUM_SUITES.
+    """One walk of the strata for the two STRATUM_SUITES.
 
     Each stratum is built once by tuple.__new__, without Stratum's checks as
     in strata_children: each T of all_vanishing_sets is a proper subset of
     rd's integer split places by construction.  Its chains are decomposed
     once and handed to induced_ramification.  Many strata share an occupied
-    set s_inf | T, so the chain-partition verdict is kept per (f, occupied
-    set, chains): chains that split one occupied set another way are checked
-    afresh.
+    set s_inf | T, so the oracle's component_ends are kept per (f, occupied
+    set), and the chain-partition verdict per (f, occupied set, chains):
+    chains that split one occupied set another way are checked afresh.  The
+    induced datum must be rd with s_inf | T, plus the place before the
+    backward end of each component that meets T oddly, as its s_inf.
     """
+    components: dict[tuple[int, frozenset[int]], _Ends] = {}
     partitions: dict[tuple[int, frozenset[int], Chains], str | None] = {}
     for rd in all_ramifications(max_f, p, min_dim=1):
-        f, s_inf, parent = rd.f, rd.s_inf, shimura_dimension(rd)
+        f, s_inf, s_fin_count = rd.f, rd.s_inf, rd.s_fin_count
         for t in all_vanishing_sets(rd):
             st = tuple.__new__(Stratum, (rd, t))
             chains = decompose_chains(st)
             induced = induced_ramification(st, chains=chains)
-            key = (f, s_inf | t, chains)
-            partition = partitions.get(key, _UNSEEN)
+            occupied = s_inf | t
+            ends = components.get((f, occupied))
+            if ends is None:
+                ends = components[f, occupied] = component_ends(f, occupied)
+            partition = partitions.get((f, occupied, chains), _UNSEEN)
             if partition is _UNSEEN:
-                partition = partitions[key] = _chain_partition(*key)
-            odd = 0
-            for c in chains:
-                odd += len(t.intersection(c)) & 1
-            growth = _induced_parity_growth(t, s_inf, induced, parent, odd)
-            descent = _dimension_descent(t, s_inf, induced, parent, odd)
-            if partition or growth or descent:
+                partition = partitions[f, occupied, chains] = _chain_partition(f, occupied, chains, ends)
+            augmented = set(occupied)
+            for comp, before_end in ends:
+                if len(t.intersection(comp)) & 1:
+                    augmented.add(before_end)
+            mismatch = None
+            if induced != (f, augmented, s_fin_count, p):
+                got = f"({induced.f}, {sorted(induced.s_inf)}, {induced.s_fin_count}, {induced.p})"
+                mismatch = f"induced {got}, expected ({f}, {sorted(augmented)}, {s_fin_count}, {p})"
+            if partition or mismatch:
                 where = f": f={f} s_inf={sorted(s_inf)} t={sorted(t)}"
-                yield tuple(problem and problem + where for problem in (partition, growth, descent))
+                yield tuple(problem and problem + where for problem in (partition, mismatch))
             else:
                 yield _STRATUM_PASSED
 

@@ -444,8 +444,7 @@ def test_selfcheck_json(capsys):
     assert [suite["name"] for suite in doc["suites"]] == [
         "n-tau-tiling",
         "chain-partition",
-        "induced-parity-growth",
-        "dimension-descent",
+        "augmented-oracle",
         "model-masks",
         "degree-oracle",
         "degree-monotone",
@@ -475,8 +474,7 @@ def test_selfcheck_counts_at_max_f_8(capsys):
     coverage = [
         ("n-tau-tiling", 502, base),
         ("chain-partition", 9330, base),
-        ("induced-parity-growth", 9330, base),
-        ("dimension-descent", 9330, base),
+        ("augmented-oracle", 9330, base),
         ("model-masks", 494, base),
         ("degree-oracle", 1506, every),
         ("degree-monotone", 1004, every),
@@ -495,7 +493,7 @@ def test_selfcheck_small(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--max-f", "3", "--primes", "2,3")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
-    assert len(lines) == 10
+    assert len(lines) == 9
     assert "all suites passed" in out
 
 

@@ -17,8 +17,7 @@ SELFCHECK = importlib.import_module("gocert.selfcheck")
 EXPECTED_COVERAGE = [
     ("n-tau-tiling", 57, "f<=5 p=2"),
     ("chain-partition", 301, "f<=5 p=2"),
-    ("induced-parity-growth", 301, "f<=5 p=2"),
-    ("dimension-descent", 301, "f<=5 p=2"),
+    ("augmented-oracle", 301, "f<=5 p=2"),
     ("model-masks", 52, "f<=5 p=2"),
     ("degree-oracle", 114, "f<=5 p in 2,3"),
     ("degree-monotone", 57, "f<=5 p in 2,3"),
@@ -79,7 +78,7 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
     checked_new = Stratum.__new__
     monkeypatch.setattr(Stratum, "__new__", staticmethod(counted("Stratum", checked_new)))
     assert selfcheck(5, [2]).ok
-    # 301 strata at f <= 5: one of each per stratum, shared by the three stratum suites,
+    # 301 strata at f <= 5: one of each per stratum, shared by the two stratum suites,
     # and every stratum built without the checking constructor
     assert calls == {"decompose_chains": 301, "induced_ramification": 301}
     Stratum(make_ramification(3, 2), {0})
@@ -111,10 +110,7 @@ def test_stratum_suites_fail_independently(monkeypatch):
 
     monkeypatch.setattr(SELFCHECK, "induced_ramification", unaugmented)
     report = selfcheck(5, [2, 3])
-    failures = {
-        "induced-parity-growth": "parity: f=2 s_inf=[] t=[0]",
-        "dimension-descent": "descent formula: f=2 s_inf=[] t=[0]",
-    }
+    failures = {"augmented-oracle": "induced (2, [0], 0, 2), expected (2, [0, 1], 0, 2): f=2 s_inf=[] t=[0]"}
     expected = [
         (name, name not in failures, 3 if name in failures else checked, scope, failures.get(name))
         for name, checked, scope in EXPECTED_COVERAGE
@@ -124,12 +120,12 @@ def test_stratum_suites_fail_independently(monkeypatch):
     assert not report.ok
 
 
-def test_induced_parity_growth_catches_an_augmented_set_that_drops_s_inf(monkeypatch):
+def test_augmented_oracle_catches_an_augmented_set_that_drops_s_inf(monkeypatch):
     original = SELFCHECK.induced_ramification
 
     def swapped(st, chains=None):
         # ramifies two free places in place of two ramified ones: parity, size, T and the
-        # dimension all hold, so only the check that s_inf stays ramified can tell
+        # dimension all hold, but the augmented set is not the oracle's
         induced = original(st, chains=chains)
         free = [x for x in range(st.rd.f) if x not in induced.s_inf]
         if len(st.rd.s_inf) < 2 or len(free) < 2:
@@ -139,13 +135,37 @@ def test_induced_parity_growth_catches_an_augmented_set_that_drops_s_inf(monkeyp
 
     monkeypatch.setattr(SELFCHECK, "induced_ramification", swapped)
     report = selfcheck(5, [2, 3])
-    failures = {"induced-parity-growth": (69, "s_inf not contained in the augmented set: f=4 s_inf=[0, 1] t=[]")}
+    failures = {"augmented-oracle": (69, "induced (4, [2, 3], 0, 2), expected (4, [0, 1], 0, 2): f=4 s_inf=[0, 1] t=[]")}
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
     ]
     got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
     assert got == expected
+
+
+def test_augmented_oracle_catches_the_place_after_an_odd_chains_head(monkeypatch):
+    def after_the_head(st, chains):
+        # adds the place after each odd chain's head, not the one before its tail: every
+        # subtree size and the parity, growth and dimension of every induced datum hold
+        rd, t = st.rd, st.t
+        added = set(t)
+        for chain in chains:
+            if len(t.intersection(chain)) % 2:
+                added.add((chain[0] + 1) % rd.f)
+        return RamificationData(rd.f, rd.s_inf | added, rd.s_fin_count, rd.p)
+
+    monkeypatch.setattr(SELFCHECK, "induced_ramification", after_the_head)
+    report = selfcheck(5, [2, 3])
+    failures = {"augmented-oracle": (8, "induced (3, [0, 1], 0, 2), expected (3, [0, 2], 0, 2): f=3 s_inf=[] t=[0]")}
+    expected = [
+        (name, name not in failures, *failures.get(name, (checked, None)), scope)
+        for name, checked, scope in EXPECTED_COVERAGE
+    ]
+    got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
+    assert got == expected
+    monkeypatch.undo()
+    assert selfcheck(5, [2, 3]).ok
 
 
 def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
@@ -158,14 +178,14 @@ def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
 
         return wrapper
 
-    for name in ("decompose_chains", "induced_ramification", "cycle_components"):
+    for name in ("decompose_chains", "induced_ramification", "component_ends"):
         monkeypatch.setattr(SELFCHECK, name, counted(name, getattr(SELFCHECK, name)))
     assert selfcheck(5, [2]).ok
     # the occupied sets s_inf | T at f <= 5 are the proper subsets of Z/f: 1 + 3 + 7 + 15 + 31
     assert calls == {
         "decompose_chains": 301,
         "induced_ramification": 301,
-        "cycle_components": 57,
+        "component_ends": 57,
     }
 
 
@@ -215,13 +235,17 @@ def test_chain_partition_catches_merged_chains(monkeypatch):
 
     def merged(st):
         # one chain holding every occupied place: disjoint, covering, and free at both
-        # ends, so only the comparison with the oracle's components can tell
+        # ends, so only the comparisons with the oracle's components can tell
         chains = original(st)
         return (sum(chains, ()),) if chains else ()
 
     monkeypatch.setattr(SELFCHECK, "decompose_chains", merged)
     report = selfcheck(5, [2, 3])
-    failures = {"chain-partition": (32, "component mismatch: f=4 s_inf=[] t=[0, 2]")}
+    where = ": f=4 s_inf=[] t=[0, 2]"
+    failures = {
+        "chain-partition": (32, "component mismatch" + where),
+        "augmented-oracle": (32, "induced (4, [0, 2], 0, 2), expected (4, [0, 1, 2, 3], 0, 2)" + where),
+    }
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
@@ -266,6 +290,23 @@ def test_chain_partition_checks_each_way_of_splitting_an_occupied_set(monkeypatc
     )
 
 
+# one decompose_chains mutant per structural check of chain-partition, with its first counterexample
+@pytest.mark.parametrize(
+    "mutant, counterexample",
+    [
+        (lambda chains: chains + chains[:1], "overlap: f=2 s_inf=[] t=[0]"),
+        (lambda chains: tuple(c[:-1] or c for c in chains), "not maximal: f=3 s_inf=[] t=[0, 1]"),
+        (lambda chains: chains[1:], "not covering: f=2 s_inf=[] t=[0]"),
+    ],
+    ids=["duplicated-chain", "dropped-tail-place", "dropped-chain"],
+)
+def test_chain_partition_names_each_kind_of_failure(monkeypatch, mutant, counterexample):
+    original = SELFCHECK.decompose_chains
+    monkeypatch.setattr(SELFCHECK, "decompose_chains", lambda st: mutant(original(st)))
+    (suite,) = [s for s in selfcheck(5, [2]).suites if s.name == "chain-partition"]
+    assert (suite.passed, suite.counterexample) == (False, counterexample)
+
+
 def test_the_oracle_depends_on_no_gocert_module_but_places():
     # the oracle is the independent opinion, and selfcheck keeps its answers for a
     # whole call; both hold only while it shares no code with the kernels it checks
@@ -284,8 +325,9 @@ def test_the_oracle_depends_on_no_gocert_module_but_places():
 
 
 def test_a_shared_walk_ends_once_all_its_suites_have_failed(monkeypatch):
-    for name in ("_chain_partition", "_induced_parity_growth", "_dimension_descent"):
-        monkeypatch.setattr(SELFCHECK, name, lambda *args: "broken")
+    monkeypatch.setattr(SELFCHECK, "_chain_partition", lambda *args: "broken")
+    # a prime other than the parent's, so every induced datum differs from the oracle's
+    monkeypatch.setattr(SELFCHECK, "induced_ramification", lambda st, chains: st.rd._replace(p=0))
     strata = 0
     original = SELFCHECK.decompose_chains
 
@@ -299,8 +341,8 @@ def test_a_shared_walk_ends_once_all_its_suites_have_failed(monkeypatch):
     monkeypatch.setattr(SELFCHECK, "finiteness_verdict", lambda ct: RigidityVerdict(True, 1, 1))
     monkeypatch.setattr(SELFCHECK, "contradiction_check", lambda *args: SimpleNamespace(conclusion="contradiction"))
     got = {s.name: (s.passed, s.checked, s.counterexample) for s in selfcheck(3, [2]).suites}
-    for name in SELFCHECK.STRATUM_SUITES:
-        assert got[name] == (False, 1, "broken: f=1 s_inf=[] t=[]")
+    assert got["chain-partition"] == (False, 1, "broken: f=1 s_inf=[] t=[]")
+    assert got["augmented-oracle"] == (False, 1, "induced (1, [], 0, 0), expected (1, [], 0, 2): f=1 s_inf=[] t=[]")
     assert strata == 1
     assert got["rigidity-table"] == (
         False,
