@@ -10,28 +10,29 @@ once per node kind under "steps", so an auditor sees exactly what is cited
 rather than computed; the equal-degree comparison every node of positive
 dimension applies is stated once.
 
-Nodes carry only what varies per datum: degree_bound (null at dimension 0),
-fiber_dim (null at the root), path (the vanishing sets from the root) and
-s_inf (sorted).  A descent grows s_inf only, so the rest of a node's datum and
-its derived fields follow from the node and the certificate's config:
+Nodes carry only what varies per datum: degree_bound (null at dimension 0)
+and s_inf (sorted), so every node of one datum is the same record.  A descent
+grows s_inf only, so the rest of a node's datum and its derived fields follow
+from the node, its position and the certificate's config:
 - every datum of a certificate has config.rd's f, p and s_fin_count;
 - its dimension is f - len(s_inf);
 - its kind is dimension_zero at dimension 0, otherwise ordinary_locus at the
-  root (path == []) and stratum_descent elsewhere;
+  root (nodes[0]) and stratum_descent elsewhere;
 - its polarization bound is 2 * degree_bound.
+The tree is read by _TREE_SIZES: a node's first child follows it, and each
+later child follows the _TREE_SIZES[dim] nodes of its elder sibling's subtree.
 
 A certificate keeps the case split as its walk computed it: a table of the
-distinct data below the root, each with its edges, a DAG of which the
+distinct data below the root, each with its children, a DAG of which the
 document's tree is the preorder expansion.  That table is the certificate's
 only tree form; no record is made per tree node.  Which stratum leads to which
 smaller datum depends only on the cyclic order of the split places, so the
 walk lists the children of the model datum (f = m, s_inf = {}) once per
 dimension m, as integer masks (strata.model_child_masks), and every datum of
 that dimension relabels them onto its own split places (_case_split; each
-record is keyed by the added-place mask its parent hands down, its split
-places are its parent's less the added ones, and an edge's fiber count is the
-number of places it adds beyond T).  The case split relies on two facts,
-stated with the checks that reach them in _case_split: every datum of
+record is keyed by the added-place mask its parent hands down, and its split
+places are its parent's less the added ones).  The case split relies on two
+facts, stated with the checks that reach them in _case_split: every datum of
 dimension m relabels the model's children, and every datum below a model
 root is a direct child of it.  So a datum's subtree size depends on its
 dimension alone: _TREE_SIZES lists it up to the largest dimension within
@@ -39,19 +40,22 @@ MAX_TREE_NODES, a larger one is refused before any walk, and verify checks a
 node count against it without a walk.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
-terminating newline, integers only.  serialize_certificate writes that text
-from one node template per distinct datum, with each node's fiber count and
-path written in.  _walk_nodes is the one other expansion of the table: it
-hands each node, in preorder, to certificate_to_doc, which copies it into the
-same document as dicts (a test pins the two texts equal), and to verification,
-which replays the case split from the embedded configuration, compares each
-block with the rebuilt one by value and JSON type, then the document's nodes
-in order, by value, with the walked ones, stopping at the first differing node.
+terminating newline, integers only.  _preorder is the one expansion of the
+table: it lists item(datum, entry) for every node in preorder, building each
+datum's subtree list once.  serialize_certificate expands one node text per
+distinct datum and joins them; certificate_to_doc expands one node dict per
+distinct datum and copies each node (a test pins the two texts equal); and
+verification replays the case split from the embedded configuration, compares
+each block with the rebuilt one by value and JSON type, then the document's
+nodes with the expanded ones, by value in one comparison and by JSON type in
+whole-list passes, naming the first differing node only on a mismatch.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, compress, count
+from operator import is_, itemgetter, ne
 from typing import Any, Callable, NamedTuple, Sequence
 
 from ._version import __version__
@@ -105,7 +109,7 @@ _TOO_LARGE = f"the case split has more than {MAX_TREE_NODES} nodes"
 
 class _Split(NamedTuple):
     degree_bound: int | None
-    edges: tuple[tuple[tuple[int, ...], RamificationData, int], ...]  # (sorted t, child, fiber_dim)
+    edges: tuple[RamificationData, ...]  # the child of each vanishing set, in bitmask order
 
 
 class FinitenessCertificate(NamedTuple):
@@ -128,7 +132,7 @@ class FinitenessCertificate(NamedTuple):
 
 
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
-    """Each distinct datum below rd with its degree bound and its edges in strata_children order.
+    """Each distinct datum below rd with its degree bound and its edges' children in strata_children order.
 
     A datum of dimension 0 or 1 has no children (2^1 - 2 = 0).  A chain of
     s_inf | T runs from one free split place to the next, so its part in T is a
@@ -139,15 +143,15 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     an index mask, depend on the edge alone, and they are the model's
     children's s_inf masks, which model_child_masks(m) lists on integers,
     building no stratum or record.  So the walk lists them once per dimension
-    m >= 2 it reaches, and every datum relabels them: it lists the sorted T
-    and added-place mask (the places beyond rd's s_inf, handed down by its
+    m >= 2 it reaches, and every datum relabels them: it lists the places and
+    added-place mask (the places beyond rd's s_inf, handed down by its
     parent) of each index mask of its split places, so an edge costs a few
     integer operations and each mask gets one record.  A child's split places
     are its parent's less the ones its edge adds, so split_places scans rd
-    alone.  An edge's fiber count is the number of places it adds beyond T,
-    one per odd chain.  Nothing outlives the walk.  So a datum's subtree size
-    depends on its dimension alone: _TREE_SIZES[dim], which a test pins to the
-    kernel walk.
+    alone.  An edge keeps only its child: its T is the index mask of its
+    position.  Nothing outlives the walk.  So a datum's subtree size depends
+    on its dimension alone: _TREE_SIZES[dim], which a test pins to the kernel
+    walk.
 
     Two facts carry this, each checked up to the size stated:
     - every datum of dimension m relabels the model's children: the walk equals
@@ -200,18 +204,16 @@ def _split_below(
             ts += [t + (place,) for t in ts]
             masks += [mask | 1 << place for mask in masks]
         full = len(ts) - 1
-        for t, grown in zip(ts[1:], shape):
+        for grown in shape:
             if (child := records.get(masks[grown])) is None:
                 child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
                 # the child's split places are datum's but for the ones the edge adds
                 _split_below(child, ts[full ^ grown], masks[grown], table, shapes, records)
-            edges.append((t, child, len(ts[grown]) - len(t)))  # fiber count: the places added beyond T
+            edges.append(child)
     table[datum] = _Split(bound, tuple(edges))
 
 
-def build_certificate(
-    rd: RamificationData, ct: CurveType, *, split: dict[RamificationData, _Split] | None = None
-) -> FinitenessCertificate:
+def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertificate:
     """Replay the induction over the full stratum tree of rd, deterministically.
 
     The root (reached by the empty vanishing set) and every descended datum of
@@ -226,13 +228,12 @@ def build_certificate(
     content, never a term of its verdict.  The certificate keeps the
     case-split table and lists no nodes.  Raises ValueError when the curve's
     2g - 2 + n, or a degree bound, has more digits than json converts, and
-    when the tree has more than MAX_TREE_NODES nodes.  A caller that has already walked rd passes the table
-    _case_split(rd) returned as split, and no second walk is made.
+    when the tree has more than MAX_TREE_NODES nodes.
     """
     # no integer the curve puts in the document has more digits than 2g - 2 + n
     _check_json_digits(euler_bound(ct), "the curve's 2g-2+n")
     rig = finiteness_verdict(ct)
-    table = _case_split(rd) if split is None else split
+    table = _case_split(rd)
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
     root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
@@ -249,46 +250,30 @@ def build_certificate(
     )
 
 
-def _entry_doc(datum: RamificationData, entry: _Split, path: Any, fiber: Any) -> dict[str, Any]:
-    """The document of a node of datum, from datum's case-split entry, with the path and fiber given."""
-    return {"degree_bound": entry.degree_bound, "fiber_dim": fiber, "path": path, "s_inf": sorted(datum.s_inf)}
+def _preorder(
+    datum: RamificationData,
+    table: dict[RamificationData, _Split],
+    item: Callable[[RamificationData, _Split], Any],
+    lists: dict[RamificationData, list[Any]],
+) -> list[Any]:
+    """item(d, table[d]) for every node d of the tree of table below datum, in preorder.
 
-
-# a datum's node dict, and its edges with each vanishing set as a path step
-_NodeRow = tuple[dict[str, Any], tuple[tuple[list[int], RamificationData, int], ...]]
-_Visit = Callable[[list[list[int]], dict[str, Any]], bool | None]
-
-
-def _walk_nodes(table: dict[RamificationData, _Split], root: RamificationData, visit: _Visit) -> None:
-    """Call visit(path, node) for each node of the tree of table below root, in preorder; stop once visit returns true.
-
-    Each datum has one node dict, and all of them share one path list, which
-    the walk keeps equal to the current node's path; only fiber_dim is written
-    per node.  So a node and its path hold only during its visit: visit copies
-    what it keeps, and formats any message about the node before it returns.
+    lists keeps the list of each datum's subtree once it is built, so item is
+    called once per distinct datum, and every node of a datum is its one item.
     """
-    path: list[list[int]] = []
-    rows: dict[RamificationData, _NodeRow] = {}
-    for datum, entry in table.items():
-        node = _entry_doc(datum, entry, path, None)
-        rows[datum] = node, tuple((list(t), child, fiber) for t, child, fiber in entry.edges)
-    _visit_below(root, None, rows, path, visit)
+    below = lists.get(datum)
+    if below is None:
+        entry = table[datum]
+        below = [item(datum, entry)]
+        for child in entry.edges:
+            below += _preorder(child, table, item, lists)
+        lists[datum] = below
+    return below
 
 
-def _visit_below(
-    datum: RamificationData, fiber: int | None, rows: dict[RamificationData, _NodeRow], path: list[list[int]], visit: _Visit
-) -> bool:
-    """_walk_nodes from the node of datum reached with fiber at path; true once visit has returned true."""
-    node, edges = rows[datum]
-    node["fiber_dim"] = fiber
-    if visit(path, node):
-        return True
-    for step, child, child_fiber in edges:
-        path.append(step)
-        if _visit_below(child, child_fiber, rows, path, visit):
-            return True
-        path.pop()
-    return False
+def _node_doc(datum: RamificationData, entry: _Split) -> dict[str, Any]:
+    """The document of every node of datum, from its case-split entry."""
+    return {"degree_bound": entry.degree_bound, "s_inf": sorted(datum.s_inf)}
 
 
 def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
@@ -308,14 +293,9 @@ def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
 
 
 def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
-    """The certificate's document as dicts; every node has dicts and lists of its own."""
-    nodes: list[dict[str, Any]] = []
-
-    def keep(path: list[list[int]], node: dict[str, Any]) -> None:
-        nodes.append({**node, "path": [step.copy() for step in path], "s_inf": node["s_inf"].copy()})
-
-    _walk_nodes(cert.split, cert.rd, keep)
-    return {**_blocks_doc(cert), "nodes": nodes}
+    """The certificate's document as dicts; every node has a dict and a list of its own."""
+    nodes = _preorder(cert.rd, cert.split, _node_doc, {})
+    return {**_blocks_doc(cert), "nodes": [{**node, "s_inf": node["s_inf"].copy()} for node in nodes]}
 
 
 # built once: json.dumps given any option builds an encoder per call
@@ -331,55 +311,27 @@ def serialize_document(doc: dict[str, Any]) -> str:
     return _ENCODER.encode(doc) + "\n"
 
 
-# Strings no field holds (JSON writes the NUL as \u0000), put in a template
-# where per-node text goes and found again in the encoded text.
-_FIBER_SLOT, _PATH_SLOT, _NODES_SLOT = "\0fiber_dim", "\0path", "\0nodes"
-_FIBER_TEXT, _PATH_TEXT, _NODES_TEXT = (_ENCODER.encode(slot) for slot in (_FIBER_SLOT, _PATH_SLOT, _NODES_SLOT))
-# a datum's node text around its fiber count and path, and its edges' texts
-_TextRow = tuple[str, str, str, tuple[tuple[str, RamificationData, str], ...]]
+# A string no field holds (JSON writes the NUL as \u0000), put in the document
+# where the nodes' text goes and found again in the encoded text.
+_NODES_SLOT = "\0nodes"
+_NODES_TEXT = _ENCODER.encode(_NODES_SLOT)
+
+
+def _node_text(datum: RamificationData, entry: _Split) -> str:
+    """The canonical text of every node of datum."""
+    return _ENCODER.encode(_node_doc(datum, entry))
 
 
 def serialize_certificate(cert: FinitenessCertificate) -> str:
     """The certificate's document in canonical text form.
 
     The text equals serialize_document(certificate_to_doc(cert)), but no
-    node's dicts are built: the case-split table is walked in preorder.  Only
-    fiber_dim and path differ between nodes of one datum, so each distinct
-    datum's node is encoded once, with slots for those two, and split at the
-    slots into the text around them; each vanishing set and fiber count is
-    encoded once too.  A node's text is its datum's template with its fiber
-    count and path written in, and the walk hands each child its path text
-    as the parent's plus one step.
+    dict is built per node: each distinct datum's node is encoded once, and the
+    preorder expansion of those texts is joined into the document's "nodes".
     """
-    table, root = cert.split, cert.rd
-    encoded: dict[Any, str] = {}
-
-    def encode(value: Any) -> str:
-        text = encoded.get(value)
-        if text is None:
-            text = encoded[value] = _ENCODER.encode(value)
-        return text
-
-    rows: dict[RamificationData, _TextRow] = {}
-    for datum, entry in table.items():
-        head, _, after = _ENCODER.encode(_entry_doc(datum, entry, _PATH_SLOT, _FIBER_SLOT)).partition(_FIBER_TEXT)
-        mid, _, tail = after.partition(_PATH_TEXT)
-        rows[datum] = head, mid, tail, tuple((encode(t), child, encode(fiber)) for t, child, fiber in entry.edges)
-    texts: list[str] = []
-    _write_below(root, "", encode(None), rows, texts)
+    texts = _preorder(cert.rd, cert.split, _node_text, {})
     before, _, after = serialize_document({**_blocks_doc(cert), "nodes": _NODES_SLOT}).partition(_NODES_TEXT)
     return f"{before}[{','.join(texts)}]{after}"
-
-
-def _write_below(
-    datum: RamificationData, steps: str, fiber: str, rows: dict[RamificationData, _TextRow], texts: list[str]
-) -> None:
-    """Append the texts of datum's node, given its path text (steps, no brackets) and fiber text, and of its subtree."""
-    head, mid, tail, edges = rows[datum]
-    texts.append(f"{head}{fiber}{mid}[{steps}]{tail}")
-    prefix = f"{steps}," if steps else ""
-    for step, child, child_fiber in edges:
-        _write_below(child, prefix + step, child_fiber, rows, texts)
 
 
 def error_document(message: str) -> dict[str, Any]:
@@ -422,17 +374,26 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
+def _same(got: Any, want: Any) -> bool:
+    """Whether got equals want in value and in type, and so do a list's items."""
+    return (
+        type(got) is type(want)
+        and got == want
+        and (type(want) is not list or all(map(is_, map(type, got), map(type, want))))
+    )
+
+
 def _first_mismatch(where: str, got: Any, want: Any) -> str | None:
     """Name the first field of got that differs from want's, or the whole values unless both are dicts; None when none differs.
 
-    A value differs when it is unequal or of another type: json.loads reads
-    1 == true == 1.0, so equality alone would accept one for another.  Only the
-    top-level fields of a dict are compared by type.  A key that is not a
-    string, which JSON text cannot carry, is unexpected.
+    A value differs when it is not _same: json.loads reads 1 == true == 1.0,
+    so equality alone would accept one for another.  Only the top-level fields
+    of a dict, and the items of a list among them, are compared by type.  A
+    key that is not a string, which JSON text cannot carry, is unexpected.
     """
     if type(got) is dict and type(want) is dict:
         # the C-level comparison first: a dict equal in value gets one pass over its fields' types
-        if got == want and all(type(got[key]) is type(value) for key, value in want.items()):
+        if got == want and all(_same(got[key], value) for key, value in want.items()):
             return None
         for key in got:
             if type(key) is not str:
@@ -440,11 +401,28 @@ def _first_mismatch(where: str, got: Any, want: Any) -> str | None:
         for key in sorted(got.keys() | want.keys()):
             if key not in got or key not in want:
                 return f"{where}: field {key!r} is {'missing' if key in want else 'unexpected'}"
-            if got[key] != want[key] or type(got[key]) is not type(want[key]):
+            if not _same(got[key], want[key]):
                 return f"{where}: field {key!r} is {_show(got[key])}, expected {want[key]!r}"
-    elif got == want and type(got) is type(want):
+    elif _same(got, want):
         return None
     return f"{where} is {_show(got)}, expected {want!r}"
+
+
+_BOUND = itemgetter("degree_bound")
+_S_INF = itemgetter("s_inf")
+
+
+def _nodes_hold_json_types(nodes: list[Any]) -> bool:
+    """Whether nodes, equal in value to expanded ones, are dicts whose bounds are int or null and whose s_inf are lists of int.
+
+    Each is one pass over the whole list, so no node is looked at alone.
+    """
+    return (
+        set(map(type, nodes)) <= {dict}
+        and set(map(type, map(_BOUND, nodes))) <= {int, type(None)}
+        and set(map(type, map(_S_INF, nodes))) <= {list}
+        and set(map(type, chain.from_iterable(map(_S_INF, nodes)))) <= {int}
+    )
 
 
 def verify_document(doc: Any) -> VerifyResult:
@@ -456,12 +434,15 @@ def verify_document(doc: Any) -> VerifyResult:
     walk is made before these, so a document cannot demand a build larger than
     the one its own length implies.  Then the rebuild, which refuses a curve or
     a degree bound too large for json.  The one check on content is then the
-    exact comparison with the rebuild: every top-level block, its fields by
-    JSON type as well (_first_mismatch), then the nodes in document order, by
-    value, against _walk_nodes of the table, stopping at the first differing
-    node.  A key that is not a string is named as unexpected.  Truthy exactly
-    when every block and node is equal; otherwise the failures name each
-    differing block and the first differing node (by node path and field).
+    exact comparison with the rebuild: every top-level block, by value and
+    JSON type (_first_mismatch), then the nodes against the _preorder
+    expansion of the table, whose nodes[0] is the root and whose tree is read
+    by _TREE_SIZES: by value in one list comparison, then by JSON type in
+    whole-list passes.  Only when that fails are the nodes scanned, for the
+    first one that differs.  A key that is not a string is named as
+    unexpected.  Truthy exactly when every block and node is equal; otherwise
+    the failures name each differing block and the first differing node (by
+    index and field).
     """
     if not isinstance(doc, dict):
         return VerifyResult(False, ("document is not an object",))
@@ -491,15 +472,11 @@ def verify_document(doc: Any) -> VerifyResult:
         return VerifyResult(False, (str(exc),))
     blocks = sorted(_blocks_doc(cert).items())
     failures = [failure for key, want in blocks if (failure := _first_mismatch(key, doc[key], want))]
-    # the node count matches the tree's, so every visit has a document node
-    got_nodes = enumerate(nodes)
-
-    def differs(path: list[list[int]], want: dict[str, Any]) -> bool:
-        i, got = next(got_nodes)
-        if got == want:
-            return False
-        failures.append(_first_mismatch(f"nodes[{i}] path={path}", got, want))
-        return True
-
-    _walk_nodes(cert.split, rd, differs)
+    want = _preorder(rd, cert.split, _node_doc, {})
+    if not (nodes == want and _nodes_hold_json_types(nodes)):
+        # the first node unequal in value, unless one before it is of another JSON type
+        i = next(compress(count(), map(ne, nodes, want)), len(nodes))
+        if not _nodes_hold_json_types(nodes[:i]):
+            i = next(j for j in range(i) if _first_mismatch("", nodes[j], want[j]))
+        failures.append(_first_mismatch(f"nodes[{i}]", nodes[i], want[i]))
     return VerifyResult(not failures, tuple(failures))

@@ -18,8 +18,9 @@ bound and checks its invariant against:
 - contradiction-agreement: the rule that the equal-degree contradiction holds
   exactly when 2g - 2 + n = 2;
 - certificate-roundtrip: verify_document, which rebuilds with the same kernel
-  and lists the expected nodes by the walk that listed the document's
-  (_walk_nodes), so it cannot see a kernel fault that both builds share.
+  and expands the expected nodes by the expansion that listed the document's
+  (certificate._preorder), so it cannot see a kernel fault that both builds
+  share.
 Failures carry the first counterexample found.
 
 Each suite is a generator that yields, per case, one verdict for each suite
@@ -232,10 +233,8 @@ def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> _Verdic
     curves = (CurveType(2, 0), CurveType(0, 4), CurveType(3, 0))
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
-            split = None  # the first curve's build walks rd; its table serves the other two
             for ct in curves:
-                cert = build_certificate(rd, ct, split=split)
-                split = cert.split
+                cert = build_certificate(rd, ct)
                 result = verify_document(certificate_to_doc(cert))
                 if result:
                     yield (None,)

@@ -7,12 +7,12 @@ roots at p in {2, 3, 5} (about 12 s) but the one root of dimension 10 per
 prime, f = 10 at s_inf = {}: that one must be refused with the tree-size
 message, and its kernel walk must count more than MAX_TREE_NODES nodes.  The
 tests do the same up to f = 8; this covers f = 9 and 10 too, every
-dimension-9 datum included.  Then checks every edge (t, child, fiber) of
-the kernel walk of each model root (f, {}) with f <= 10 at those primes,
-a walk the first check found equal to the case split up to f = 9, against
-the oracle's augmented set a = replay_augmented_set(f, s_inf, t): child's
-s_inf must be s_inf | a and fiber must be len(a) - len(t), for all 32 556
-edges (about 0.5 s).  Then checks that degree_bound(rd), the anchored sum of
+dimension-9 datum included.  Then checks every edge of the kernel walk of
+each model root (f, {}) with f <= 10 at those primes, a walk the first check
+found equal to the case split up to f = 9, against the oracle's augmented set
+a = replay_augmented_set(f, s_inf, t), with each edge's t read from the
+bitmask order of the datum's split places: its child's s_inf must be
+s_inf | a, for all 32 556 edges (about 0.5 s).  Then checks that degree_bound(rd), the anchored sum of
 the split mask's largest rotation, is the largest of max_degree_sums(rd),
 each anchor's sum from its definition, for all 40 890 data of positive
 dimension with f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
@@ -35,7 +35,7 @@ import time
 from gocert import RamificationData, certificate, degree_bound, make_ramification, max_degree_sums, shimura_dimension
 from gocert.oracle import all_ramifications, replay_augmented_set
 from gocert.strata import model_child_masks, strata_children
-from helpers import kernel_case_split
+from helpers import edge_vanishing_sets, kernel_case_split
 
 MAX_F, PRIMES = 10, (2, 3, 5)
 BOUND_MAX_F, BOUND_PRIMES = 12, (2, 3, 5, 7, 1_000_003)
@@ -53,13 +53,16 @@ def refusal(rd: RamificationData) -> str | None:
 
 
 def oracle_edge_mismatch(rd: RamificationData) -> tuple[str | None, int]:
-    """The first edge of rd's kernel walk whose child or fiber count the oracle's augmented set contradicts, or None; and the edges checked."""
+    """The first edge of rd's kernel walk whose child the oracle's augmented set contradicts, or None; and the edges checked.
+
+    Each edge's T is read from its position: the edges follow the bitmask order of the datum's split places.
+    """
     edges = 0
     for datum, entry in kernel_case_split(rd)[0].items():
-        for t, child, fiber in entry.edges:
-            added = replay_augmented_set(datum.f, datum.s_inf, frozenset(t))
-            if (child.s_inf, fiber) != (datum.s_inf | added, len(added) - len(t)):
-                return f"the edge T={list(t)} of {datum} leads to {child} with fiber {fiber}, not s_inf | {sorted(added)}", edges
+        for t, child in zip(edge_vanishing_sets(datum), entry.edges, strict=True):
+            added = replay_augmented_set(datum.f, datum.s_inf, t)
+            if child.s_inf != datum.s_inf | added:
+                return f"the edge T={sorted(t)} of {datum} leads to {child}, not s_inf | {sorted(added)}", edges
             edges += 1
     return None, edges
 

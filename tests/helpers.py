@@ -12,7 +12,7 @@ import copy
 import itertools
 from typing import Any, Callable, Iterator
 
-from gocert import RamificationData, build_certificate, serialize_certificate, shimura_dimension, strata_children
+from gocert import RamificationData, build_certificate, serialize_certificate, shimura_dimension, split_places, strata_children
 from gocert.certificate import _Split, parse_config, serialize_document
 from gocert.hasse import degree_bound
 from gocert.oracle import scan_constraints
@@ -47,15 +47,21 @@ def kernel_case_split(rd: RamificationData) -> tuple[dict[RamificationData, _Spl
     def below(datum: RamificationData) -> None:
         if datum not in table:
             dim, edges, size = shimura_dimension(datum), [], 1
-            for t, child in strata_children(datum) if dim else ():
+            for _, child in strata_children(datum) if dim else ():
                 below(child)
                 size += sizes[child]
-                edges.append((tuple(sorted(t)), child, dim - len(t) - shimura_dimension(child)))
+                edges.append(child)
             bound = degree_bound(datum) if dim else None
             table[datum], sizes[datum] = _Split(bound, tuple(edges)), size
 
     below(rd)
     return table, sizes
+
+
+def edge_vanishing_sets(datum: RamificationData) -> list[frozenset[int]]:
+    """The vanishing set T of each edge of datum, in the edges' order: bit j of the i-th edge's mask i + 1 selects the j-th split place."""
+    splits = split_places(datum)
+    return [frozenset(x for j, x in enumerate(splits) if mask >> j & 1) for mask in range(1, 2 ** len(splits) - 1)]
 
 
 _NEXT_PRIME = {2: 3, 3: 5, 5: 7, 7: 11}
@@ -123,8 +129,7 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
         ("root-degree-bound-up", lambda d: set_in(d, ["nodes", 0, "degree_bound"], (root["degree_bound"] or 0) + 1)),
         ("root-sinf-grows", lambda d: set_in(d, ["nodes", 0, "s_inf"], sorted(root["s_inf"] + free[:1]))),
         ("root-sinf-out-of-range", lambda d: set_in(d, ["nodes", 0, "s_inf"], root["s_inf"] + [f])),
-        ("root-fiber", lambda d: set_in(d, ["nodes", 0, "fiber_dim"], 0)),
-        ("root-path", lambda d: set_in(d, ["nodes", 0, "path"], [free[:1]])),
+        ("root-fiber-field", lambda d: set_in(d, ["nodes", 0, "fiber_dim"], None)),
         ("leaf-degree-bound-zero", lambda d: set_in(d, ["nodes", -1, "degree_bound"], 0)),
         ("root-flags", lambda d: set_in(d, ["steps", "root", "flags"], steps["root"]["flags"] + ["unchecked"])),
         ("root-prose-drop", lambda d: set_in(d, ["steps", root_kind, "prose"], steps[root_kind]["prose"][1:])),
@@ -148,8 +153,6 @@ def document_mutations(doc: dict[str, Any]) -> Iterator[tuple[str, dict[str, Any
             ("child-sinf-of-parent", lambda d: set_in(d, ["nodes", 1, "s_inf"], root["s_inf"])),
             ("child-sinf-shrinks", lambda d: set_in(d, ["nodes", 1, "s_inf"], child["s_inf"][1:])),
             ("child-degree-bound-up", lambda d: set_in(d, ["nodes", 1, "degree_bound"], (child["degree_bound"] or 0) + 1)),
-            ("child-fiber", lambda d: set_in(d, ["nodes", 1, "fiber_dim"], (child["fiber_dim"] or 0) + 1)),
-            ("child-path-truncated", lambda d: set_in(d, ["nodes", 1, "path"], [])),
         ]
     if len(nodes) >= 3:
         def swap(d: dict[str, Any]) -> None:

@@ -85,7 +85,7 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
     assert calls["Stratum"] == 1  # the counter sees a checked construction
 
 
-def test_certificate_roundtrip_shares_one_walk_among_its_builds(monkeypatch):
+def test_certificate_roundtrip_walks_once_per_build_and_verify(monkeypatch):
     calls = 0
     original = certificate.model_child_masks
 
@@ -97,9 +97,9 @@ def test_certificate_roundtrip_shares_one_walk_among_its_builds(monkeypatch):
     monkeypatch.setattr(certificate, "model_child_masks", counted)
     assert selfcheck(4, [2, 3]).ok
     # 34 calls list the model children of each dimension of at least 2 in each
-    # root's walk: one walk shared by the three curves' builds, and one in each
+    # root's walk: one walk in each of the three curves' builds, and one in each
     # of the three verifies
-    assert calls == 4 * 34
+    assert calls == 6 * 34
 
 
 def test_stratum_suites_fail_independently(monkeypatch):
