@@ -32,7 +32,6 @@ from .ledger import (
 from .places import (
     RamificationData,
     make_ramification,
-    n_tau,
     shimura_dimension,
     split_places,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "RamificationData",
     "make_ramification",
     "split_places",
-    "n_tau",
     "shimura_dimension",
     "Stratum",
     "decompose_chains",

@@ -198,7 +198,7 @@ def _split_below(
         shape = shapes.get(dim)
         if shape is None:
             shape = shapes[dim] = model_child_masks(dim)
-        f, s_inf, count, p = datum
+        f, s_inf, s_fin_count, p = datum
         ts, masks = [()], [added]  # by index mask: sorted places, added-place mask
         for place in splits:
             ts += [t + (place,) for t in ts]
@@ -206,7 +206,7 @@ def _split_below(
         full = len(ts) - 1
         for grown in shape:
             if (child := records.get(masks[grown])) is None:
-                child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), count, p)
+                child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), s_fin_count, p)
                 # the child's split places are datum's but for the ones the edge adds
                 _split_below(child, ts[full ^ grown], masks[grown], table, shapes, records)
             edges.append(child)
@@ -224,7 +224,7 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     verdict depends on the curve alone: it is "finite" exactly when the
     curve's rigidity verdict is, when 2g - 2 + n = 2, which is also exactly
     when the equal-degree comparison yields a contradiction (selfcheck's
-    contradiction-agreement suite); the case split is the certificate's
+    curve-table suite); the case split is the certificate's
     content, never a term of its verdict.  The certificate keeps the
     case-split table and lists no nodes.  Raises ValueError when the curve's
     2g - 2 + n, or a degree bound, has more digits than json converts, and

@@ -2,7 +2,8 @@
 
 On a generically ordinary curve image every partial Hasse invariant restricts
 to a nonzero map of line bundles, so for each split place tau the pulled-back
-degrees obey deg(omega_tau) <= p^{n_tau} * deg(omega_{sigma^{-n_tau} tau}).
+degrees obey deg(omega_tau) <= p^{n_tau} * deg(omega_{sigma^{-n_tau} tau}),
+where n_tau is the backward gap from tau to the previous split place.
 These constraints form one directed cycle through the split places.  With a
 single anchor place a pinned at degree one (supplied by a nonzero pulled-back
 Kodaira-Spencer map), each split place x is capped at p^((x - a) mod f), the

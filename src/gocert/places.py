@@ -142,25 +142,6 @@ def split_places(rd: RamificationData) -> list[int]:
     return [i for i in range(rd.f) if i not in s_inf]
 
 
-def n_tau(rd: RamificationData, tau: int) -> int:
-    """Backward Frobenius distance from the split place tau to the previous split place.
-
-    The smallest n >= 1 such that sigma^{-1} tau, ..., sigma^{-(n-1)} tau are
-    all ramified while sigma^{-n} tau splits.  Undefined on ramified places.
-    """
-    f, s_inf = rd.f, rd.s_inf
-    if not is_json_int(tau):
-        raise ValueError(f"place {_show(tau)} must be an integer")
-    if not 0 <= tau < f:
-        raise ValueError(f"place {tau} out of range for f={f}")
-    if tau in s_inf:
-        raise ValueError(f"n_tau is undefined on the ramified place {tau}")
-    n = 1
-    while (tau - n) % f in s_inf:
-        n += 1
-    return n
-
-
 def shimura_dimension(rd: RamificationData) -> int:
     """Dimension of the attached quaternionic Shimura variety: the number of split places."""
     return rd.f - len(rd.s_inf)

@@ -2,39 +2,36 @@
 
 Every suite enumerates the full configuration space up to the requested degree
 bound and checks its invariant against:
-- n-tau-tiling: the identity that the n_tau of the split places sum to f;
-- chain-partition: the oracle's connectivity-based chain finding;
-- augmented-oracle: the oracle's augmented set on those components, s_inf | T
-  plus the place before the backward end of each component that meets T
-  oddly; equal data also have the induced datum's parity and dimension right;
+- strata-oracle: the oracle's components of each occupied set s_inf | T, for
+  the chains (disjoint, maximal, covering, one per component) and for the
+  induced datum's augmented set, s_inf | T plus the place before the backward
+  end of each component that meets T oddly; equal data also have the induced
+  datum's parity and dimension right;
 - model-masks: the datum-level kernel, not the oracle: model_child_masks(m),
   the listing the case split uses, against the s_inf masks of strata_children
   on the model datum (f = m, s_inf = {}) for each m from 2 to max_f, so with
-  the stratum suites the chain from oracle to kernel to listing is checked;
+  strata-oracle the chain from oracle to kernel to listing is checked;
 - degree-oracle: the oracle's fixpoint relaxation of the Hasse constraints,
-  scanned from their definition;
-- degree-monotone: the kernel's own bound at the next larger prime;
-- rigidity-table: the oracle's direct scan of the Hodge degree inequality;
-- contradiction-agreement: the rule that the equal-degree contradiction holds
-  exactly when 2g - 2 + n = 2;
+  scanned from their definition, and the kernel's own bound at the next
+  smaller prime;
+- curve-table: the oracle's direct scan of the Hodge degree inequality, and
+  the rule that the equal-degree contradiction holds exactly when
+  2g - 2 + n = 2;
 - certificate-roundtrip: verify_document, which rebuilds with the same kernel
   and expands the expected nodes by the expansion that listed the document's
   (certificate._preorder), so it cannot see a kernel fault that both builds
   share.
-Failures carry the first counterexample found.
 
-Each suite is a generator that yields, per case, one verdict for each suite
-sharing its walk, and one runner (_run) counts them.  The two stratum suites
-share one walk: each stratum is built, split into chains once, and descended
-with those chains; strata are built without Stratum's checks (see
-_suite_strata).  The two curve suites share the walk of the 121 curve types.
-Each suite counts and stops as if it walked alone.  Each oracle answer is
-computed once per input it depends on, within one selfcheck() call: the
-oracle's components once per place count f and occupied set s_inf | T, and
-the chain-partition verdict once per f, occupied set and chains (about 500
-occupied sets serve the 9 330 strata at f <= 8), the degree oracle's Hasse
-constraints once per datum for all its anchors, and degree_bound once per
-datum and prime, for degree-oracle and degree-monotone.
+Each suite is a generator that yields, per case, None or the counterexample,
+a non-empty text that names the check that failed and where; one runner
+(_run) counts the cases up to the first counterexample and times the suite.
+Strata are built without Stratum's checks (see _suite_strata_oracle).  Each
+oracle answer is computed once per input it depends on, within one
+selfcheck() call: the oracle's components once per place count f and
+occupied set s_inf | T, and the chain verdict once per f, occupied set and
+chains (about 500 occupied sets serve the 9 330 strata at f <= 8), and the
+degree oracle's Hasse constraints once per datum and prime for all its
+anchors.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from .certificate import build_certificate, certificate_to_doc, verify_document
 from .hasse import degree_bound, max_degree_sums
 from .ledger import contradiction_check
 from .oracle import all_ramifications, all_vanishing_sets, component_ends, hodge_degrees, relaxed_profile_maxima
-from .places import RamificationData, make_ramification, n_tau, split_places
+from .places import make_ramification
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import Chains, Stratum, decompose_chains, induced_ramification, model_child_masks, strata_children
 
@@ -58,9 +55,8 @@ MAX_SELFCHECK_PRIMES = 16
 
 
 class SuiteResult(NamedTuple):
-    """seconds is wall time; suites that share a walk (the three stratum suites, the two
-    curve suites) each report an equal share of its seconds, so the seconds of all
-    suites still sum to the time spent."""
+    """seconds is the suite's own wall time; checked counts its cases up to and including
+    the first counterexample, or all of them when it passed."""
 
     name: str
     passed: bool
@@ -80,15 +76,8 @@ class SelfcheckReport(NamedTuple):
         return all(suite.passed for suite in self.suites)
 
 
-# Per case, one verdict for each suite sharing the walk: None, or that suite's
-# counterexample, a non-empty text built only when the check fails.
-_Verdicts = Iterator[tuple[str | None, ...]]
-
-
-def _suite_n_tau_tiling(max_f: int, p: int) -> _Verdicts:
-    for rd in all_ramifications(max_f, p, min_dim=1):
-        tiled = sum(n_tau(rd, tau) for tau in split_places(rd)) == rd.f
-        yield (None if tiled else f"f={rd.f} s_inf={sorted(rd.s_inf)}",)
+# Per case, None or the suite's counterexample, a non-empty text built only when the check fails.
+_Verdicts = Iterator[str | None]
 
 
 # The components of an occupied set s_inf | T, each with the place just before its
@@ -96,8 +85,8 @@ def _suite_n_tau_tiling(max_f: int, p: int) -> _Verdicts:
 _Ends = list[tuple[frozenset[int], int]]
 
 
-# The chain-partition verdict depends only on f, the occupied set and the chains: the
-# kind of its first failure, or None.
+# The chain verdict depends only on f, the occupied set and the chains: the kind of
+# its first failure, or None.
 def _chain_partition(f: int, occupied: frozenset[int], chains: Chains, ends: _Ends) -> str | None:
     covered: set[int] = set()
     for c in chains:
@@ -115,24 +104,21 @@ def _chain_partition(f: int, occupied: frozenset[int], chains: Chains, ends: _En
     return None
 
 
-STRATUM_SUITES = ("chain-partition", "augmented-oracle")
-# what _suite_strata yields for every stratum that passes both, and _run skips at once
-_STRATUM_PASSED = (None,) * len(STRATUM_SUITES)
 _UNSEEN = object()
 
 
-def _suite_strata(max_f: int, p: int) -> _Verdicts:
-    """One walk of the strata for the two STRATUM_SUITES.
+def _suite_strata_oracle(max_f: int, p: int) -> _Verdicts:
+    """Each stratum's chains, then its induced datum, against the oracle's components.
 
     Each stratum is built once by tuple.__new__, without Stratum's checks as
     in strata_children: each T of all_vanishing_sets is a proper subset of
     rd's integer split places by construction.  Its chains are decomposed
     once and handed to induced_ramification.  Many strata share an occupied
     set s_inf | T, so the oracle's component_ends are kept per (f, occupied
-    set), and the chain-partition verdict per (f, occupied set, chains):
-    chains that split one occupied set another way are checked afresh.  The
-    induced datum must be rd with s_inf | T, plus the place before the
-    backward end of each component that meets T oddly, as its s_inf.
+    set), and the chain verdict per (f, occupied set, chains): chains that
+    split one occupied set another way are checked afresh.  The induced
+    datum must be rd with s_inf | T, plus the place before the backward end
+    of each component that meets T oddly, as its s_inf.
     """
     components: dict[tuple[int, frozenset[int]], _Ends] = {}
     partitions: dict[tuple[int, frozenset[int], Chains], str | None] = {}
@@ -141,27 +127,23 @@ def _suite_strata(max_f: int, p: int) -> _Verdicts:
         for t in all_vanishing_sets(rd):
             st = tuple.__new__(Stratum, (rd, t))
             chains = decompose_chains(st)
-            induced = induced_ramification(st, chains=chains)
             occupied = s_inf | t
             ends = components.get((f, occupied))
             if ends is None:
                 ends = components[f, occupied] = component_ends(f, occupied)
-            partition = partitions.get((f, occupied, chains), _UNSEEN)
-            if partition is _UNSEEN:
-                partition = partitions[f, occupied, chains] = _chain_partition(f, occupied, chains, ends)
-            augmented = set(occupied)
-            for comp, before_end in ends:
-                if len(t.intersection(comp)) & 1:
-                    augmented.add(before_end)
-            mismatch = None
-            if induced != (f, augmented, s_fin_count, p):
-                got = f"({induced.f}, {sorted(induced.s_inf)}, {induced.s_fin_count}, {induced.p})"
-                mismatch = f"induced {got}, expected ({f}, {sorted(augmented)}, {s_fin_count}, {p})"
-            if partition or mismatch:
-                where = f": f={f} s_inf={sorted(s_inf)} t={sorted(t)}"
-                yield tuple(problem and problem + where for problem in (partition, mismatch))
-            else:
-                yield _STRATUM_PASSED
+            problem = partitions.get((f, occupied, chains), _UNSEEN)
+            if problem is _UNSEEN:
+                problem = partitions[f, occupied, chains] = _chain_partition(f, occupied, chains, ends)
+            if problem is None:
+                induced = induced_ramification(st, chains=chains)
+                augmented = set(occupied)
+                for comp, before_end in ends:
+                    if len(t.intersection(comp)) & 1:
+                        augmented.add(before_end)
+                if induced != (f, augmented, s_fin_count, p):
+                    got = f"({induced.f}, {sorted(induced.s_inf)}, {induced.s_fin_count}, {induced.p})"
+                    problem = f"induced {got}, expected ({f}, {sorted(augmented)}, {s_fin_count}, {p})"
+            yield problem and f"{problem}: f={f} s_inf={sorted(s_inf)} t={sorted(t)}"
 
 
 def _suite_model_masks(max_f: int, p: int) -> _Verdicts:
@@ -170,46 +152,40 @@ def _suite_model_masks(max_f: int, p: int) -> _Verdicts:
         masks = model_child_masks(m)
         children = strata_children(make_ramification(m, p))
         if len(masks) != len(children):
-            yield (f"m={m}: {len(masks)} masks for {len(children)} children",)
+            yield f"m={m}: {len(masks)} masks for {len(children)} children"
             continue
         for got, (t, child) in zip(masks, children):
             want = sum([1 << x for x in child.s_inf])
-            yield (None if got == want else f"m={m} t={sorted(t)}: mask {got}, expected {want}",)
+            yield None if got == want else f"m={m} t={sorted(t)}: mask {got}, expected {want}"
 
 
-class _Bounds(dict[RamificationData, int]):
-    """degree_bound per datum, computed at the first lookup: degree-oracle fills it, and
-    degree-monotone reads it and computes what degree-oracle left out after a failure."""
+def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
+    """One case per datum and prime, each datum at the primes in ascending order.
 
-    def __missing__(self, rd: RamificationData) -> int:
-        bound = self[rd] = degree_bound(rd)
-        return bound
-
-
-def _suite_degree_oracle(max_f: int, primes: tuple[int, ...], bounds: _Bounds) -> _Verdicts:
-    for p in primes:
-        for rd in all_ramifications(max_f, p, min_dim=1):
-            per_anchor = relaxed_profile_maxima(rd)
-            if bounds[rd] != max(per_anchor.values()):
-                yield (f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}",)
-            elif (sums := max_degree_sums(rd)) != per_anchor:
-                anchor = min(a for a, _ in sums.items() ^ per_anchor.items())
-                yield (f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}",)
-            else:
-                yield (None,)
-
-
-def _suite_degree_monotone(max_f: int, primes: tuple[int, ...], bounds: _Bounds) -> _Verdicts:
+    degree_bound and max_degree_sums are checked against the oracle's
+    fixpoint maxima, and the bound against the one at the next smaller prime.
+    """
     ordered = sorted(primes)
-    for lo, hi in zip(ordered, ordered[1:]):
-        for rd_lo in all_ramifications(max_f, lo, min_dim=1):
-            rd_hi = rd_lo._replace(p=hi)  # selfcheck() has checked hi
-            monotone = bounds[rd_lo] <= bounds[rd_hi]
-            yield (None if monotone else f"p={lo}->{hi} f={rd_lo.f} s_inf={sorted(rd_lo.s_inf)}",)
+    for rd in all_ramifications(max_f, ordered[0], min_dim=1):
+        last = None  # (prime, bound) at the next smaller prime
+        for p in ordered:
+            rd_p = rd._replace(p=p)  # selfcheck() has checked p
+            bound = degree_bound(rd_p)
+            per_anchor = relaxed_profile_maxima(rd_p)
+            if bound != max(per_anchor.values()):
+                yield f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+            elif (sums := max_degree_sums(rd_p)) != per_anchor:
+                anchor = min(a for a, _ in sums.items() ^ per_anchor.items())
+                yield f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+            elif last and bound < last[1]:
+                yield f"not monotone in p: p={last[0]}->{p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+            else:
+                yield None
+            last = p, bound
 
 
-def _suite_curves() -> _Verdicts:
-    """One walk of the curve types (g, n), g and n <= 10, for rigidity-table and contradiction-agreement."""
+def _suite_curve_table() -> _Verdicts:
+    """One case per curve type (g, n), g and n <= 10: the rigidity verdict, then the contradiction rule."""
     for g in range(11):
         for n in range(11):
             ct = CurveType(g, n)
@@ -218,15 +194,16 @@ def _suite_curves() -> _Verdicts:
             singleton_iso = len(degrees) == 1 and degrees[0][1]
             expected = (True, degrees[0][0], 4**g) if singleton_iso else (False, None, None)
             verdict = finiteness_verdict(ct)
-            rigidity = None
             if bool(degrees) != (e >= 2):
-                rigidity = f"(g,n)=({g},{n}): nonempty iff euler>=2 fails"
+                yield f"(g,n)=({g},{n}): nonempty iff euler>=2 fails"
             elif is_special(ct) != (e == 2) or singleton_iso != (e == 2):
-                rigidity = f"(g,n)=({g},{n}): special characterization fails"
+                yield f"(g,n)=({g},{n}): special characterization fails"
             elif (verdict.finite, verdict.d, verdict.count) != expected:
-                rigidity = f"(g,n)=({g},{n}): verdict is {verdict}, expected {expected}"
-            contradicted = contradiction_check(ct, 1, 0).conclusion == "contradiction"
-            yield rigidity, None if contradicted == (e == 2) else f"(g,n)=({g},{n})"
+                yield f"(g,n)=({g},{n}): verdict is {verdict}, expected {expected}"
+            elif (contradiction_check(ct, 1, 0).conclusion == "contradiction") != (e == 2):
+                yield f"(g,n)=({g},{n}): contradiction iff 2g-2+n=2 fails"
+            else:
+                yield None
 
 
 def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
@@ -234,39 +211,23 @@ def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> _Verdic
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
             for ct in curves:
-                cert = build_certificate(rd, ct)
-                result = verify_document(certificate_to_doc(cert))
+                result = verify_document(certificate_to_doc(build_certificate(rd, ct)))
                 if result:
-                    yield (None,)
+                    yield None
                 else:
                     where = f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)} curve=({ct.g},{ct.n})"
-                    yield (f"{where}: {'; '.join(result.failures)}",)
+                    yield f"{where}: {'; '.join(result.failures)}"
 
 
-def _run(names: tuple[str, ...], scope: str, walk: _Verdicts) -> list[SuiteResult]:
-    """One result per name for the suites sharing walk, each counted as if it walked alone.
-
-    A suite that never fails has checked every case; one that fails has checked
-    the cases up to its first counterexample, which it keeps.  The walk ends
-    once every suite in it has failed.
-    """
+def _run(name: str, scope: str, walk: _Verdicts) -> SuiteResult:
+    """The suite's result: it stops at its first counterexample, which it keeps."""
     start = time.perf_counter()
-    cases = 0
-    failed_at = [0] * len(names)
-    found: list[str | None] = [None] * len(names)
-    for verdicts in walk:
-        cases += 1
-        if verdicts is not _STRATUM_PASSED and any(verdicts):
-            for i, problem in enumerate(verdicts):
-                if problem and found[i] is None:
-                    failed_at[i], found[i] = cases, problem
-            if None not in found:
-                break
-    seconds = (time.perf_counter() - start) / len(names)
-    return [
-        SuiteResult(name, problem is None, count or cases, scope, problem, seconds)
-        for name, count, problem in zip(names, failed_at, found, strict=True)
-    ]
+    checked, problem = 0, None
+    for problem in walk:
+        checked += 1
+        if problem:
+            break
+    return SuiteResult(name, problem is None, checked, scope, problem, time.perf_counter() - start)
 
 
 def _scope(max_f: int, primes: tuple[int, ...]) -> str:
@@ -278,7 +239,7 @@ def _scope(max_f: int, primes: tuple[int, ...]) -> str:
 def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     """Run every suite over the configurations its scope names.
 
-    The stratum suites and model-masks use the first prime only (the place
+    strata-oracle and model-masks use the first prime only (the place
     combinatorics does not depend on p), and the certificate round trip stops
     at f <= 4 and the first two primes because each check builds and verifies
     a whole tree.
@@ -312,15 +273,11 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     every = _scope(max_f, prime_tuple)
     trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
     trip = _scope(trip_f, trip_primes)
-    bounds = _Bounds()
-    runs = (
-        (("n-tau-tiling",), base, _suite_n_tau_tiling(max_f, base_p)),
-        (STRATUM_SUITES, base, _suite_strata(max_f, base_p)),
-        (("model-masks",), base, _suite_model_masks(max_f, base_p)),
-        (("degree-oracle",), every, _suite_degree_oracle(max_f, prime_tuple, bounds)),
-        (("degree-monotone",), every, _suite_degree_monotone(max_f, prime_tuple, bounds)),
-        (("rigidity-table", "contradiction-agreement"), "g<=10 n<=10", _suite_curves()),
-        (("certificate-roundtrip",), trip, _suite_certificate_roundtrip(trip_f, trip_primes)),
+    suites = (
+        _run("strata-oracle", base, _suite_strata_oracle(max_f, base_p)),
+        _run("model-masks", base, _suite_model_masks(max_f, base_p)),
+        _run("degree-oracle", every, _suite_degree_oracle(max_f, prime_tuple)),
+        _run("curve-table", "g<=10 n<=10", _suite_curve_table()),
+        _run("certificate-roundtrip", trip, _suite_certificate_roundtrip(trip_f, trip_primes)),
     )
-    suites = tuple(result for names, scope, walk in runs for result in _run(names, scope, walk))
     return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=suites)

@@ -17,14 +17,13 @@ from gocert import (
     finiteness_verdict,
     induced_ramification,
     make_ramification,
-    n_tau,
     serialize_certificate,
     shimura_dimension,
     split_places,
     strata_children,
     verify_document,
 )
-from gocert.oracle import all_ramifications, all_vanishing_sets, relaxed_profile_maxima
+from gocert.oracle import all_ramifications, all_vanishing_sets, relaxed_profile_maxima, scan_constraints
 from helpers import document_mutations, enumerated_profile_max
 
 # deterministic sample: (p, f, s_inf, (g, n)); s_fin_count fixes parity
@@ -117,7 +116,7 @@ def test_criterion_4_n_tau_tiling():
     checked = 0
     for rd in all_ramifications(8, 2, min_dim=1):
         checked += 1
-        assert sum(n_tau(rd, tau) for tau in split_places(rd)) == rd.f
+        assert sum(n for _, _, n in scan_constraints(rd.f, rd.s_inf)) == rd.f
     _report(4, "backward-gap exponents tile the cycle", checked, started, 5.0)
 
 

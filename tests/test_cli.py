@@ -442,14 +442,10 @@ def test_selfcheck_json(capsys):
     assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert (doc["max_f"], doc["primes"], doc["ok"]) == (3, [2, 3], True)
     assert [suite["name"] for suite in doc["suites"]] == [
-        "n-tau-tiling",
-        "chain-partition",
-        "augmented-oracle",
+        "strata-oracle",
         "model-masks",
         "degree-oracle",
-        "degree-monotone",
-        "rigidity-table",
-        "contradiction-agreement",
+        "curve-table",
         "certificate-roundtrip",
     ]
     assert all(
@@ -472,14 +468,10 @@ def test_selfcheck_counts_at_max_f_8(capsys):
         del suite["seconds"]
     base, every, curves = "f<=8 p=2", "f<=8 p in 2,3,5", "g<=10 n<=10"
     coverage = [
-        ("n-tau-tiling", 502, base),
-        ("chain-partition", 9330, base),
-        ("augmented-oracle", 9330, base),
+        ("strata-oracle", 9330, base),
         ("model-masks", 494, base),
         ("degree-oracle", 1506, every),
-        ("degree-monotone", 1004, every),
-        ("rigidity-table", 121, curves),
-        ("contradiction-agreement", 121, curves),
+        ("curve-table", 121, curves),
         ("certificate-roundtrip", 156, "f<=4 p in 2,3"),
     ]
     suites = [
@@ -493,7 +485,7 @@ def test_selfcheck_small(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--max-f", "3", "--primes", "2,3")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
-    assert len(lines) == 9
+    assert len(lines) == 5
     assert "all suites passed" in out
 
 

@@ -2,7 +2,7 @@ import itertools
 import time
 
 import pytest
-from gocert import CurveType, make_ramification, n_tau, shimura_dimension, split_places
+from gocert import CurveType, make_ramification, shimura_dimension, split_places
 from gocert.oracle import all_ramifications
 from gocert.places import P_BOUND
 
@@ -13,47 +13,10 @@ def test_split_places_examples():
     assert split_places(make_ramification(1, 2)) == [0]
 
 
-def test_n_tau_examples():
-    assert n_tau(make_ramification(4, 2, {1, 2}), 3) == 3
-    assert n_tau(make_ramification(1, 2), 0) == 1
-    rd = make_ramification(2, 2, {0}, s_fin_count=1)
-    assert n_tau(rd, 1) == 2
-    for f in range(1, 7):
-        rd = make_ramification(f, 2)
-        assert all(n_tau(rd, tau) == 1 for tau in range(f))
-
-
-def test_n_tau_undefined_on_ramified_place():
-    rd = make_ramification(4, 2, {1, 2})
-    with pytest.raises(ValueError):
-        n_tau(rd, 1)
-    with pytest.raises(ValueError):
-        n_tau(rd, 7)
-
-
-def test_n_tau_rejects_a_place_that_is_not_an_integer():
-    rd = make_ramification(4, 2, {1, 2})
-    for tau, shown in ((1.5, r"1\.5"), (True, "True"), (3.0, r"3\.0"), (None, "None")):
-        with pytest.raises(ValueError, match=f"^place {shown} must be an integer$"):
-            n_tau(rd, tau)
-
-
 def test_shimura_dimension_examples():
     assert shimura_dimension(make_ramification(4, 2, {1, 2})) == 2
     assert shimura_dimension(make_ramification(2, 2, {0, 1})) == 0
     assert shimura_dimension(make_ramification(5, 2, ())) == 5
-
-
-def test_n_tau_segments_tile_the_cycle():
-    for rd in all_ramifications(8, 2, min_dim=1):
-        assert sum(n_tau(rd, tau) for tau in split_places(rd)) == rd.f
-
-
-def test_all_n_tau_one_iff_no_ramified_place():
-    # a nonempty proper s_inf always has an element directly behind a split place
-    for rd in all_ramifications(6, 2, min_dim=1):
-        all_one = all(n_tau(rd, tau) == 1 for tau in split_places(rd))
-        assert all_one == (not rd.s_inf)
 
 
 def test_all_ramifications_checks_p_once_and_builds_valid_data():

@@ -49,7 +49,6 @@ def test_the_public_names_are_pinned():
         "RamificationData",
         "make_ramification",
         "split_places",
-        "n_tau",
         "shimura_dimension",
         "Stratum",
         "decompose_chains",

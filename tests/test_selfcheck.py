@@ -15,14 +15,10 @@ SELFCHECK = importlib.import_module("gocert.selfcheck")
 
 # (suite, checked, scope) for max_f=5 over the primes 2 and 3
 EXPECTED_COVERAGE = [
-    ("n-tau-tiling", 57, "f<=5 p=2"),
-    ("chain-partition", 301, "f<=5 p=2"),
-    ("augmented-oracle", 301, "f<=5 p=2"),
+    ("strata-oracle", 301, "f<=5 p=2"),
     ("model-masks", 52, "f<=5 p=2"),
     ("degree-oracle", 114, "f<=5 p in 2,3"),
-    ("degree-monotone", 57, "f<=5 p in 2,3"),
-    ("rigidity-table", 121, "g<=10 n<=10"),
-    ("contradiction-agreement", 121, "g<=10 n<=10"),
+    ("curve-table", 121, "g<=10 n<=10"),
     ("certificate-roundtrip", 156, "f<=4 p in 2,3"),
 ]
 
@@ -57,7 +53,10 @@ def test_selfcheck_refuses_a_max_f_that_is_not_an_integer(monkeypatch, max_f):
     def unreachable(*args):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(SELFCHECK, "_suite_n_tau_tiling", unreachable)
+    suites = [name for name in vars(SELFCHECK) if name.startswith("_suite_")]
+    assert len(suites) == 5
+    for name in suites:
+        monkeypatch.setattr(SELFCHECK, name, unreachable)
     with pytest.raises(ValueError) as refused:
         selfcheck(max_f, [2])
     assert str(refused.value) == f"max_f must be an integer, got {max_f!r}"
@@ -78,8 +77,8 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
     checked_new = Stratum.__new__
     monkeypatch.setattr(Stratum, "__new__", staticmethod(counted("Stratum", checked_new)))
     assert selfcheck(5, [2]).ok
-    # 301 strata at f <= 5: one of each per stratum, shared by the two stratum suites,
-    # and every stratum built without the checking constructor
+    # 301 strata at f <= 5: one of each per stratum, and every stratum built without the
+    # checking constructor
     assert calls == {"decompose_chains": 301, "induced_ramification": 301}
     Stratum(make_ramification(3, 2), {0})
     assert calls["Stratum"] == 1  # the counter sees a checked construction
@@ -102,24 +101,6 @@ def test_certificate_roundtrip_walks_once_per_build_and_verify(monkeypatch):
     assert calls == 6 * 34
 
 
-def test_stratum_suites_fail_independently(monkeypatch):
-    def unaugmented(st, chains=None):
-        # drops the extra place of every odd chain: s_inf | T only
-        rd = st.rd
-        return RamificationData(f=rd.f, s_inf=rd.s_inf | st.t, s_fin_count=rd.s_fin_count, p=rd.p)
-
-    monkeypatch.setattr(SELFCHECK, "induced_ramification", unaugmented)
-    report = selfcheck(5, [2, 3])
-    failures = {"augmented-oracle": "induced (2, [0], 0, 2), expected (2, [0, 1], 0, 2): f=2 s_inf=[] t=[0]"}
-    expected = [
-        (name, name not in failures, 3 if name in failures else checked, scope, failures.get(name))
-        for name, checked, scope in EXPECTED_COVERAGE
-    ]
-    got = [(s.name, s.passed, s.checked, s.scope, s.counterexample) for s in report.suites]
-    assert got == expected
-    assert not report.ok
-
-
 def test_augmented_oracle_catches_an_augmented_set_that_drops_s_inf(monkeypatch):
     original = SELFCHECK.induced_ramification
 
@@ -135,7 +116,7 @@ def test_augmented_oracle_catches_an_augmented_set_that_drops_s_inf(monkeypatch)
 
     monkeypatch.setattr(SELFCHECK, "induced_ramification", swapped)
     report = selfcheck(5, [2, 3])
-    failures = {"augmented-oracle": (69, "induced (4, [2, 3], 0, 2), expected (4, [0, 1], 0, 2): f=4 s_inf=[0, 1] t=[]")}
+    failures = {"strata-oracle": (69, "induced (4, [2, 3], 0, 2), expected (4, [0, 1], 0, 2): f=4 s_inf=[0, 1] t=[]")}
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
@@ -157,7 +138,7 @@ def test_augmented_oracle_catches_the_place_after_an_odd_chains_head(monkeypatch
 
     monkeypatch.setattr(SELFCHECK, "induced_ramification", after_the_head)
     report = selfcheck(5, [2, 3])
-    failures = {"augmented-oracle": (8, "induced (3, [0, 1], 0, 2), expected (3, [0, 2], 0, 2): f=3 s_inf=[] t=[0]")}
+    failures = {"strata-oracle": (8, "induced (3, [0, 1], 0, 2), expected (3, [0, 2], 0, 2): f=3 s_inf=[] t=[0]")}
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
@@ -221,37 +202,90 @@ def test_selfcheck_computes_one_degree_bound_per_datum_and_prime(monkeypatch):
 
     monkeypatch.setattr(SELFCHECK, "degree_bound", counted)
     assert selfcheck(5, [2, 3]).ok
-    # 57 data at each of the two primes, shared by degree-oracle and degree-monotone
+    # 57 data at each of the two primes, each checked against the oracle and the smaller prime's bound
     assert calls == 114
-    # degree-oracle stops at its first datum, so degree-monotone computes the bounds it lacks
-    monkeypatch.setattr(SELFCHECK, "relaxed_profile_maxima", lambda rd: {0: 0})
-    got = {s.name: (s.passed, s.checked, s.counterexample) for s in selfcheck(5, [2, 3]).suites}
-    assert got["degree-oracle"] == (False, 1, "p=2 f=1 s_inf=[]")
-    assert got["degree-monotone"] == (True, 57, None)
 
 
-def test_chain_partition_catches_merged_chains(monkeypatch):
-    original = SELFCHECK.decompose_chains
-
+def merge_all_chains(decompose):
     def merged(st):
         # one chain holding every occupied place: disjoint, covering, and free at both
         # ends, so only the comparisons with the oracle's components can tell
-        chains = original(st)
+        chains = decompose(st)
         return (sum(chains, ()),) if chains else ()
 
-    monkeypatch.setattr(SELFCHECK, "decompose_chains", merged)
+    return merged
+
+
+def test_chain_partition_catches_merged_chains(monkeypatch):
+    monkeypatch.setattr(SELFCHECK, "decompose_chains", merge_all_chains(SELFCHECK.decompose_chains))
     report = selfcheck(5, [2, 3])
-    where = ": f=4 s_inf=[] t=[0, 2]"
-    failures = {
-        "chain-partition": (32, "component mismatch" + where),
-        "augmented-oracle": (32, "induced (4, [0, 2], 0, 2), expected (4, [0, 1, 2, 3], 0, 2)" + where),
-    }
+    failures = {"strata-oracle": (32, "component mismatch: f=4 s_inf=[] t=[0, 2]")}
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
     ]
     got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
     assert got == expected
+
+
+def test_the_augmented_set_catches_merged_chains_that_pass_the_chain_check(monkeypatch):
+    monkeypatch.setattr(SELFCHECK, "decompose_chains", merge_all_chains(SELFCHECK.decompose_chains))
+    monkeypatch.setattr(SELFCHECK, "_chain_partition", lambda *args: None)  # every chain check passes
+    (suite,) = [s for s in selfcheck(5, [2, 3]).suites if s.name == "strata-oracle"]
+    assert (suite.passed, suite.checked, suite.counterexample) == (
+        False,
+        32,
+        "induced (4, [0, 2], 0, 2), expected (4, [0, 1, 2, 3], 0, 2): f=4 s_inf=[] t=[0, 2]",
+    )
+
+
+def test_degree_oracle_catches_a_bound_that_falls_with_p(monkeypatch):
+    # the oracle's maxima and every anchored sum agree with the falling bound
+    monkeypatch.setattr(SELFCHECK, "degree_bound", lambda rd: 10 - rd.p)
+    monkeypatch.setattr(SELFCHECK, "relaxed_profile_maxima", lambda rd: {0: 10 - rd.p})
+    monkeypatch.setattr(SELFCHECK, "max_degree_sums", lambda rd: {0: 10 - rd.p})
+    (suite,) = [s for s in selfcheck(3, [3, 2]).suites if s.name == "degree-oracle"]
+    assert (suite.passed, suite.checked, suite.counterexample) == (
+        False,
+        2,
+        "not monotone in p: p=2->3 f=1 s_inf=[]",
+    )
+
+
+@pytest.mark.parametrize(
+    "name, mutant, counterexample",
+    [
+        (
+            "finiteness_verdict",
+            lambda ct: RigidityVerdict(True, 1, 1),
+            "(g,n)=(0,0): verdict is RigidityVerdict(finite=True, d=1, count=1), expected (False, None, None)",
+        ),
+        (
+            "contradiction_check",
+            lambda *args: SimpleNamespace(conclusion="contradiction"),
+            "(g,n)=(0,0): contradiction iff 2g-2+n=2 fails",
+        ),
+    ],
+    ids=["rigidity", "contradiction"],
+)
+def test_curve_table_names_each_kind_of_failure(monkeypatch, name, mutant, counterexample):
+    monkeypatch.setattr(SELFCHECK, name, mutant)
+    (suite,) = [s for s in selfcheck(3, [2]).suites if s.name == "curve-table"]
+    assert (suite.passed, suite.checked, suite.counterexample) == (False, 1, counterexample)
+
+
+def test_readme_lists_the_suites_selfcheck_reports():
+    # the bullet list after the sentence that introduces selfcheck's output, one suite per bullet
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("`selfcheck` prints one line for each"))
+    first = next(i for i in range(start, len(lines)) if lines[i].startswith("- `"))
+    listed = []
+    for line in lines[first:]:
+        if not line.startswith(("- `", "  ")):
+            break
+        if line.startswith("- `"):
+            listed.append(line.split("`")[1])
+    assert listed == [suite.name for suite in selfcheck(3, [2, 3]).suites]
 
 
 def test_selfcheck_judges_each_occupied_set_and_its_chains_once(monkeypatch):
@@ -282,7 +316,7 @@ def test_chain_partition_checks_each_way_of_splitting_an_occupied_set(monkeypatc
         return (sum(chains, ()),) if st.rd.s_inf and st.t else chains
 
     monkeypatch.setattr(SELFCHECK, "decompose_chains", merged_when_both)
-    (suite,) = [s for s in selfcheck(5, [2, 3]).suites if s.name == "chain-partition"]
+    (suite,) = [s for s in selfcheck(5, [2, 3]).suites if s.name == "strata-oracle"]
     assert (suite.passed, suite.checked, suite.counterexample) == (
         False,
         43,
@@ -290,7 +324,7 @@ def test_chain_partition_checks_each_way_of_splitting_an_occupied_set(monkeypatc
     )
 
 
-# one decompose_chains mutant per structural check of chain-partition, with its first counterexample
+# one decompose_chains mutant per structural check of the chains, with its first counterexample
 @pytest.mark.parametrize(
     "mutant, counterexample",
     [
@@ -303,7 +337,7 @@ def test_chain_partition_checks_each_way_of_splitting_an_occupied_set(monkeypatc
 def test_chain_partition_names_each_kind_of_failure(monkeypatch, mutant, counterexample):
     original = SELFCHECK.decompose_chains
     monkeypatch.setattr(SELFCHECK, "decompose_chains", lambda st: mutant(original(st)))
-    (suite,) = [s for s in selfcheck(5, [2]).suites if s.name == "chain-partition"]
+    (suite,) = [s for s in selfcheck(5, [2]).suites if s.name == "strata-oracle"]
     assert (suite.passed, suite.counterexample) == (False, counterexample)
 
 
@@ -322,34 +356,6 @@ def test_the_oracle_depends_on_no_gocert_module_but_places():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names if alias.name.split(".")[0] == "gocert")
     assert imported == {"gocert.places"}
-
-
-def test_a_shared_walk_ends_once_all_its_suites_have_failed(monkeypatch):
-    monkeypatch.setattr(SELFCHECK, "_chain_partition", lambda *args: "broken")
-    # a prime other than the parent's, so every induced datum differs from the oracle's
-    monkeypatch.setattr(SELFCHECK, "induced_ramification", lambda st, chains: st.rd._replace(p=0))
-    strata = 0
-    original = SELFCHECK.decompose_chains
-
-    def counted(st):
-        nonlocal strata
-        strata += 1  # one decomposition per stratum walked
-        return original(st)
-
-    monkeypatch.setattr(SELFCHECK, "decompose_chains", counted)
-    # both curve suites fail at the first curve type, (0, 0)
-    monkeypatch.setattr(SELFCHECK, "finiteness_verdict", lambda ct: RigidityVerdict(True, 1, 1))
-    monkeypatch.setattr(SELFCHECK, "contradiction_check", lambda *args: SimpleNamespace(conclusion="contradiction"))
-    got = {s.name: (s.passed, s.checked, s.counterexample) for s in selfcheck(3, [2]).suites}
-    assert got["chain-partition"] == (False, 1, "broken: f=1 s_inf=[] t=[]")
-    assert got["augmented-oracle"] == (False, 1, "induced (1, [], 0, 0), expected (1, [], 0, 2): f=1 s_inf=[] t=[]")
-    assert strata == 1
-    assert got["rigidity-table"] == (
-        False,
-        1,
-        "(g,n)=(0,0): verdict is RigidityVerdict(finite=True, d=1, count=1), expected (False, None, None)",
-    )
-    assert got["contradiction-agreement"] == (False, 1, "(g,n)=(0,0)")
 
 
 def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(monkeypatch):
