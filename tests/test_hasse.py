@@ -40,8 +40,6 @@ def test_constraint_graph_is_one_cycle_and_exponents_tile():
         assert [src for src, _, _ in cs] == splits
         assert sorted(tgt for _, tgt, _ in cs) == splits
         assert sum(exp for _, _, exp in cs) == rd.f
-        # a nonempty proper s_inf always has an element directly behind a split place
-        assert all(exp == 1 for _, _, exp in cs) == (not rd.s_inf)
         step = {src: tgt for src, tgt, _ in cs}
         seen, x = set(), splits[0]
         while x not in seen:

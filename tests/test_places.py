@@ -3,7 +3,7 @@ import time
 
 import pytest
 from gocert import CurveType, make_ramification, shimura_dimension, split_places
-from gocert.oracle import all_ramifications
+from gocert.oracle import all_ramifications, scan_constraints
 from gocert.places import P_BOUND
 
 
@@ -17,6 +17,13 @@ def test_shimura_dimension_examples():
     assert shimura_dimension(make_ramification(4, 2, {1, 2})) == 2
     assert shimura_dimension(make_ramification(2, 2, {0, 1})) == 0
     assert shimura_dimension(make_ramification(5, 2, ())) == 5
+
+
+def test_all_n_tau_one_iff_no_ramified_place():
+    # a nonempty proper s_inf always has an element directly behind a split place
+    for rd in all_ramifications(6, 2, min_dim=1):
+        all_one = all(exp == 1 for _, _, exp in scan_constraints(rd.f, rd.s_inf))
+        assert all_one == (not rd.s_inf)
 
 
 def test_all_ramifications_checks_p_once_and_builds_valid_data():
