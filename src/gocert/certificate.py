@@ -22,27 +22,29 @@ from the node, its position and the certificate's config:
 The tree is read by _TREE_SIZES: a node's first child follows it, and each
 later child follows the _TREE_SIZES[dim] nodes of its elder sibling's subtree.
 
-A certificate keeps the case split as its walk computed it: a table of the
+A certificate keeps the case split as _case_split computed it: a table of the
 distinct data below the root, each with its children, a DAG of which the
 document's tree is the preorder expansion.  That table is the certificate's
 only tree form; no record is made per tree node.  Which stratum leads to which
 smaller datum depends only on the cyclic order of the split places, so the
-walk lists the children of the model datum (f = m, s_inf = {}) once per
-dimension m, as integer masks (strata.model_child_masks), and every datum of
-that dimension relabels them onto its own split places (_case_split; each
-record is keyed by the added-place mask its parent hands down, and its split
-places are its parent's less the added ones).  The case split relies on two
-facts, stated with the checks that reach them in _case_split: every datum of
+table of every datum of dimension m is that of the model datum (f = m,
+s_inf = {}) relabeled onto its own split places.  The model's table is walked
+once per dimension and kept for the life of the process, on indices into the
+model's split places (_model_table, which lists model children as integer
+masks with strata.model_child_masks), and each build maps it onto its root's
+split places in one loop (_case_split).  The case split relies on two facts,
+stated with the checks that reach them in _case_split: every datum of
 dimension m relabels the model's children, and every datum below a model
 root is a direct child of it.  So a datum's subtree size depends on its
 dimension alone: _TREE_SIZES lists it up to the largest dimension within
-MAX_TREE_NODES, a larger one is refused before any walk, and verify checks a
-node count against it without a walk.
+MAX_TREE_NODES, a larger one is refused before any table is read, and verify
+checks a node count against it without one.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  _preorder is the one expansion of the
 table: it lists item(datum, entry) for every node in preorder, building each
-datum's subtree list once.  serialize_certificate expands one node text per
+datum's subtree list once, from its children's, which the table lists before
+it.  serialize_certificate expands one node text per
 distinct datum and joins them; certificate_to_doc expands one node dict per
 distinct datum and copies each node (a test pins the two texts equal); and
 verification replays the case split from the embedded configuration, compares
@@ -56,10 +58,10 @@ from __future__ import annotations
 import json
 from itertools import chain, compress, count
 from operator import is_, itemgetter, ne
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 from ._version import __version__
-from .hasse import degree_bound
+from .hasse import split_degree_bound
 from .ledger import ContradictionVerdict, contradiction_check
 from .places import RamificationData, _check_json_digits, _show, make_ramification, shimura_dimension, split_places
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
@@ -102,7 +104,7 @@ KIND_STEPS = {
 MAX_TREE_NODES = 100_000
 # The subtree size of a datum of each dimension 0..9, which depends on the
 # dimension alone (_case_split); dimension 10 has 299 263 nodes, over
-# MAX_TREE_NODES, so from len(_TREE_SIZES) on a datum is refused before any walk.
+# MAX_TREE_NODES, so from len(_TREE_SIZES) on a datum is refused before any table is read.
 _TREE_SIZES = (1, 1, 3, 7, 31, 91, 495, 1723, 10815, 42667)
 _TOO_LARGE = f"the case split has more than {MAX_TREE_NODES} nodes"
 
@@ -131,8 +133,51 @@ class FinitenessCertificate(NamedTuple):
     tool_version: str
 
 
+# The table of each model datum a build has reached, by dimension (_model_table): at most len(_TREE_SIZES).
+_MODEL_TABLES: dict[int, list] = {}
+
+
+def _model_table(m: int) -> list:
+    """(added, kept, edges) for each distinct datum below the model datum of dimension m, in post-order, the model last.
+
+    added and kept are the model's split places, 0..m-1, that the datum adds to
+    s_inf and keeps split; edges are the positions of its edges' children in
+    the table, in bitmask order.  The walk is made once per m in a process
+    (76 entries at m = 9): it lists the model children with model_child_masks
+    once per dimension of at least 2 it reaches, and every datum relabels them
+    onto the places it keeps, so an edge costs a few integer operations and
+    each distinct added-place mask gets one entry.
+    """
+    if m not in _MODEL_TABLES:
+        _model_below(m, 0, table := [], {}, {})
+        _MODEL_TABLES[m] = table
+    return _MODEL_TABLES[m]
+
+
+def _model_below(m: int, added: int, table: list, shapes: dict, positions: dict) -> int:
+    """Enter the datum of the model of dimension m whose s_inf has the bit mask added, and every datum below it; return its position.
+
+    shapes maps each dimension of at least 2 to model_child_masks of it;
+    positions maps the added-place masks of the data entered to their positions.
+    """
+    kept, edges = tuple([x for x in range(m) if not added >> x & 1]), ()
+    if (dim := len(kept)) > 1:
+        if (shape := shapes.get(dim)) is None:
+            shape = shapes[dim] = model_child_masks(dim)
+        masks = [added]  # by index mask over kept: the added-place mask with the places it selects
+        for bit in map((1).__lshift__, kept):
+            masks += [mask | bit for mask in masks]
+        children = itemgetter(*shape)(masks)  # 2^dim - 2 >= 2 of them, so a tuple
+        for child in dict.fromkeys(children):
+            if child not in positions:
+                positions[child] = _model_below(m, child, table, shapes, positions)
+        edges = itemgetter(*children)(positions)
+    table.append((tuple([x for x in range(m) if added >> x & 1]), kept, edges))
+    return len(table) - 1
+
+
 def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
-    """Each distinct datum below rd with its degree bound and its edges' children in strata_children order.
+    """Each distinct datum below rd with its degree bound and its edges' children in strata_children order, rd last.
 
     A datum of dimension 0 or 1 has no children (2^1 - 2 = 0).  A chain of
     s_inf | T runs from one free split place to the next, so its part in T is a
@@ -141,76 +186,50 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     numbered 0..m-1, every datum of dimension m thus has the children of the
     model datum (f = m, s_inf = {}): the split places an edge adds to s_inf, as
     an index mask, depend on the edge alone, and they are the model's
-    children's s_inf masks, which model_child_masks(m) lists on integers,
-    building no stratum or record.  So the walk lists them once per dimension
-    m >= 2 it reaches, and every datum relabels them: it lists the places and
-    added-place mask (the places beyond rd's s_inf, handed down by its
-    parent) of each index mask of its split places, so an edge costs a few
-    integer operations and each mask gets one record.  A child's split places
-    are its parent's less the ones its edge adds, so split_places scans rd
-    alone.  An edge keeps only its child: its T is the index mask of its
-    position.  Nothing outlives the walk.  So a datum's subtree size depends
-    on its dimension alone: _TREE_SIZES[dim], which a test pins to the kernel
-    walk.
+    children's s_inf masks, which model_child_masks(m) lists on integers.
+    Applied at every datum below rd, rd's whole table is the model's table
+    relabeled: _model_table(m) holds it on indices into the model's split
+    places, and one loop maps each entry onto rd's split places, building one
+    record per datum below rd and its bound from the split places it maps
+    (hasse.split_degree_bound), so split_places scans rd alone.  An edge keeps
+    only its child: its T is the index mask of its position.  So a datum's
+    subtree size depends on its dimension alone: _TREE_SIZES[dim], which a
+    test pins to the kernel walk.
 
     Two facts carry this, each checked up to the size stated:
-    - every datum of dimension m relabels the model's children: the walk equals
-      the one that calls strata_children on every datum for every root with
-      f <= 8 (tier-1, test_relabeled_case_split_equals_the_kernel_walk) and
-      f <= 10 (CI, tests/check_case_split.py), and model_child_masks(m) equals
-      the masks of strata_children on the model for m <= 12 (tier-1),
+    - every datum of dimension m relabels the model's children: the table
+      equals the one from calling strata_children on every datum for every
+      root with f <= 8 (tier-1, test_relabeled_case_split_equals_the_kernel_walk)
+      and f <= 10 (CI, tests/check_case_split.py), and model_child_masks(m)
+      equals the masks of strata_children on the model for m <= 12 (tier-1),
       m <= max_f <= 12 (selfcheck's model-masks suite) and m <= 16 (CI);
-    - every datum below a model root is a direct child of it, so a walk makes
-      one record per distinct child of its root: for m <= 9 (tier-1,
+    - every datum below a model root is a direct child of it, so a table has
+      one entry per distinct child of its root: for m <= 9 (tier-1,
       test_every_datum_below_a_model_datum_is_a_direct_child_of_it).
 
-    Raises ValueError before any walk when rd's dimension is past _TREE_SIZES
-    (over MAX_TREE_NODES nodes), and as the walk enters a datum whose degree
-    bound, the largest integer a node holds, has more digits than json
-    converts (_check_json_digits), so for the root before any walk.
+    Raises ValueError before any table is read when rd's dimension is past
+    _TREE_SIZES (over MAX_TREE_NODES nodes), and when rd's degree bound, the
+    largest integer a node holds, has more digits than json converts
+    (_check_json_digits).  No datum below rd has a larger bound: its split
+    places are some of rd's, so each anchored sum only loses terms.
     """
-    if shimura_dimension(rd) >= len(_TREE_SIZES):
+    m = shimura_dimension(rd)
+    if m >= len(_TREE_SIZES):
         raise ValueError(_TOO_LARGE)
-    table: dict[RamificationData, _Split] = {}
-    _split_below(rd, split_places(rd), 0, table, {}, {})
+    f, s_inf, s_fin_count, p = rd
+    splits = split_places(rd)
+    root_bound = split_degree_bound(f, p, splits) if m else None
+    if root_bound is not None:
+        _check_json_digits(root_bound, f"the degree bound at f={f}")
+    place, data, table = splits.__getitem__, [], {}
+    for added, kept, edges in _model_table(m):
+        datum, bound = rd, root_bound  # the root's entry, the last one, adds no place
+        if added:
+            datum = RamificationData(f, s_inf.union(map(place, added)), s_fin_count, p)
+            bound = split_degree_bound(f, p, [*map(place, kept)]) if kept else None
+        data.append(datum)
+        table[datum] = _Split(bound, itemgetter(*edges)(data) if edges else ())
     return table
-
-
-def _split_below(
-    datum: RamificationData,
-    splits: Sequence[int],
-    added: int,
-    table: dict[RamificationData, _Split],
-    shapes: dict[int, list[int]],
-    records: dict[int, RamificationData],
-) -> None:
-    """Enter datum, given its split places in ascending order and the mask of the places its s_inf adds beyond the root's, and every datum below it.
-
-    shapes maps each dimension of at least 2 to model_child_masks of it;
-    records maps the added-place masks parents hand down to their data.
-    """
-    dim = len(splits)
-    bound = degree_bound(datum) if dim else None
-    if bound is not None:
-        _check_json_digits(bound, f"the degree bound at f={datum.f}")
-    edges = []
-    if dim > 1:
-        shape = shapes.get(dim)
-        if shape is None:
-            shape = shapes[dim] = model_child_masks(dim)
-        f, s_inf, s_fin_count, p = datum
-        ts, masks = [()], [added]  # by index mask: sorted places, added-place mask
-        for place in splits:
-            ts += [t + (place,) for t in ts]
-            masks += [mask | 1 << place for mask in masks]
-        full = len(ts) - 1
-        for grown in shape:
-            if (child := records.get(masks[grown])) is None:
-                child = records[masks[grown]] = RamificationData(f, s_inf.union(ts[grown]), s_fin_count, p)
-                # the child's split places are datum's but for the ones the edge adds
-                _split_below(child, ts[full ^ grown], masks[grown], table, shapes, records)
-            edges.append(child)
-    table[datum] = _Split(bound, tuple(edges))
 
 
 def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertificate:
@@ -250,24 +269,19 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     )
 
 
-def _preorder(
-    datum: RamificationData,
-    table: dict[RamificationData, _Split],
-    item: Callable[[RamificationData, _Split], Any],
-    lists: dict[RamificationData, list[Any]],
-) -> list[Any]:
-    """item(d, table[d]) for every node d of the tree of table below datum, in preorder.
+def _preorder(table: dict[RamificationData, _Split], item: Callable[[RamificationData, _Split], Any]) -> list[Any]:
+    """item(d, table[d]) for every node d of the tree of table, in preorder.
 
-    lists keeps the list of each datum's subtree once it is built, so item is
-    called once per distinct datum, and every node of a datum is its one item.
+    table lists each datum after its children and the root last, as
+    _case_split builds it, so each datum's subtree list is built once, from
+    its children's: item is called once per distinct datum, and every node of
+    a datum is its one item.
     """
-    below = lists.get(datum)
-    if below is None:
-        entry = table[datum]
-        below = [item(datum, entry)]
+    lists: dict[RamificationData, list[Any]] = {}
+    for datum, entry in table.items():
+        lists[datum] = below = [item(datum, entry)]
         for child in entry.edges:
-            below += _preorder(child, table, item, lists)
-        lists[datum] = below
+            below += lists[child]
     return below
 
 
@@ -294,7 +308,7 @@ def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
 
 def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
     """The certificate's document as dicts; every node has a dict and a list of its own."""
-    nodes = _preorder(cert.rd, cert.split, _node_doc, {})
+    nodes = _preorder(cert.split, _node_doc)
     return {**_blocks_doc(cert), "nodes": [{**node, "s_inf": node["s_inf"].copy()} for node in nodes]}
 
 
@@ -329,7 +343,7 @@ def serialize_certificate(cert: FinitenessCertificate) -> str:
     dict is built per node: each distinct datum's node is encoded once, and the
     preorder expansion of those texts is joined into the document's "nodes".
     """
-    texts = _preorder(cert.rd, cert.split, _node_text, {})
+    texts = _preorder(cert.split, _node_text)
     before, _, after = serialize_document({**_blocks_doc(cert), "nodes": _NODES_SLOT}).partition(_NODES_TEXT)
     return f"{before}[{','.join(texts)}]{after}"
 
@@ -431,7 +445,7 @@ def verify_document(doc: Any) -> VerifyResult:
     In order: the top-level keys; the config, through parse_config; "nodes" is
     a non-empty list; the root's dimension is within _TREE_SIZES, else the
     tree-size refusal; the node count equals _TREE_SIZES at that dimension.  No
-    walk is made before these, so a document cannot demand a build larger than
+    table is read before these, so a document cannot demand a build larger than
     the one its own length implies.  Then the rebuild, which refuses a curve or
     a degree bound too large for json.  The one check on content is then the
     exact comparison with the rebuild: every top-level block, by value and
@@ -472,7 +486,7 @@ def verify_document(doc: Any) -> VerifyResult:
         return VerifyResult(False, (str(exc),))
     blocks = sorted(_blocks_doc(cert).items())
     failures = [failure for key, want in blocks if (failure := _first_mismatch(key, doc[key], want))]
-    want = _preorder(rd, cert.split, _node_doc, {})
+    want = _preorder(cert.split, _node_doc)
     if not (nodes == want and _nodes_hold_json_types(nodes)):
         # the first node unequal in value, unless one before it is of another JSON type
         i = next(compress(count(), map(ne, nodes, want)), len(nodes))

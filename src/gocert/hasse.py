@@ -25,7 +25,12 @@ def max_degree_sums(rd: RamificationData) -> dict[int, int]:
 
 
 def degree_bound(rd: RamificationData) -> int:
-    """Uniform bound on the total pulled-back omega degree: the largest of max_degree_sums(rd).
+    """Uniform bound on the total pulled-back omega degree: the largest of max_degree_sums(rd)."""
+    return split_degree_bound(rd.f, rd.p, split_places(rd))
+
+
+def split_degree_bound(f: int, p: int, splits: list[int]) -> int:
+    """degree_bound of the datum with f places, prime p and the split places splits, in ascending order.
 
     The anchor where Kodaira-Spencer pulls back nonzero is not known in
     advance, so the sound bound maximizes over all split anchors.  The sum
@@ -34,7 +39,6 @@ def degree_bound(rd: RamificationData) -> int:
     exponent sets read in base 2: as the split mask rotated to put a at bit 0.
     The largest rotation picks the best anchor, for every p.
     """
-    f, p, splits = rd.f, rd.p, split_places(rd)
     if not splits:
         raise ValueError("degree bound needs at least one split place")
     mask, full = sum([1 << x for x in splits]), (1 << f) - 1

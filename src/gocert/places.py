@@ -70,17 +70,24 @@ def _show(value: Any) -> str:
         return "<a value nested too deeply to write>"
 
 
+# A nonzero limit on integer string conversion is at least the interpreter's
+# threshold, and 2^(3 digits) < 10^digits, so no integer of at most this many
+# bits has more digits than the limit.
+_SAFE_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
+
+
 def _check_json_digits(n: int, what: str) -> None:
     """Raise ValueError when n, of either sign, has more decimal digits than json converts.
 
     The limit is the interpreter's for integers converted to or from text
     (sys.get_int_max_str_digits), so json could neither write nor read n; 0,
-    and a Python without the setting, mean no limit.  Below 2^(3 digits) <
-    10^digits n cannot have more digits, so most calls stop at the bit length.
+    and a Python without the setting, mean no limit.  Most calls stop at the
+    bit length, at most _SAFE_BITS, without reading the limit.
     """
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if digits and n.bit_length() > 3 * digits and abs(n) >= 10**digits:
-        raise ValueError(f"{what} has more than {digits} digits, the interpreter's limit for integers in JSON")
+    if n.bit_length() > _SAFE_BITS and hasattr(sys, "get_int_max_str_digits"):
+        digits = sys.get_int_max_str_digits()
+        if digits and n.bit_length() > 3 * digits and abs(n) >= 10**digits:
+            raise ValueError(f"{what} has more than {digits} digits, the interpreter's limit for integers in JSON")
 
 
 class RamificationData(NamedTuple):

@@ -2,6 +2,14 @@ import sys
 
 import pytest
 
+from gocert import certificate
+
+
+@pytest.fixture(autouse=True)
+def empty_model_tables(monkeypatch):
+    """Give each test an empty cache of model case-split tables, so no count of walks or listings depends on test order."""
+    monkeypatch.setattr(certificate, "_MODEL_TABLES", {})
+
 
 @pytest.fixture
 def default_int_digits():

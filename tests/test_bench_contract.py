@@ -26,9 +26,10 @@ def test_a_small_pass_calls_every_traced_boundary(monkeypatch):
     # a binding the program no longer calls would read 0 in every traced run
     found = spans.boundaries()
     # selfcheck builds its strata by tuple.__new__, so calls no Stratum binding; certificate lists
-    # model children by model_child_masks, which selfcheck checks against strata_children; selfcheck
-    # asks the oracle for component_ends, and calls neither cycle_components, shimura_dimension
-    # nor split_places (the oracle scans the backward gaps itself)
+    # model children by model_child_masks, which selfcheck checks against strata_children, and takes
+    # each bound from split_degree_bound, so hasse.degree_bound is reached from selfcheck alone;
+    # selfcheck asks the oracle for component_ends, and calls neither cycle_components,
+    # shimura_dimension nor split_places (the oracle scans the backward gaps itself)
     assert len(found) == 46
     for importer, name in found:
         module = _module(importer)

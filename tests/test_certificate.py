@@ -601,11 +601,12 @@ def test_verify_rejects_a_wrong_node_count_without_calling_the_kernel(monkeypatc
     doc["config"]["rd"] = {"f": f, "p": 2, "s_fin_count": 1, "s_inf": list(range(f - 9))}
     doc["nodes"] = [{} for _ in range(42666)]
 
-    def no_kernel(arg):
+    def no_kernel(*args):
         raise AssertionError("verify called the kernel")
 
     monkeypatch.setattr(certificate, "model_child_masks", no_kernel)
-    monkeypatch.setattr(certificate, "degree_bound", no_kernel)
+    monkeypatch.setattr(certificate, "_model_table", no_kernel)
+    monkeypatch.setattr(certificate, "split_degree_bound", no_kernel)
     started = time.perf_counter()
     result = verify_document(doc)
     assert time.perf_counter() - started < 0.1
@@ -675,18 +676,35 @@ def test_build_refuses_a_datum_of_dimension_10_or_11_through_the_running_total()
 
 
 def test_an_oversized_degree_bound_is_refused_before_any_walk(monkeypatch, default_int_digits):
-    # the root's bound is checked as the walk enters it: a walk first would list the kernel 4 times and
-    # build the subtree's data, each with an s_inf of about f places
+    # the root's bound is checked before the table is read: a walk first would list the kernel 4 times, and a
+    # relabeling would build the subtree's data, each with an s_inf of about f places
     def no_walk(m):
-        raise AssertionError(f"the kernel listed the model children of dimension {m}")
+        raise AssertionError(f"the case split read the model table or listing of dimension {m}")
 
     monkeypatch.setattr(certificate, "model_child_masks", no_walk)
+    monkeypatch.setattr(certificate, "_model_table", no_walk)
     f = 20_000
     rd = make_ramification(f, 3, range(f - 9), 1)  # dimension 9: the bound anchored at f - 8 is about 3^(f - 1)
     started = time.perf_counter()
     with pytest.raises(ValueError, match=rf"^the degree bound at f={f} has more than 4300 digits, "):
         certificate._case_split(rd)
     assert time.perf_counter() - started < 0.1
+    assert certificate._MODEL_TABLES == {}
+
+
+def test_a_refused_root_builds_no_table(default_int_digits):
+    # a dimension past _TREE_SIZES and a root bound too large for json are refused before any model table is walked
+    f = 20_000
+    for rd in (make_ramification(10, 3), make_ramification(f, 3, range(f - 9), 1)):
+        with pytest.raises(ValueError):
+            build_certificate(rd, GENUS_TWO)
+    assert certificate._MODEL_TABLES == {}
+    # and so is a document whose node count is wrong
+    doc = certificate_to_doc(build_certificate(make_ramification(5, 3), GENUS_TWO))
+    assert certificate._MODEL_TABLES.keys() == {5}
+    doc["config"]["rd"]["f"] = 6
+    assert verify_document(doc).failures == ("node count is 91, expected 495",)
+    assert certificate._MODEL_TABLES.keys() == {5}
 
 
 def test_refusal_dimension_is_the_least_whose_case_split_exceeds_the_limit():
@@ -706,6 +724,8 @@ def test_relabeled_case_split_equals_the_kernel_walk():
         for rd in all_ramifications(8, p):
             table, kernel_sizes = kernel_case_split(rd)
             assert list(certificate._case_split(rd).items()) == list(table.items()), rd
+            # no bound below the root's, so the root's digit check covers the table
+            assert all(entry.degree_bound <= table[rd].degree_bound for entry in table.values() if entry.edges), rd
             for datum in table:
                 sizes.setdefault(shimura_dimension(datum), set()).add(kernel_sizes[datum])
     # so every datum's subtree size depends on its dimension alone
@@ -745,13 +765,13 @@ def test_every_datum_below_a_model_datum_is_a_direct_child_of_it():
 
 
 def test_build_walks_each_distinct_datum_once(monkeypatch):
-    calls = {"model_child_masks": 0, "degree_bound": 0}
+    calls = {"model_child_masks": 0, "split_degree_bound": 0}
     for name in calls:
         original = getattr(certificate, name)
 
-        def counted(arg, name=name, original=original):
+        def counted(*args, name=name, original=original):
             calls[name] += 1
-            return original(arg)
+            return original(*args)
 
         monkeypatch.setattr(certificate, name, counted)
     cert = build_certificate(make_ramification(7, 3), GENUS_TWO)
@@ -759,14 +779,18 @@ def test_build_walks_each_distinct_datum_once(monkeypatch):
     nodes = doc["nodes"]
     distinct = {node_datum(doc["config"], node) for node in nodes if node["degree_bound"] is not None}
     assert len(nodes) == 1723 and len(distinct) == 29
-    # the model children are listed once per dimension 7, 5 and 3; every datum relabels
-    # them, and a datum of dimension 1 has no children
-    assert calls == {"model_child_masks": 3, "degree_bound": 29}
+    # the model children are listed once per dimension 7, 5 and 3 as the model table is walked; every datum
+    # relabels its entry, and a datum of dimension 1 has no children
+    assert calls == {"model_child_masks": 3, "split_degree_bound": 29}
+    # a second build relabels the kept table: one bound per datum of positive dimension, and no listing
+    assert serialize_certificate(build_certificate(make_ramification(7, 3), GENUS_TWO)) == serialize_certificate(cert)
+    assert calls == {"model_child_masks": 3, "split_degree_bound": 58}
 
 
 def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
-    # the model children (f = m, s_inf = {}) are listed as masks once per dimension m >= 2 the walk reaches; every
-    # datum relabels them, found by their added-place mask, so an edge to a datum already reached builds no record
+    # the model children (f = m, s_inf = {}) are listed as masks once per dimension m >= 2 the model's walk
+    # reaches; every datum relabels them, found by their added-place mask, so the table has one entry per
+    # distinct datum, and a case split builds one record per entry below its root
     for f, dims in ((7, (7, 5, 3)), (9, (9, 7, 5, 3))):
         built, listed = [0], []
 
@@ -784,14 +808,33 @@ def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
         monkeypatch.undo()
         assert listed == list(dims)
         # one record per datum below the root, and none for a model: 28 at f = 7 and 75 at f = 9
-        assert built[0] == len(table) - 1 == {7: 28, 9: 75}[f]
+        assert built[0] == len(table) - 1 == len(certificate._model_table(f)) - 1 == {7: 28, 9: 75}[f]
+
+
+def test_roots_of_one_dimension_share_one_model_table(monkeypatch):
+    # which smaller datum a stratum leads to depends only on the cyclic order of the split places, so roots of
+    # dimension 7 with other f, p and s_inf relabel one table, walked with one listing per dimension it reaches
+    listed = []
+
+    def listing(m, original=certificate.model_child_masks):
+        listed.append(m)
+        return original(m)
+
+    monkeypatch.setattr(certificate, "model_child_masks", listing)
+    roots = (make_ramification(7, 3), make_ramification(10, 5, {2, 6, 9}, 1), make_ramification(8, 2, {0}, 1))
+    for rd in roots:
+        assert list(certificate._case_split(rd).items()) == list(kernel_case_split(rd)[0].items()), rd
+    assert listed == [7, 5, 3]
+    assert certificate._MODEL_TABLES.keys() == {7}
+    assert len(certificate._model_table(7)) == 29
 
 
 def test_verify_walks_each_distinct_datum_once(monkeypatch):
-    # the node-count check and the rebuild share one walk of the case split, and
+    # the node-count check and the rebuild share one relabeling of the case split, and
     # the expansion makes one expected node per distinct datum
     doc = certificate_to_doc(build_certificate(make_ramification(7, 3), GENUS_TWO))
-    calls = {"model_child_masks": 0, "degree_bound": 0, "_node_doc": 0}
+    monkeypatch.setattr(certificate, "_MODEL_TABLES", {})  # so that verify walks the model table itself
+    calls = {"model_child_masks": 0, "split_degree_bound": 0, "_node_doc": 0}
     for name in calls:
         original = getattr(certificate, name)
 
@@ -801,7 +844,7 @@ def test_verify_walks_each_distinct_datum_once(monkeypatch):
 
         monkeypatch.setattr(certificate, name, counted)
     assert verify_document(doc)
-    assert calls == {"model_child_masks": 3, "degree_bound": 29, "_node_doc": 29}
+    assert calls == {"model_child_masks": 3, "split_degree_bound": 29, "_node_doc": 29}
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 import itertools
+import sys
 import time
 
 import pytest
 from gocert import CurveType, make_ramification, shimura_dimension, split_places
 from gocert.oracle import all_ramifications, scan_constraints
-from gocert.places import P_BOUND
+from gocert.places import P_BOUND, _check_json_digits
 
 
 def test_split_places_examples():
@@ -122,3 +123,22 @@ def test_every_pseudoprime_threshold_below_the_bound_is_refused():
         assert n < P_BOUND
         with pytest.raises(ValueError, match=f"p must be a prime, got {n}"):
             make_ramification(2, n)
+
+
+def test_json_digit_check_is_exact_at_the_least_nonzero_limit():
+    # an integer of at most 3 * 640 bits has at most 640 digits, the least nonzero limit, so the check stops there
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer string conversion")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError, match="^n has more than 640 digits, "):
+            _check_json_digits(10**640, "n")
+        with pytest.raises(ValueError, match="^n has more than 640 digits, "):
+            _check_json_digits(-(10**640), "n")
+        for n in (10**640 - 1, -(10**640 - 1), 2**1920, 2**1920 - 1):
+            _check_json_digits(n, "n")
+        sys.set_int_max_str_digits(0)
+        _check_json_digits(10**5000, "n")
+    finally:
+        sys.set_int_max_str_digits(saved)

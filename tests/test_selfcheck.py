@@ -85,20 +85,21 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
 
 
 def test_certificate_roundtrip_walks_once_per_build_and_verify(monkeypatch):
-    calls = 0
-    original = certificate.model_child_masks
+    calls = {"_case_split": 0, "split_degree_bound": 0, "model_child_masks": 0}
+    for name in calls:
+        original = getattr(certificate, name)
 
-    def counted(m):
-        nonlocal calls
-        calls += 1
-        return original(m)
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(certificate, "model_child_masks", counted)
+        monkeypatch.setattr(certificate, name, counted)
     assert selfcheck(4, [2, 3]).ok
-    # 34 calls list the model children of each dimension of at least 2 in each
-    # root's walk: one walk in each of the three curves' builds, and one in each
-    # of the three verifies
-    assert calls == 6 * 34
+    # 52 roots, each relabeled once in each of the three curves' builds and once in
+    # each of the three verifies; their tables hold 90 data of positive dimension,
+    # one bound each per relabeling; each model table's walk lists the model
+    # children once per dimension it reaches: 2; 3; 4 and 2
+    assert calls == {"_case_split": 6 * 52, "split_degree_bound": 6 * 90, "model_child_masks": 4}
 
 
 def test_augmented_oracle_catches_an_augmented_set_that_drops_s_inf(monkeypatch):
