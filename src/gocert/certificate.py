@@ -197,14 +197,14 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     test pins to the kernel walk.
 
     Two facts carry this, each checked up to the size stated:
-    - every datum of dimension m relabels the model's children: the table
-      equals the one from calling strata_children on every datum for every
-      root with f <= 8 (tier-1, test_relabeled_case_split_equals_the_kernel_walk)
-      and f <= 10 (CI, tests/check_case_split.py), and model_child_masks(m)
-      equals the masks of strata_children on the model for m <= 12 (tier-1),
-      m <= max_f <= 12 (selfcheck's model-masks suite) and m <= 16 (CI);
+    - every datum of dimension m relabels the model's children: each entry of
+      a table equals that datum's own root entry, and each root edge's child
+      is the oracle's, for every root with f <= max_f <= 12 and dimension <= 9
+      (selfcheck's case-split-oracle suite); the table equals the kernel walk
+      for f <= 8 (tier-1) and f <= 10 (CI, tests/check_case_split.py);
     - every datum below a model root is a direct child of it, so a table has
-      one entry per distinct child of its root: for m <= 9 (tier-1,
+      one entry per distinct child of its root: for every root of
+      case-split-oracle's scope, and for m <= 9 (tier-1,
       test_every_datum_below_a_model_datum_is_a_direct_child_of_it).
 
     Raises ValueError before any table is read when rd's dimension is past

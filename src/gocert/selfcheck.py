@@ -2,15 +2,16 @@
 
 Every suite enumerates the full configuration space up to the requested degree
 bound and checks its invariant against:
-- strata-oracle: the oracle's components of each occupied set s_inf | T, for
-  the chains (disjoint, maximal, covering, one per component) and for the
-  induced datum's augmented set, s_inf | T plus the place before the backward
-  end of each component that meets T oddly; equal data also have the induced
-  datum's parity and dimension right;
+- case-split-oracle: the oracle's components of each occupied set s_inf | T,
+  replayed for every edge of the case split the certificate carries
+  (certificate._case_split), root by root up to dimension 9, and the table's
+  own shape and relabeling: the root's bound is degree_bound's, the table
+  holds the root and its distinct direct children, and every other entry is
+  that datum's own root entry;
 - model-masks: the datum-level kernel, not the oracle: model_child_masks(m),
   the listing the case split uses, against the s_inf masks of strata_children
-  on the model datum (f = m, s_inf = {}) for each m from 2 to max_f, so with
-  strata-oracle the chain from oracle to kernel to listing is checked;
+  on the model datum (f = m, s_inf = {}) for each m from 2 to max_f; the
+  tests check that kernel against the oracle;
 - degree-oracle: the oracle's fixpoint relaxation of the Hasse constraints,
   scanned from their definition, and the kernel's own bound at the next
   smaller prime;
@@ -25,33 +26,34 @@ bound and checks its invariant against:
 Each suite is a generator that yields, per case, None or the counterexample,
 a non-empty text that names the check that failed and where; one runner
 (_run) counts the cases up to the first counterexample and times the suite.
-Strata are built without Stratum's checks (see _suite_strata_oracle).  Each
-oracle answer is computed once per input it depends on, within one
+A raise of the builder is the counterexample of the case that reached it.
+Each oracle answer is computed once per input it depends on, within one
 selfcheck() call: the oracle's components once per place count f and
-occupied set s_inf | T, and the chain verdict once per f, occupied set and
-chains (about 500 occupied sets serve the 9 330 strata at f <= 8), and the
-degree oracle's Hasse constraints once per datum and prime for all its
-anchors.
+occupied set s_inf | T (494 occupied sets serve the 8 828 edges at f <= 8),
+and the degree oracle's Hasse constraints once per datum and prime for all
+its anchors.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from . import places
-from .certificate import build_certificate, certificate_to_doc, verify_document
+from .certificate import _TREE_SIZES, _case_split, build_certificate, certificate_to_doc, verify_document
 from .hasse import degree_bound, max_degree_sums
 from .ledger import contradiction_check
-from .oracle import all_ramifications, all_vanishing_sets, component_ends, hodge_degrees, relaxed_profile_maxima
-from .places import make_ramification
+from .oracle import all_ramifications, component_ends, hodge_degrees, relaxed_profile_maxima
+from .places import RamificationData, make_ramification
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
-from .strata import Chains, Stratum, decompose_chains, induced_ramification, model_child_masks, strata_children
+from .strata import model_child_masks, strata_children
 
-# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 9.4 s with the primes
-# 2,3,5 and 13 s with 16 primes on a 2-core VM, and each step of f costs about 3 times the last.
+# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 2.7 s with the primes 2,3,5
+# and 6.6 s with 16 primes on a 2-core VM, and each step of f costs about 2 to 3 times the last.
 MAX_SELFCHECK_F = 12
 MAX_SELFCHECK_PRIMES = 16
+_MAX_DIM = len(_TREE_SIZES) - 1  # the largest dimension case-split-oracle audits: _case_split refuses the next
 
 
 class SuiteResult(NamedTuple):
@@ -80,70 +82,64 @@ class SelfcheckReport(NamedTuple):
 _Verdicts = Iterator[str | None]
 
 
-# The components of an occupied set s_inf | T, each with the place just before its
-# backward end, as the oracle gives them.
-_Ends = list[tuple[frozenset[int], int]]
+def _places(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
-# The chain verdict depends only on f, the occupied set and the chains: the kind of
-# its first failure, or None.
-def _chain_partition(f: int, occupied: frozenset[int], chains: Chains, ends: _Ends) -> str | None:
-    covered: set[int] = set()
-    for c in chains:
-        if not covered.isdisjoint(c):
-            return "overlap"
-        covered.update(c)
-        head_next = (c[0] + 1) % f
-        tail_prev = (c[-1] - 1) % f
-        if head_next in occupied or tail_prev in occupied:
-            return "not maximal"
-    if covered != occupied:
-        return "not covering"
-    if {frozenset(c) for c in chains} != {comp for comp, _ in ends}:
-        return "component mismatch"
-    return None
+def _suite_case_split_oracle(max_f: int, p: int) -> _Verdicts:
+    """One case per edge of each root's own entry, then one per root, for every root of dimension 0.._MAX_DIM.
 
-
-_UNSEEN = object()
-
-
-def _suite_strata_oracle(max_f: int, p: int) -> _Verdicts:
-    """Each stratum's chains, then its induced datum, against the oracle's components.
-
-    Each stratum is built once by tuple.__new__, without Stratum's checks as
-    in strata_children: each T of all_vanishing_sets is a proper subset of
-    rd's integer split places by construction.  Its chains are decomposed
-    once and handed to induced_ramification.  Many strata share an occupied
-    set s_inf | T, so the oracle's component_ends are kept per (f, occupied
-    set), and the chain verdict per (f, occupied set, chains): chains that
-    split one occupied set another way are checked afresh.  The induced
-    datum must be rd with s_inf | T, plus the place before the backward end
-    of each component that meets T oddly, as its s_inf.
+    _case_split(rd), the case split the certificate carries, is built once per
+    root; a raise is that root's counterexample.  Each edge's child must have
+    the oracle's s_inf: s_inf | T plus the place before the backward end of
+    each component of s_inf | T that meets T oddly, T read from the edge's
+    position in the bitmask order of rd's split places.  Then the root's bound
+    must be degree_bound(rd) (None at dimension 0), the table must hold
+    exactly rd and its distinct direct children, and every other entry must
+    equal that datum's own root entry, the relabeling fact.  Each f is walked
+    from the largest s_inf down, so every datum below a root was a root
+    already; a root keeps only its bound and its children's s_inf masks.
     """
-    components: dict[tuple[int, frozenset[int]], _Ends] = {}
-    partitions: dict[tuple[int, frozenset[int], Chains], str | None] = {}
-    for rd in all_ramifications(max_f, p, min_dim=1):
-        f, s_inf, s_fin_count = rd.f, rd.s_inf, rd.s_fin_count
-        for t in all_vanishing_sets(rd):
-            st = tuple.__new__(Stratum, (rd, t))
-            chains = decompose_chains(st)
-            occupied = s_inf | t
-            ends = components.get((f, occupied))
-            if ends is None:
-                ends = components[f, occupied] = component_ends(f, occupied)
-            problem = partitions.get((f, occupied, chains), _UNSEEN)
-            if problem is _UNSEEN:
-                problem = partitions[f, occupied, chains] = _chain_partition(f, occupied, chains, ends)
-            if problem is None:
-                induced = induced_ramification(st, chains=chains)
-                augmented = set(occupied)
-                for comp, before_end in ends:
-                    if len(t.intersection(comp)) & 1:
-                        augmented.add(before_end)
-                if induced != (f, augmented, s_fin_count, p):
-                    got = f"({induced.f}, {sorted(induced.s_inf)}, {induced.s_fin_count}, {induced.p})"
-                    problem = f"induced {got}, expected ({f}, {sorted(augmented)}, {s_fin_count}, {p})"
-            yield problem and f"{problem}: f={f} s_inf={sorted(s_inf)} t={sorted(t)}"
+    for f in range(1, max_f + 1):
+        ends: dict[int, list[tuple[int, int]]] = {}  # per occupied mask, each component's mask and place before its end
+        roots: dict[int, tuple[int | None, tuple[int | None, ...]]] = {}  # per s_inf mask, its own root entry
+        for size in range(f, max(f - _MAX_DIM, 0) - 1, -1):
+            for s in combinations(range(f), size):
+                rd, where = RamificationData(f, frozenset(s), size & 1, p), f"f={f} s_inf={list(s)}"
+                try:
+                    table = _case_split(rd)
+                    bound, edges = table[rd]
+                except Exception as exc:  # a fault of the producer, reported as this root's
+                    yield f"raised {exc!r}: {where}"
+                    continue
+                masks = {d: sum([1 << x for x in d.s_inf]) for d in table}
+                s_mask, t_masks = masks[rd], [0]
+                for x in range(f):
+                    if not s_mask >> x & 1:
+                        t_masks += [t | 1 << x for t in t_masks]
+                child_masks = tuple(map(masks.get, edges))
+                for t, got, child in zip(t_masks[1:-1], child_masks, edges):
+                    occupied = s_mask | t
+                    if (comps := ends.get(occupied)) is None:
+                        found = component_ends(f, frozenset(_places(occupied)))
+                        comps = ends[occupied] = [(sum([1 << x for x in c]), e) for c, e in found]
+                    want = occupied
+                    for comp, before_end in comps:
+                        if (comp & t).bit_count() & 1:
+                            want |= 1 << before_end
+                    yield None if got == want else f"t={_places(t)}: child s_inf {sorted(child.s_inf)}, expected {_places(want)}: {where}"
+                want_bound = degree_bound(rd) if f > size else None
+                problem = None
+                if bound != want_bound:
+                    problem = f"bound {bound}, expected {want_bound}"
+                elif len(edges) != (n_edges := max(len(t_masks) - 2, 0)):
+                    problem = f"{len(edges)} edges, expected {n_edges}"
+                elif table.keys() != {rd, *edges}:
+                    problem = "the table is not the root and its distinct children"
+                elif wrong := [d for d, (b, e) in table.items() if d != rd and roots.get(masks.get(d)) != (b, tuple(map(masks.get, e)))]:
+                    problem = f"entry {sorted(wrong[0].s_inf)} differs from its own root entry"
+                roots[s_mask] = bound, child_masks
+                yield problem and f"{problem}: {where}"
 
 
 def _suite_model_masks(max_f: int, p: int) -> _Verdicts:
@@ -211,12 +207,12 @@ def _suite_certificate_roundtrip(max_f: int, primes: tuple[int, ...]) -> _Verdic
     for p in primes:
         for rd in all_ramifications(max_f, p, min_dim=1):
             for ct in curves:
-                result = verify_document(certificate_to_doc(build_certificate(rd, ct)))
-                if result:
-                    yield None
-                else:
-                    where = f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)} curve=({ct.g},{ct.n})"
-                    yield f"{where}: {'; '.join(result.failures)}"
+                try:
+                    result = verify_document(certificate_to_doc(build_certificate(rd, ct)))
+                    problem = None if result else "; ".join(result.failures)
+                except Exception as exc:  # a fault of the builder, reported as this datum's
+                    problem = f"raised {exc!r}"
+                yield problem and f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)} curve=({ct.g},{ct.n}): {problem}"
 
 
 def _run(name: str, scope: str, walk: _Verdicts) -> SuiteResult:
@@ -239,10 +235,11 @@ def _scope(max_f: int, primes: tuple[int, ...]) -> str:
 def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     """Run every suite over the configurations its scope names.
 
-    strata-oracle and model-masks use the first prime only (the place
-    combinatorics does not depend on p), and the certificate round trip stops
-    at f <= 4 and the first two primes because each check builds and verifies
-    a whole tree.
+    case-split-oracle and model-masks use the first prime only (the place
+    combinatorics does not depend on p), case-split-oracle stops at dimension
+    _MAX_DIM, which its scope states from max_f 10 on, and the certificate
+    round trip stops at f <= 4 and the first two primes because each check
+    builds and verifies a whole tree.
     Raises ValueError, before any suite runs, for a max_f that is not a JSON
     integer, an empty prime list, more than MAX_SELFCHECK_PRIMES primes, a p
     that make_ramification rejects, a p listed twice (it would be counted as
@@ -270,11 +267,12 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
         return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=())
     base_p = prime_tuple[0]
     base = _scope(max_f, (base_p,))
+    split = base if max_f <= _MAX_DIM else f"{base} dim<={_MAX_DIM}"
     every = _scope(max_f, prime_tuple)
     trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
     trip = _scope(trip_f, trip_primes)
     suites = (
-        _run("strata-oracle", base, _suite_strata_oracle(max_f, base_p)),
+        _run("case-split-oracle", split, _suite_case_split_oracle(max_f, base_p)),
         _run("model-masks", base, _suite_model_masks(max_f, base_p)),
         _run("degree-oracle", every, _suite_degree_oracle(max_f, prime_tuple)),
         _run("curve-table", "g<=10 n<=10", _suite_curve_table()),

@@ -1,15 +1,18 @@
-"""Test-only helpers: a brute-force degree oracle, the every-datum kernel walk and certificate mutations.
+"""Test-only helpers: a brute-force degree oracle, the every-datum kernel walk, certificate mutations and source mutants.
 
 The oracles shared with selfcheck live in gocert.oracle.  Profile enumeration
 is too slow for anything but the tests' small spaces, the kernel walk is the
-reference the relabeling case split must equal, and the mutations exist only
-to show that verification rejects altered documents.
+reference the relabeling case split must equal, and the mutations and mutants
+exist only to show that verification and selfcheck reject what they alter.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import itertools
+import textwrap
+from types import ModuleType
 from typing import Any, Callable, Iterator
 
 from gocert import RamificationData, build_certificate, serialize_certificate, shimura_dimension, split_places, strata_children
@@ -65,6 +68,21 @@ def edge_vanishing_sets(datum: RamificationData) -> list[frozenset[int]]:
 
 
 _NEXT_PRIME = {2: 3, 3: 5, 5: 7, 7: 11}
+
+
+def source_mutant(module: ModuleType, name: str, old: str, new: str, occurrence: int = 0) -> Callable[..., Any]:
+    """module.name recompiled from its source with one occurrence (0 for the first) of old replaced by new.
+
+    It runs in a copy of the module's globals in which name is the mutant, so a
+    recursive call reaches the mutant too; the module itself is not changed.
+    """
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    at = -1
+    for _ in range(occurrence + 1):
+        at = source.index(old, at + 1)
+    scope = dict(vars(module))
+    exec(compile(source[:at] + new + source[at + len(old) :], module.__file__, "exec"), scope)
+    return scope[name]
 
 
 def is_own_certificate(doc: dict[str, Any]) -> bool:

@@ -442,7 +442,7 @@ def test_selfcheck_json(capsys):
     assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert (doc["max_f"], doc["primes"], doc["ok"]) == (3, [2, 3], True)
     assert [suite["name"] for suite in doc["suites"]] == [
-        "strata-oracle",
+        "case-split-oracle",
         "model-masks",
         "degree-oracle",
         "curve-table",
@@ -468,7 +468,7 @@ def test_selfcheck_counts_at_max_f_8(capsys):
         del suite["seconds"]
     base, every, curves = "f<=8 p=2", "f<=8 p in 2,3,5", "g<=10 n<=10"
     coverage = [
-        ("strata-oracle", 9330, base),
+        ("case-split-oracle", 9338, base),
         ("model-masks", 494, base),
         ("degree-oracle", 1506, every),
         ("curve-table", 121, curves),

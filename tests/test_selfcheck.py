@@ -1,21 +1,23 @@
 import ast
 import importlib
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from gocert import RamificationData, Stratum, certificate, make_ramification, oracle, selfcheck
+from gocert import RamificationData, Stratum, certificate, decompose_chains, make_ramification, oracle, selfcheck, strata
 from gocert.rigidity import RigidityVerdict
 from gocert.selfcheck import MAX_SELFCHECK_F, MAX_SELFCHECK_PRIMES
+from helpers import source_mutant
 
 # the module, not the function the package exports under the same name
 SELFCHECK = importlib.import_module("gocert.selfcheck")
 
 # (suite, checked, scope) for max_f=5 over the primes 2 and 3
 EXPECTED_COVERAGE = [
-    ("strata-oracle", 301, "f<=5 p=2"),
+    ("case-split-oracle", 306, "f<=5 p=2"),
     ("model-masks", 52, "f<=5 p=2"),
     ("degree-oracle", 114, "f<=5 p in 2,3"),
     ("curve-table", 121, "g<=10 n<=10"),
@@ -72,14 +74,13 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
 
         return wrapper
 
-    for name in ("decompose_chains", "induced_ramification"):
-        monkeypatch.setattr(SELFCHECK, name, counted(name, getattr(SELFCHECK, name)))
+    monkeypatch.setattr(SELFCHECK, "_case_split", counted("_case_split", SELFCHECK._case_split))
     checked_new = Stratum.__new__
     monkeypatch.setattr(Stratum, "__new__", staticmethod(counted("Stratum", checked_new)))
     assert selfcheck(5, [2]).ok
-    # 301 strata at f <= 5: one of each per stratum, and every stratum built without the
-    # checking constructor
-    assert calls == {"decompose_chains": 301, "induced_ramification": 301}
+    # the 62 roots at f <= 5, dimension 0 included: one case split each, whose 244 edges
+    # are the strata it checks; model-masks lists its strata without the checking constructor
+    assert calls == {"_case_split": 62}
     Stratum(make_ramification(3, 2), {0})
     assert calls["Stratum"] == 1  # the counter sees a checked construction
 
@@ -97,49 +98,29 @@ def test_certificate_roundtrip_walks_once_per_build_and_verify(monkeypatch):
     assert selfcheck(4, [2, 3]).ok
     # 52 roots, each relabeled once in each of the three curves' builds and once in
     # each of the three verifies; their tables hold 90 data of positive dimension,
-    # one bound each per relabeling; each model table's walk lists the model
+    # one bound each per relabeling; case-split-oracle calls selfcheck's own binding of
+    # _case_split once for each of the 30 roots with f <= 4 at p = 2, whose tables hold
+    # 45 data of positive dimension; each model table's walk lists the model
     # children once per dimension it reaches: 2; 3; 4 and 2
-    assert calls == {"_case_split": 6 * 52, "split_degree_bound": 6 * 90, "model_child_masks": 4}
-
-
-def test_augmented_oracle_catches_an_augmented_set_that_drops_s_inf(monkeypatch):
-    original = SELFCHECK.induced_ramification
-
-    def swapped(st, chains=None):
-        # ramifies two free places in place of two ramified ones: parity, size, T and the
-        # dimension all hold, but the augmented set is not the oracle's
-        induced = original(st, chains=chains)
-        free = [x for x in range(st.rd.f) if x not in induced.s_inf]
-        if len(st.rd.s_inf) < 2 or len(free) < 2:
-            return induced
-        kept = induced.s_inf - frozenset(sorted(st.rd.s_inf)[:2])
-        return induced._replace(s_inf=kept | frozenset(free[:2]))
-
-    monkeypatch.setattr(SELFCHECK, "induced_ramification", swapped)
-    report = selfcheck(5, [2, 3])
-    failures = {"strata-oracle": (69, "induced (4, [2, 3], 0, 2), expected (4, [0, 1], 0, 2): f=4 s_inf=[0, 1] t=[]")}
-    expected = [
-        (name, name not in failures, *failures.get(name, (checked, None)), scope)
-        for name, checked, scope in EXPECTED_COVERAGE
-    ]
-    got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
-    assert got == expected
+    assert calls == {"_case_split": 6 * 52, "split_degree_bound": 6 * 90 + 45, "model_child_masks": 4}
 
 
 def test_augmented_oracle_catches_the_place_after_an_odd_chains_head(monkeypatch):
-    def after_the_head(st, chains):
+    def after_the_head(st, chains=None):
         # adds the place after each odd chain's head, not the one before its tail: every
         # subtree size and the parity, growth and dimension of every induced datum hold
         rd, t = st.rd, st.t
         added = set(t)
-        for chain in chains:
+        for chain in decompose_chains(st) if chains is None else chains:
             if len(t.intersection(chain)) % 2:
                 added.add((chain[0] + 1) % rd.f)
         return RamificationData(rd.f, rd.s_inf | added, rd.s_fin_count, rd.p)
 
-    monkeypatch.setattr(SELFCHECK, "induced_ramification", after_the_head)
+    # the case split never calls the datum-level kernel, so model-masks, which compares
+    # its listing with strata_children on the model data, is the suite that sees it
+    monkeypatch.setattr(strata, "induced_ramification", after_the_head)
     report = selfcheck(5, [2, 3])
-    failures = {"strata-oracle": (8, "induced (3, [0, 1], 0, 2), expected (3, [0, 2], 0, 2): f=3 s_inf=[] t=[0]")}
+    failures = {"model-masks": (3, "m=3 t=[0]: mask 5, expected 3")}
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
@@ -151,24 +132,20 @@ def test_augmented_oracle_catches_the_place_after_an_odd_chains_head(monkeypatch
 
 
 def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
-    calls: Counter[str] = Counter()
+    asked = []
+    original = SELFCHECK.component_ends
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def recorded(f, occupied):
+        asked.append((f, occupied))
+        return original(f, occupied)
 
-        return wrapper
-
-    for name in ("decompose_chains", "induced_ramification", "component_ends"):
-        monkeypatch.setattr(SELFCHECK, name, counted(name, getattr(SELFCHECK, name)))
+    monkeypatch.setattr(SELFCHECK, "component_ends", recorded)
     assert selfcheck(5, [2]).ok
-    # the occupied sets s_inf | T at f <= 5 are the proper subsets of Z/f: 1 + 3 + 7 + 15 + 31
-    assert calls == {
-        "decompose_chains": 301,
-        "induced_ramification": 301,
-        "component_ends": 57,
-    }
+    # the occupied sets s_inf | T of the edges at f <= 5 are the nonempty proper subsets
+    # of Z/f, 0 + 2 + 6 + 14 + 30 of them, each asked about once
+    proper = [(f, frozenset(s)) for f in range(1, 6) for r in range(1, f) for s in combinations(range(f), r)]
+    assert len(asked) == len(proper) == 52
+    assert set(asked) == set(proper)
 
 
 # one too large: the bound, or the sum at the first anchor alone
@@ -203,41 +180,29 @@ def test_selfcheck_computes_one_degree_bound_per_datum_and_prime(monkeypatch):
 
     monkeypatch.setattr(SELFCHECK, "degree_bound", counted)
     assert selfcheck(5, [2, 3]).ok
-    # 57 data at each of the two primes, each checked against the oracle and the smaller prime's bound
-    assert calls == 114
-
-
-def merge_all_chains(decompose):
-    def merged(st):
-        # one chain holding every occupied place: disjoint, covering, and free at both
-        # ends, so only the comparisons with the oracle's components can tell
-        chains = decompose(st)
-        return (sum(chains, ()),) if chains else ()
-
-    return merged
+    # 57 data at each of the two primes, each checked against the oracle and the smaller prime's
+    # bound by degree-oracle; case-split-oracle checks each of the 57 roots' bound at the first prime
+    assert calls == 114 + 57
 
 
 def test_chain_partition_catches_merged_chains(monkeypatch):
-    monkeypatch.setattr(SELFCHECK, "decompose_chains", merge_all_chains(SELFCHECK.decompose_chains))
+    def merged(st):
+        # one chain holding every occupied place: disjoint, covering, and free at both ends,
+        # so the two odd chains of T = {0, 2} at f = 4 become one even one and add no place
+        chains = original(st)
+        return (sum(chains, ()),) if chains else ()
+
+    original = strata.decompose_chains
+    # the case split never calls the datum-level kernel: model-masks sees the chains through strata_children
+    monkeypatch.setattr(strata, "decompose_chains", merged)
     report = selfcheck(5, [2, 3])
-    failures = {"strata-oracle": (32, "component mismatch: f=4 s_inf=[] t=[0, 2]")}
+    failures = {"model-masks": (13, "m=4 t=[0, 2]: mask 15, expected 5")}
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
     ]
     got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
     assert got == expected
-
-
-def test_the_augmented_set_catches_merged_chains_that_pass_the_chain_check(monkeypatch):
-    monkeypatch.setattr(SELFCHECK, "decompose_chains", merge_all_chains(SELFCHECK.decompose_chains))
-    monkeypatch.setattr(SELFCHECK, "_chain_partition", lambda *args: None)  # every chain check passes
-    (suite,) = [s for s in selfcheck(5, [2, 3]).suites if s.name == "strata-oracle"]
-    assert (suite.passed, suite.checked, suite.counterexample) == (
-        False,
-        32,
-        "induced (4, [0, 2], 0, 2), expected (4, [0, 1, 2, 3], 0, 2): f=4 s_inf=[] t=[0, 2]",
-    )
 
 
 def test_degree_oracle_catches_a_bound_that_falls_with_p(monkeypatch):
@@ -290,8 +255,9 @@ def test_readme_lists_the_suites_selfcheck_reports():
 
 
 def test_selfcheck_judges_each_occupied_set_and_its_chains_once(monkeypatch):
+    # the oracle's components of an occupied set are its chains
     calls: Counter[str] = Counter()
-    for module, name in ((SELFCHECK, "_chain_partition"), (oracle, "scan_constraints")):
+    for module, name in ((SELFCHECK, "component_ends"), (oracle, "scan_constraints")):
         original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
@@ -300,46 +266,11 @@ def test_selfcheck_judges_each_occupied_set_and_its_chains_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert selfcheck(5, [2]).ok
-    # 57 occupied sets at f <= 5, each split into chains one way; 57 data for the degree oracle
-    assert calls == {"_chain_partition": 57, "scan_constraints": 57}
+    # 52 occupied sets of edges at f <= 5, at the first prime only; 57 data for the degree oracle
+    assert calls == {"component_ends": 52, "scan_constraints": 57}
     calls.clear()
     assert selfcheck(5, [2, 3]).ok
-    assert calls == {"_chain_partition": 57, "scan_constraints": 114}
-
-
-def test_chain_partition_checks_each_way_of_splitting_an_occupied_set(monkeypatch):
-    original = SELFCHECK.decompose_chains
-
-    def merged_when_both(st):
-        # merges the chains only when both s_inf and T are occupied, so at f = 4 the
-        # occupied set {0, 2} is split right for s_inf = {} and wrongly for s_inf = {0}
-        chains = original(st)
-        return (sum(chains, ()),) if st.rd.s_inf and st.t else chains
-
-    monkeypatch.setattr(SELFCHECK, "decompose_chains", merged_when_both)
-    (suite,) = [s for s in selfcheck(5, [2, 3]).suites if s.name == "strata-oracle"]
-    assert (suite.passed, suite.checked, suite.counterexample) == (
-        False,
-        43,
-        "component mismatch: f=4 s_inf=[0] t=[2]",
-    )
-
-
-# one decompose_chains mutant per structural check of the chains, with its first counterexample
-@pytest.mark.parametrize(
-    "mutant, counterexample",
-    [
-        (lambda chains: chains + chains[:1], "overlap: f=2 s_inf=[] t=[0]"),
-        (lambda chains: tuple(c[:-1] or c for c in chains), "not maximal: f=3 s_inf=[] t=[0, 1]"),
-        (lambda chains: chains[1:], "not covering: f=2 s_inf=[] t=[0]"),
-    ],
-    ids=["duplicated-chain", "dropped-tail-place", "dropped-chain"],
-)
-def test_chain_partition_names_each_kind_of_failure(monkeypatch, mutant, counterexample):
-    original = SELFCHECK.decompose_chains
-    monkeypatch.setattr(SELFCHECK, "decompose_chains", lambda st: mutant(original(st)))
-    (suite,) = [s for s in selfcheck(5, [2]).suites if s.name == "strata-oracle"]
-    assert (suite.passed, suite.counterexample) == (False, counterexample)
+    assert calls == {"component_ends": 52, "scan_constraints": 114}
 
 
 def test_the_oracle_depends_on_no_gocert_module_but_places():
@@ -389,3 +320,79 @@ def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(mon
     assert not report.ok
     monkeypatch.undo()
     assert selfcheck(5, [2, 3]).ok
+
+
+# case-split mutants of certificate.py, each with the suites selfcheck(5, [2, 3]) fails on it
+@pytest.mark.parametrize(
+    "name, old, new, occurrence, failures",
+    [
+        # each relabeled datum's s_inf shifts down a place while its bound and the tree shape
+        # stay right; verify, which rebuilds with the same mutant, accepts every document
+        (
+            "_model_below",
+            "added >> x & 1",
+            "added >> x & 2",
+            1,
+            {"case-split-oracle": (6, "t=[0]: child s_inf [0], expected [0, 1]: f=2 s_inf=[]")},
+        ),
+        # raises on every root of dimension 0, which the certificate round trip never builds
+        (
+            "_case_split",
+            "root_bound is not None",
+            "root_bound is None",
+            0,
+            {
+                "case-split-oracle": (
+                    1,
+                    "raised AttributeError(\"'NoneType' object has no attribute 'bit_length'\"): f=1 s_inf=[0]",
+                )
+            },
+        ),
+        # each relabeled bound drops the first kept place when another is left, so builds and
+        # verifies agree and only the comparison with each datum's own root entry tells
+        (
+            "_case_split",
+            "[*map(place, kept)]",
+            "[*map(place, kept[1:] or kept)]",
+            0,
+            {"case-split-oracle": (94, "entry [0, 3] differs from its own root entry: f=4 s_inf=[]")},
+        ),
+        # drops the first kept place outright, so a relabeled datum of dimension 1 has no split
+        # place for its bound: both suites report the raise, and selfcheck returns
+        (
+            "_case_split",
+            "[*map(place, kept)]",
+            "[*map(place, kept[1:])]",
+            0,
+            {
+                "case-split-oracle": (
+                    22,
+                    "raised ValueError('degree bound needs at least one split place'): f=3 s_inf=[]",
+                ),
+                "certificate-roundtrip": (
+                    13,
+                    "p=2 f=3 s_inf=[] curve=(2,0): raised ValueError('degree bound needs at least one split place')",
+                ),
+            },
+        ),
+    ],
+    ids=["model-below-shifted-s-inf", "dimension-zero-raise", "relabeled-bound", "relabeled-bound-raise"],
+)
+def test_selfcheck_fails_on_each_case_split_mutant(monkeypatch, name, old, new, occurrence, failures):
+    mutant = source_mutant(certificate, name, old, new, occurrence)
+    monkeypatch.setattr(certificate, name, mutant)
+    if hasattr(SELFCHECK, name):
+        monkeypatch.setattr(SELFCHECK, name, mutant)  # selfcheck's own binding of _case_split
+    report = selfcheck(5, [2, 3])
+    expected = [
+        (name, name not in failures, *failures.get(name, (checked, None)), scope)
+        for name, checked, scope in EXPECTED_COVERAGE
+    ]
+    got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
+    assert got == expected
+
+
+def test_case_split_oracle_states_its_dimension_cap():
+    # _case_split refuses dimension 10, so from max_f 10 on the scope says where the suite stops
+    (suite,) = [s for s in selfcheck(10, [2]).suites if s.name == "case-split-oracle"]
+    assert (suite.passed, suite.checked, suite.scope) == (True, 85_513, "f<=10 p=2 dim<=9")

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from gocert import (
+    RamificationData,
     Stratum,
     decompose_chains,
     induced_ramification,
@@ -175,7 +176,7 @@ def test_stratum_names_only_the_offending_place():
 
 
 def test_every_vanishing_set_passes_the_checked_constructor():
-    # selfcheck's stratum walk builds each T of all_vanishing_sets by tuple.__new__, skipping these checks
+    # strata_children builds each proper subset T of the split places by tuple.__new__, skipping these checks
     for rd in all_ramifications(8, 2):
         for t in all_vanishing_sets(rd):
             assert Stratum(rd, t) == tuple.__new__(Stratum, (rd, t)), (rd, t)
@@ -231,3 +232,120 @@ def test_strata_children_equals_the_checked_stratum_construction():
     for rd in all_ramifications(8, 3, min_dim=1):
         children = strata_children(rd)
         assert children == [(t, induced_ramification(Stratum(rd, t))) for t, _ in children], rd
+
+
+def _first_oracle_mismatch(decompose=decompose_chains, induce=induced_ramification, check_chains=True):
+    """The first stratum (rd, T), f <= 6 at p = 2, whose chains or induced datum the oracle contradicts, or None.
+
+    The chains must be disjoint, maximal and covering, and one per oracle
+    component of s_inf | T; the induced datum must be rd with s_inf | T plus
+    the oracle's augmented set.  decompose and induce stand for the kernel's
+    decompose_chains and induced_ramification, so a mutant can be handed in.
+    """
+    for rd in all_ramifications(6, 2):
+        f, s_inf = rd.f, rd.s_inf
+        for t in all_vanishing_sets(rd):
+            st = Stratum(rd, t)
+            chains = decompose(st)
+            occupied = s_inf | t
+            problem = _chain_problem(f, occupied, chains) if check_chains else None
+            if problem is None:
+                induced = induce(st, chains=chains)
+                want = rd._replace(s_inf=s_inf | replay_augmented_set(f, s_inf, t))
+                if induced != want:
+                    got = f"({induced.f}, {sorted(induced.s_inf)}, {induced.s_fin_count}, {induced.p})"
+                    problem = f"induced {got}, expected ({f}, {sorted(want.s_inf)}, {rd.s_fin_count}, {rd.p})"
+            if problem:
+                return f"{problem}: f={f} s_inf={sorted(s_inf)} t={sorted(t)}"
+    return None
+
+
+def _chain_problem(f, occupied, chains):
+    covered = set()
+    for c in chains:
+        if not covered.isdisjoint(c):
+            return "overlap"
+        covered.update(c)
+        if (c[0] + 1) % f in occupied or (c[-1] - 1) % f in occupied:
+            return "not maximal"
+    if covered != occupied:
+        return "not covering"
+    if {frozenset(c) for c in chains} != set(cycle_components(f, occupied)):
+        return "component mismatch"
+    return None
+
+
+def test_the_kernel_passes_the_oracle_check():
+    assert _first_oracle_mismatch() is None
+
+
+def merge_all_chains(st):
+    # one chain holding every occupied place: disjoint, covering, and free at both ends,
+    # so only the comparisons with the oracle's components can tell
+    chains = decompose_chains(st)
+    return (sum(chains, ()),) if chains else ()
+
+
+def test_the_oracle_check_catches_an_augmented_set_that_drops_s_inf():
+    def swapped(st, chains=None):
+        # ramifies two free places in place of two ramified ones: parity, size, T and the
+        # dimension all hold, but the augmented set is not the oracle's
+        induced = induced_ramification(st, chains=chains)
+        free = [x for x in range(st.rd.f) if x not in induced.s_inf]
+        if len(st.rd.s_inf) < 2 or len(free) < 2:
+            return induced
+        kept = induced.s_inf - frozenset(sorted(st.rd.s_inf)[:2])
+        return induced._replace(s_inf=kept | frozenset(free[:2]))
+
+    expected = "induced (4, [2, 3], 0, 2), expected (4, [0, 1], 0, 2): f=4 s_inf=[0, 1] t=[]"
+    assert _first_oracle_mismatch(induce=swapped) == expected
+
+
+def after_the_head(st, chains=None):
+    # adds the place after each odd chain's head, not the one before its tail: every
+    # subtree size and the parity, growth and dimension of every induced datum hold
+    rd, t = st.rd, st.t
+    added = set(t)
+    for chain in decompose_chains(st) if chains is None else chains:
+        if len(t.intersection(chain)) % 2:
+            added.add((chain[0] + 1) % rd.f)
+    return RamificationData(rd.f, rd.s_inf | added, rd.s_fin_count, rd.p)
+
+
+def test_the_oracle_check_catches_the_place_after_an_odd_chains_head():
+    expected = "induced (3, [0, 1], 0, 2), expected (3, [0, 2], 0, 2): f=3 s_inf=[] t=[0]"
+    assert _first_oracle_mismatch(induce=after_the_head) == expected
+
+
+def test_the_oracle_check_catches_merged_chains():
+    assert _first_oracle_mismatch(decompose=merge_all_chains) == "component mismatch: f=4 s_inf=[] t=[0, 2]"
+
+
+def test_the_augmented_set_catches_merged_chains_that_pass_the_chain_check():
+    assert _first_oracle_mismatch(decompose=merge_all_chains, check_chains=False) == (
+        "induced (4, [0, 2], 0, 2), expected (4, [0, 1, 2, 3], 0, 2): f=4 s_inf=[] t=[0, 2]"
+    )
+
+
+def test_the_oracle_check_catches_each_way_of_splitting_an_occupied_set():
+    def merged_when_both(st):
+        # merges the chains only when both s_inf and T are occupied, so at f = 4 the
+        # occupied set {0, 2} is split right for s_inf = {} and wrongly for s_inf = {0}
+        chains = decompose_chains(st)
+        return (sum(chains, ()),) if st.rd.s_inf and st.t else chains
+
+    assert _first_oracle_mismatch(decompose=merged_when_both) == "component mismatch: f=4 s_inf=[0] t=[2]"
+
+
+# one decompose_chains mutant per structural check of the chains, with its first counterexample
+@pytest.mark.parametrize(
+    "mutant, counterexample",
+    [
+        (lambda chains: chains + chains[:1], "overlap: f=2 s_inf=[] t=[0]"),
+        (lambda chains: tuple(c[:-1] or c for c in chains), "not maximal: f=3 s_inf=[] t=[0, 1]"),
+        (lambda chains: chains[1:], "not covering: f=2 s_inf=[] t=[0]"),
+    ],
+    ids=["duplicated-chain", "dropped-tail-place", "dropped-chain"],
+)
+def test_the_oracle_check_names_each_kind_of_chain_failure(mutant, counterexample):
+    assert _first_oracle_mismatch(decompose=lambda st: mutant(decompose_chains(st))) == counterexample
