@@ -19,10 +19,7 @@ from .certificate import (
     serialize_certificate,
     verify_document,
 )
-from .hasse import (
-    degree_bound,
-    max_degree_sums,
-)
+from .hasse import degree_bound
 from .ledger import (
     ContradictionVerdict,
     contradiction_check,
@@ -62,7 +59,6 @@ __all__ = [
     "decompose_chains",
     "induced_ramification",
     "strata_children",
-    "max_degree_sums",
     "degree_bound",
     "CurveType",
     "RigidityVerdict",

@@ -16,16 +16,8 @@ from __future__ import annotations
 from .places import RamificationData, split_places
 
 
-def max_degree_sums(rd: RamificationData) -> dict[int, int]:
-    """For each split place as anchor, in ascending order, the largest profile total with it at degree one."""
-    f, p, splits = rd.f, rd.p, split_places(rd)
-    if not splits:
-        raise ValueError("degree bound needs at least one split place")
-    return {a: sum([p ** ((x - a) % f) for x in splits]) for a in splits}
-
-
 def degree_bound(rd: RamificationData) -> int:
-    """Uniform bound on the total pulled-back omega degree: the largest of max_degree_sums(rd)."""
+    """Uniform bound on the total pulled-back omega degree: the largest anchored sum."""
     return split_degree_bound(rd.f, rd.p, split_places(rd))
 
 

@@ -93,30 +93,31 @@ def scan_constraints(f: int, s_inf: frozenset[int]) -> list[tuple[int, int, int]
     return triples
 
 
-def relaxed_profile_maxima(rd: RamificationData) -> dict[int, int]:
-    """For each split place as anchor, the largest constrained profile total with it at one.
+def relaxed_profile_exponents(f: int, s_inf: frozenset[int]) -> dict[int, tuple[int, ...]]:
+    """For each split place as anchor, the exponents of p, in split-place order, of the largest profile with it at one.
 
-    Lower each degree until every constraint holds.  Feasible profiles are
-    closed under componentwise max, so the downward iteration from the capped
-    profile converges to the largest one; its total equals the brute-force
-    maximum.  The constraints are scanned once for all anchors.
+    Degrees start at the cap p^f and fall only to p^n times another, so the
+    downward fixpoint runs on exponents, the same for every p >= 2; it
+    converges to the largest profile, as feasible ones are closed under max.
     """
-    f, p = rd.f, rd.p
-    constraints = [(src, tgt, p**exp) for src, tgt, exp in scan_constraints(f, frozenset(rd.s_inf))]
-    cap = dict.fromkeys((src for src, _, _ in constraints), p**f)  # one per split place
-    maxima: dict[int, int] = {}
+    constraints = scan_constraints(f, s_inf)
+    cap = dict.fromkeys((src for src, _, _ in constraints), f)  # one per split place
+    profiles = {}
     for anchor in cap:
-        degrees = {**cap, anchor: 1}
+        exponents = {**cap, anchor: 0}
         changed = True
         while changed:
             changed = False
-            for src, tgt, factor in constraints:
-                allowed = factor * degrees[tgt]
-                if degrees[src] > allowed:
-                    degrees[src] = allowed
-                    changed = True
-        maxima[anchor] = sum(degrees.values())
-    return maxima
+            for src, tgt, n in constraints:
+                if exponents[src] > (allowed := n + exponents[tgt]):
+                    exponents[src], changed = allowed, True
+        profiles[anchor] = tuple(exponents.values())
+    return profiles
+
+
+def relaxed_profile_maxima(rd: RamificationData) -> dict[int, int]:
+    """For each split place as anchor, the largest constrained profile total with it at one: the exponents at rd.p."""
+    return {a: sum([rd.p**e for e in exps]) for a, exps in relaxed_profile_exponents(rd.f, rd.s_inf).items()}
 
 
 def hodge_degrees(g: int, n: int) -> list[tuple[int, bool]]:

@@ -4,10 +4,10 @@ Every suite enumerates the full configuration space up to the requested degree
 bound and checks its invariant against:
 - case-split-oracle: the oracle's components of each occupied set s_inf | T,
   replayed for every edge of the case split the certificate carries
-  (certificate._case_split), root by root up to dimension 9, and the table's
-  own shape and relabeling: the root's bound is degree_bound's, the table
-  holds the root and its distinct direct children, and every other entry is
-  that datum's own root entry;
+  (certificate._case_split), root by root up to dimension 9, the oracle's
+  degree maximum, and the table's own shape and relabeling: the table holds
+  the root and its distinct direct children, and every other entry is that
+  datum's own root entry;
 - model-masks: the datum-level kernel, not the oracle: model_child_masks(m),
   the listing the case split uses, against the s_inf masks of strata_children
   on the model datum (f = m, s_inf = {}) for each m from 2 to max_f; the
@@ -30,8 +30,7 @@ A raise of the builder is the counterexample of the case that reached it.
 Each oracle answer is computed once per input it depends on, within one
 selfcheck() call: the oracle's components once per place count f and
 occupied set s_inf | T (494 occupied sets serve the 8 828 edges at f <= 8),
-and the degree oracle's Hasse constraints once per datum and prime for all
-its anchors.
+and its degree fixpoint once per datum for every prime (_oracle_bound).
 """
 
 from __future__ import annotations
@@ -42,15 +41,15 @@ from typing import Iterator, NamedTuple
 
 from . import places
 from .certificate import _TREE_SIZES, _case_split, build_certificate, certificate_to_doc, verify_document
-from .hasse import degree_bound, max_degree_sums
+from .hasse import degree_bound
 from .ledger import contradiction_check
-from .oracle import all_ramifications, component_ends, hodge_degrees, relaxed_profile_maxima
+from .oracle import all_ramifications, component_ends, hodge_degrees, relaxed_profile_exponents
 from .places import RamificationData, make_ramification
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import model_child_masks, strata_children
 
-# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 2.7 s with the primes 2,3,5
-# and 6.6 s with 16 primes on a 2-core VM, and each step of f costs about 2 to 3 times the last.
+# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 2.4 s with the primes 2,3,5
+# and 3.5 s with 16 primes on a 2-core VM, and each step of f costs about 2 to 3 times the last.
 MAX_SELFCHECK_F = 12
 MAX_SELFCHECK_PRIMES = 16
 _MAX_DIM = len(_TREE_SIZES) - 1  # the largest dimension case-split-oracle audits: _case_split refuses the next
@@ -86,7 +85,14 @@ def _places(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
-def _suite_case_split_oracle(max_f: int, p: int) -> _Verdicts:
+def _oracle_bound(profiles: dict, f: int, s_mask: int, p: int) -> int:
+    """The oracle's degree maximum at p of the datum (f, s_inf mask), relaxed once into profiles."""
+    if (found := profiles.get((f, s_mask))) is None:
+        found = profiles[f, s_mask] = [*relaxed_profile_exponents(f, frozenset(_places(s_mask))).values()]
+    return max([sum([p**e for e in exponents]) for exponents in found])
+
+
+def _suite_case_split_oracle(max_f: int, p: int, profiles: dict) -> _Verdicts:
     """One case per edge of each root's own entry, then one per root, for every root of dimension 0.._MAX_DIM.
 
     _case_split(rd), the case split the certificate carries, is built once per
@@ -94,11 +100,11 @@ def _suite_case_split_oracle(max_f: int, p: int) -> _Verdicts:
     the oracle's s_inf: s_inf | T plus the place before the backward end of
     each component of s_inf | T that meets T oddly, T read from the edge's
     position in the bitmask order of rd's split places.  Then the root's bound
-    must be degree_bound(rd) (None at dimension 0), the table must hold
-    exactly rd and its distinct direct children, and every other entry must
-    equal that datum's own root entry, the relabeling fact.  Each f is walked
-    from the largest s_inf down, so every datum below a root was a root
-    already; a root keeps only its bound and its children's s_inf masks.
+    must be the oracle's degree maximum at p (None at dimension 0), the table
+    must hold exactly rd and its distinct direct children, and every other
+    entry must equal that datum's own root entry, the relabeling fact.  Each f
+    is walked from the largest s_inf down, so every datum below a root was a
+    root already; a root keeps only its bound and its children's s_inf masks.
     """
     for f in range(1, max_f + 1):
         ends: dict[int, list[tuple[int, int]]] = {}  # per occupied mask, each component's mask and place before its end
@@ -128,7 +134,7 @@ def _suite_case_split_oracle(max_f: int, p: int) -> _Verdicts:
                         if (comp & t).bit_count() & 1:
                             want |= 1 << before_end
                     yield None if got == want else f"t={_places(t)}: child s_inf {sorted(child.s_inf)}, expected {_places(want)}: {where}"
-                want_bound = degree_bound(rd) if f > size else None
+                want_bound = _oracle_bound(profiles, f, s_mask, p) if f > size else None
                 problem = None
                 if bound != want_bound:
                     problem = f"bound {bound}, expected {want_bound}"
@@ -155,26 +161,22 @@ def _suite_model_masks(max_f: int, p: int) -> _Verdicts:
             yield None if got == want else f"m={m} t={sorted(t)}: mask {got}, expected {want}"
 
 
-def _suite_degree_oracle(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
+def _suite_degree_oracle(max_f: int, primes: tuple[int, ...], profiles: dict) -> _Verdicts:
     """One case per datum and prime, each datum at the primes in ascending order.
 
-    degree_bound and max_degree_sums are checked against the oracle's
-    fixpoint maxima, and the bound against the one at the next smaller prime.
+    degree_bound is checked against the oracle's degree maximum at the prime,
+    and against the bound at the next smaller prime.
     """
     ordered = sorted(primes)
-    for rd in all_ramifications(max_f, ordered[0], min_dim=1):
+    for f, s_inf, s_fin_count, _ in all_ramifications(max_f, ordered[0], min_dim=1):
+        s_mask = sum([1 << x for x in s_inf])
         last = None  # (prime, bound) at the next smaller prime
         for p in ordered:
-            rd_p = rd._replace(p=p)  # selfcheck() has checked p
-            bound = degree_bound(rd_p)
-            per_anchor = relaxed_profile_maxima(rd_p)
-            if bound != max(per_anchor.values()):
-                yield f"p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
-            elif (sums := max_degree_sums(rd_p)) != per_anchor:
-                anchor = min(a for a, _ in sums.items() ^ per_anchor.items())
-                yield f"anchor {anchor}: p={p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+            bound = degree_bound(RamificationData(f, s_inf, s_fin_count, p))  # selfcheck() has checked p
+            if bound != _oracle_bound(profiles, f, s_mask, p):
+                yield f"p={p} f={f} s_inf={sorted(s_inf)}"
             elif last and bound < last[1]:
-                yield f"not monotone in p: p={last[0]}->{p} f={rd.f} s_inf={sorted(rd.s_inf)}"
+                yield f"not monotone in p: p={last[0]}->{p} f={f} s_inf={sorted(s_inf)}"
             else:
                 yield None
             last = p, bound
@@ -271,10 +273,11 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     every = _scope(max_f, prime_tuple)
     trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
     trip = _scope(trip_f, trip_primes)
+    profiles: dict = {}  # shared by both bound checks
     suites = (
-        _run("case-split-oracle", split, _suite_case_split_oracle(max_f, base_p)),
+        _run("case-split-oracle", split, _suite_case_split_oracle(max_f, base_p, profiles)),
         _run("model-masks", base, _suite_model_masks(max_f, base_p)),
-        _run("degree-oracle", every, _suite_degree_oracle(max_f, prime_tuple)),
+        _run("degree-oracle", every, _suite_degree_oracle(max_f, prime_tuple, profiles)),
         _run("curve-table", "g<=10 n<=10", _suite_curve_table()),
         _run("certificate-roundtrip", trip, _suite_certificate_roundtrip(trip_f, trip_primes)),
     )

@@ -13,7 +13,7 @@ found equal to the case split up to f = 9, against the oracle's augmented set
 a = replay_augmented_set(f, s_inf, t), with each edge's t read from the
 bitmask order of the datum's split places: its child's s_inf must be
 s_inf | a, for all 32 556 edges (about 0.5 s).  Then checks that degree_bound(rd), the anchored sum of
-the split mask's largest rotation, is the largest of max_degree_sums(rd),
+the split mask's largest rotation, is the largest of helpers.max_degree_sums(rd),
 each anchor's sum from its definition, for all 40 890 data of positive
 dimension with f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
 Last, checks that model_child_masks(m), the listing the case split relabels,
@@ -32,10 +32,10 @@ from __future__ import annotations
 import sys
 import time
 
-from gocert import RamificationData, certificate, degree_bound, make_ramification, max_degree_sums, shimura_dimension
+from gocert import RamificationData, certificate, degree_bound, make_ramification, shimura_dimension
 from gocert.oracle import all_ramifications, replay_augmented_set
 from gocert.strata import model_child_masks, strata_children
-from helpers import edge_vanishing_sets, kernel_case_split
+from helpers import edge_vanishing_sets, kernel_case_split, max_degree_sums
 
 MAX_F, PRIMES = 10, (2, 3, 5)
 BOUND_MAX_F, BOUND_PRIMES = 12, (2, 3, 5, 7, 1_000_003)

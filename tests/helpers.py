@@ -1,7 +1,8 @@
-"""Test-only helpers: a brute-force degree oracle, the every-datum kernel walk, certificate mutations and source mutants.
+"""Test-only helpers: a brute-force degree oracle, the anchored degree sums, the every-datum kernel walk, certificate mutations and source mutants.
 
 The oracles shared with selfcheck live in gocert.oracle.  Profile enumeration
-is too slow for anything but the tests' small spaces, the kernel walk is the
+is too slow for anything but the tests' small spaces, the anchored sums are
+the per-anchor reference for the degree bound, the kernel walk is the
 reference the relabeling case split must equal, and the mutations and mutants
 exist only to show that verification and selfcheck reject what they alter.
 """
@@ -36,6 +37,19 @@ def enumerated_profile_max(rd: RamificationData, anchor: int) -> int:
         if all(profile[src] <= p**exp * profile[tgt] for src, tgt, exp in constraints):
             best = max(best, sum(profile.values()))
     return best
+
+
+def max_degree_sums(rd: RamificationData) -> dict[int, int]:
+    """For each split place as anchor, in ascending order, the largest profile total with it at degree one.
+
+    Each split place x is capped at p^((x - anchor) mod f), the product of the
+    p-powers along the constraint cycle from the anchor; degree_bound is the
+    largest of these sums.
+    """
+    f, p, splits = rd.f, rd.p, split_places(rd)
+    if not splits:
+        raise ValueError("degree bound needs at least one split place")
+    return {a: sum([p ** ((x - a) % f) for x in splits]) for a in splits}
 
 
 def kernel_case_split(rd: RamificationData) -> tuple[dict[RamificationData, _Split], dict[RamificationData, int]]:

@@ -28,11 +28,12 @@ def test_a_small_pass_calls_every_traced_boundary(monkeypatch):
     # certificate lists model children by model_child_masks, which selfcheck checks against
     # strata_children, so strata's decompose_chains and induced_ramification are reached from
     # selfcheck's model-masks alone; certificate takes each bound from split_degree_bound, so
-    # hasse.degree_bound is reached from selfcheck alone; selfcheck audits the case split the
-    # certificate runs, built by RamificationData per root, against the oracle's component_ends,
-    # and calls neither the datum-level kernel, all_vanishing_sets, cycle_components,
-    # shimura_dimension nor split_places (the oracle scans the backward gaps itself)
-    assert len(found) == 44
+    # hasse.degree_bound is reached from selfcheck's degree-oracle alone; selfcheck audits the
+    # case split the certificate runs, built by RamificationData per root, against the oracle's
+    # component_ends and relaxed_profile_exponents, and calls neither the datum-level kernel,
+    # all_vanishing_sets, cycle_components, shimura_dimension nor split_places (the oracle
+    # scans the backward gaps itself)
+    assert len(found) == 43
     for importer, name in found:
         module = _module(importer)
         monkeypatch.setattr(module, name, getattr(module, name))  # restored at teardown

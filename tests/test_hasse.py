@@ -8,12 +8,11 @@ from gocert import (
     certificate_to_doc,
     degree_bound,
     make_ramification,
-    max_degree_sums,
     split_places,
     strata_children,
 )
-from gocert.oracle import all_ramifications, relaxed_profile_maxima, scan_constraints
-from helpers import enumerated_profile_max
+from gocert.oracle import all_ramifications, relaxed_profile_exponents, relaxed_profile_maxima, scan_constraints
+from helpers import enumerated_profile_max, max_degree_sums
 
 # (p, max_f) grids: full profile enumeration is affordable only on the small one
 ENUM_GRID = ((2, 4), (3, 3), (5, 3))
@@ -63,6 +62,13 @@ def test_max_degree_sum_with_ramified_gap():
     rd = make_ramification(4, 2, {1, 2})
     assert enumerated_profile_max(rd, 0) == 9
     assert max_degree_sums(rd) == {0: 9, 3: 3}
+
+
+def test_fixpoint_exponents_with_ramified_gap():
+    # the profiles behind test_max_degree_sum_with_ramified_gap, exponents in the order of the
+    # split places 0 and 3: anchored at 0, place 3 stops at the gap's p^3; anchored at 3, place 0 at p^1
+    assert relaxed_profile_exponents(4, frozenset({1, 2})) == {0: (0, 3), 3: (1, 0)}
+    assert relaxed_profile_exponents(3, frozenset()) == {0: (0, 1, 2), 1: (2, 0, 1), 2: (1, 2, 0)}
 
 
 def test_max_degree_sum_rejects_non_split_anchor():

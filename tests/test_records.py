@@ -54,7 +54,6 @@ def test_the_public_names_are_pinned():
         "decompose_chains",
         "induced_ramification",
         "strata_children",
-        "max_degree_sums",
         "degree_bound",
         "CurveType",
         "RigidityVerdict",

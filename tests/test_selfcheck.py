@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gocert import RamificationData, Stratum, certificate, decompose_chains, make_ramification, oracle, selfcheck, strata
+from gocert import RamificationData, Stratum, certificate, decompose_chains, degree_bound, hasse, make_ramification, oracle, selfcheck, strata
 from gocert.rigidity import RigidityVerdict
 from gocert.selfcheck import MAX_SELFCHECK_F, MAX_SELFCHECK_PRIMES
 from helpers import source_mutant
@@ -148,20 +148,11 @@ def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
     assert set(asked) == set(proper)
 
 
-# one too large: the bound, or the sum at the first anchor alone
-DEGREE_MUTANTS = {
-    "degree_bound": lambda bound: bound + 1,
-    "max_degree_sums": lambda sums: {**sums, min(sums): sums[min(sums)] + 1},
-}
+# one too large
+DEGREE_MUTANTS = {"degree_bound": lambda bound: bound + 1}
 
 
-@pytest.mark.parametrize(
-    "name, counterexample",
-    [
-        ("degree_bound", "p=2 f=1 s_inf=[]"),
-        ("max_degree_sums", "anchor 0: p=2 f=1 s_inf=[]"),
-    ],
-)
+@pytest.mark.parametrize("name, counterexample", [("degree_bound", "p=2 f=1 s_inf=[]")])
 def test_degree_oracle_names_its_counterexample(monkeypatch, name, counterexample):
     original, mutant = getattr(SELFCHECK, name), DEGREE_MUTANTS[name]
     monkeypatch.setattr(SELFCHECK, name, lambda *args: mutant(original(*args)))
@@ -181,8 +172,48 @@ def test_selfcheck_computes_one_degree_bound_per_datum_and_prime(monkeypatch):
     monkeypatch.setattr(SELFCHECK, "degree_bound", counted)
     assert selfcheck(5, [2, 3]).ok
     # 57 data at each of the two primes, each checked against the oracle and the smaller prime's
-    # bound by degree-oracle; case-split-oracle checks each of the 57 roots' bound at the first prime
-    assert calls == 114 + 57
+    # bound by degree-oracle; case-split-oracle checks each root's bound against the oracle alone
+    assert calls == 114
+
+
+@pytest.mark.parametrize("primes", [[2], [2, 3], [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]])
+def test_selfcheck_runs_one_exponent_fixpoint_per_datum(monkeypatch, primes):
+    asked: Counter[tuple[int, frozenset[int]]] = Counter()
+    original = SELFCHECK.relaxed_profile_exponents
+
+    def counted(f, s_inf):
+        asked[f, s_inf] += 1
+        return original(f, s_inf)
+
+    monkeypatch.setattr(SELFCHECK, "relaxed_profile_exponents", counted)
+    assert selfcheck(5, primes).ok
+    # the 57 data of positive dimension at f <= 5, each relaxed once: the exponents do not
+    # depend on p, and case-split-oracle and degree-oracle read the same profiles
+    assert len(asked) == sum(asked.values()) == 57
+
+
+def test_case_split_oracle_catches_a_bound_fault_both_bound_users_share(monkeypatch):
+    # every bound one too large, in the producer's binding and in the one degree_bound calls:
+    # the case split's bounds equal degree_bound's, so only an oracle sees the fault
+    original = hasse.split_degree_bound
+
+    def one_too_large(f, p, splits):
+        return original(f, p, splits) + 1
+
+    monkeypatch.setattr(hasse, "split_degree_bound", one_too_large)
+    monkeypatch.setattr(certificate, "split_degree_bound", one_too_large)
+    assert degree_bound(make_ramification(1, 2)) == 2
+    report = selfcheck(5, [2, 3])
+    failures = {
+        "case-split-oracle": (2, "bound 2, expected 1: f=1 s_inf=[]"),
+        "degree-oracle": (1, "p=2 f=1 s_inf=[]"),
+    }
+    expected = [
+        (name, name not in failures, *failures.get(name, (checked, None)), scope)
+        for name, checked, scope in EXPECTED_COVERAGE
+    ]
+    got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
+    assert got == expected
 
 
 def test_chain_partition_catches_merged_chains(monkeypatch):
@@ -205,11 +236,17 @@ def test_chain_partition_catches_merged_chains(monkeypatch):
     assert got == expected
 
 
+class _FallingExponent:
+    """An exponent e with p ** e = 10 - p, which no integer exponent gives."""
+
+    def __rpow__(self, p):
+        return 10 - p
+
+
 def test_degree_oracle_catches_a_bound_that_falls_with_p(monkeypatch):
-    # the oracle's maxima and every anchored sum agree with the falling bound
+    # the oracle's one-place profile agrees with the falling bound at every prime
     monkeypatch.setattr(SELFCHECK, "degree_bound", lambda rd: 10 - rd.p)
-    monkeypatch.setattr(SELFCHECK, "relaxed_profile_maxima", lambda rd: {0: 10 - rd.p})
-    monkeypatch.setattr(SELFCHECK, "max_degree_sums", lambda rd: {0: 10 - rd.p})
+    monkeypatch.setattr(SELFCHECK, "relaxed_profile_exponents", lambda f, s_inf: {0: (_FallingExponent(),)})
     (suite,) = [s for s in selfcheck(3, [3, 2]).suites if s.name == "degree-oracle"]
     assert (suite.passed, suite.checked, suite.counterexample) == (
         False,
@@ -266,11 +303,12 @@ def test_selfcheck_judges_each_occupied_set_and_its_chains_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     assert selfcheck(5, [2]).ok
-    # 52 occupied sets of edges at f <= 5, at the first prime only; 57 data for the degree oracle
+    # 52 occupied sets of edges at f <= 5, at the first prime only; 57 data for the oracle's
+    # exponent profiles, which do not depend on p
     assert calls == {"component_ends": 52, "scan_constraints": 57}
     calls.clear()
     assert selfcheck(5, [2, 3]).ok
-    assert calls == {"component_ends": 52, "scan_constraints": 114}
+    assert calls == {"component_ends": 52, "scan_constraints": 57}
 
 
 def test_the_oracle_depends_on_no_gocert_module_but_places():
