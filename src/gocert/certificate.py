@@ -198,10 +198,11 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
 
     Two facts carry this, each checked up to the size stated:
     - every datum of dimension m relabels the model's children: each entry of
-      a table equals that datum's own root entry, and each root edge's child
-      is the oracle's, for every root with f <= max_f <= 12 and dimension <= 9
-      (selfcheck's case-split-oracle suite); the table equals the kernel walk
-      for f <= 8 (tier-1) and f <= 10 (CI, tests/check_case_split.py);
+      a table equals that datum's own root entry, each root edge's child is
+      the oracle's, and each root bound is the oracle's degree maximum, for
+      every root with f <= max_f <= 12 and dimension <= 9, at selfcheck's
+      first prime (its case-split-oracle suite); the table equals the kernel
+      walk for f <= 8 (tier-1) and f <= 10 (CI, tests/check_case_split.py);
     - every datum below a model root is a direct child of it, so a table has
       one entry per distinct child of its root: for every root of
       case-split-oracle's scope, and for m <= 9 (tier-1,

@@ -2,19 +2,19 @@
 
 Every suite enumerates the full configuration space up to the requested degree
 bound and checks its invariant against:
-- case-split-oracle: the oracle's components of each occupied set s_inf | T,
-  replayed for every edge of the case split the certificate carries
-  (certificate._case_split), root by root up to dimension 9, the oracle's
-  degree maximum, and the table's own shape and relabeling: the table holds
-  the root and its distinct direct children, and every other entry is that
-  datum's own root entry;
+- case-split-oracle: one walk over every datum, which relaxes each datum's
+  Hasse constraints once, scanned from their definition, by the oracle's
+  fixpoint.  Up to dimension 9, at the first prime, it replays the oracle's
+  components of s_inf | T for every edge of the case split the certificate
+  carries (certificate._case_split), checks the root's bound against the
+  oracle's degree maximum, and checks the table's own shape and relabeling:
+  the table holds the root and its distinct direct children, and every
+  other entry is that datum's own root entry.  Then, at each prime, it
+  checks degree_bound against the oracle's maximum;
 - model-masks: the datum-level kernel, not the oracle: model_child_masks(m),
   the listing the case split uses, against the s_inf masks of strata_children
   on the model datum (f = m, s_inf = {}) for each m from 2 to max_f; the
   tests check that kernel against the oracle;
-- degree-oracle: the oracle's fixpoint relaxation of the Hasse constraints,
-  scanned from their definition, and the kernel's own bound at the next
-  smaller prime;
 - curve-table: the oracle's direct scan of the Hodge degree inequality, and
   the rule that the equal-degree contradiction holds exactly when
   2g - 2 + n = 2;
@@ -27,10 +27,11 @@ Each suite is a generator that yields, per case, None or the counterexample,
 a non-empty text that names the check that failed and where; one runner
 (_run) counts the cases up to the first counterexample and times the suite.
 A raise of the builder is the counterexample of the case that reached it.
-Each oracle answer is computed once per input it depends on, within one
-selfcheck() call: the oracle's components once per place count f and
-occupied set s_inf | T (494 occupied sets serve the 8 828 edges at f <= 8),
-and its degree fixpoint once per datum for every prime (_oracle_bound).
+Each oracle answer is computed once per input it depends on, and no suite
+reads another's: the oracle's components once per place count f and occupied
+set s_inf | T (494 occupied sets serve the 8 828 edges at f <= 8), and its
+degree fixpoint once per datum, whose maximum at each prime is kept only
+while the walk is on that datum.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .places import RamificationData, make_ramification
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import model_child_masks, strata_children
 
-# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 2.4 s with the primes 2,3,5
-# and 3.5 s with 16 primes on a 2-core VM, and each step of f costs about 2 to 3 times the last.
+# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 2.2 to 2.4 s with the primes 2,3,5
+# and 3.4 to 4.0 s with 16 primes on a 2-core VM, and each step of f costs about 2 to 3 times the last.
 MAX_SELFCHECK_F = 12
 MAX_SELFCHECK_PRIMES = 16
 _MAX_DIM = len(_TREE_SIZES) - 1  # the largest dimension case-split-oracle audits: _case_split refuses the next
@@ -85,67 +86,72 @@ def _places(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
-def _oracle_bound(profiles: dict, f: int, s_mask: int, p: int) -> int:
-    """The oracle's degree maximum at p of the datum (f, s_inf mask), relaxed once into profiles."""
-    if (found := profiles.get((f, s_mask))) is None:
-        found = profiles[f, s_mask] = [*relaxed_profile_exponents(f, frozenset(_places(s_mask))).values()]
-    return max([sum([p**e for e in exponents]) for exponents in found])
+def _suite_case_split_oracle(max_f: int, primes: tuple[int, ...]) -> _Verdicts:
+    """Per datum: up to dimension _MAX_DIM, one case per edge of its own entry and one as a root; then one per prime.
 
-
-def _suite_case_split_oracle(max_f: int, p: int, profiles: dict) -> _Verdicts:
-    """One case per edge of each root's own entry, then one per root, for every root of dimension 0.._MAX_DIM.
-
-    _case_split(rd), the case split the certificate carries, is built once per
-    root; a raise is that root's counterexample.  Each edge's child must have
-    the oracle's s_inf: s_inf | T plus the place before the backward end of
-    each component of s_inf | T that meets T oddly, T read from the edge's
-    position in the bitmask order of rd's split places.  Then the root's bound
-    must be the oracle's degree maximum at p (None at dimension 0), the table
-    must hold exactly rd and its distinct direct children, and every other
-    entry must equal that datum's own root entry, the relabeling fact.  Each f
-    is walked from the largest s_inf down, so every datum below a root was a
-    root already; a root keeps only its bound and its children's s_inf masks.
+    Each f is walked from the largest s_inf down, so every datum below a root
+    was a root already; a root keeps only its bound and its children's s_inf
+    masks, and a datum's oracle maxima live while the walk is on it.
+    _case_split(rd) is built at the first prime; a raise is that root's
+    counterexample.  Each edge's child must have the oracle's s_inf: s_inf | T
+    plus the place before the backward end of each component of s_inf | T
+    that meets T oddly, T read from the edge's position in the bitmask order
+    of rd's split places.  Then the root's bound must be the oracle's maximum
+    at the first prime (None at dimension 0), the table must hold exactly rd
+    and its distinct direct children, and every other entry must equal that
+    datum's own root entry, the relabeling fact.  Last, degree_bound at each
+    prime, in the order given, must be the oracle's maximum there.
     """
+    p = primes[0]
     for f in range(1, max_f + 1):
         ends: dict[int, list[tuple[int, int]]] = {}  # per occupied mask, each component's mask and place before its end
         roots: dict[int, tuple[int | None, tuple[int | None, ...]]] = {}  # per s_inf mask, its own root entry
-        for size in range(f, max(f - _MAX_DIM, 0) - 1, -1):
+        for size in range(f, -1, -1):
             for s in combinations(range(f), size):
-                rd, where = RamificationData(f, frozenset(s), size & 1, p), f"f={f} s_inf={list(s)}"
-                try:
-                    table = _case_split(rd)
-                    bound, edges = table[rd]
-                except Exception as exc:  # a fault of the producer, reported as this root's
-                    yield f"raised {exc!r}: {where}"
-                    continue
-                masks = {d: sum([1 << x for x in d.s_inf]) for d in table}
-                s_mask, t_masks = masks[rd], [0]
-                for x in range(f):
-                    if not s_mask >> x & 1:
-                        t_masks += [t | 1 << x for t in t_masks]
-                child_masks = tuple(map(masks.get, edges))
-                for t, got, child in zip(t_masks[1:-1], child_masks, edges):
-                    occupied = s_mask | t
-                    if (comps := ends.get(occupied)) is None:
-                        found = component_ends(f, frozenset(_places(occupied)))
-                        comps = ends[occupied] = [(sum([1 << x for x in c]), e) for c, e in found]
-                    want = occupied
-                    for comp, before_end in comps:
-                        if (comp & t).bit_count() & 1:
-                            want |= 1 << before_end
-                    yield None if got == want else f"t={_places(t)}: child s_inf {sorted(child.s_inf)}, expected {_places(want)}: {where}"
-                want_bound = _oracle_bound(profiles, f, s_mask, p) if f > size else None
-                problem = None
-                if bound != want_bound:
-                    problem = f"bound {bound}, expected {want_bound}"
-                elif len(edges) != (n_edges := max(len(t_masks) - 2, 0)):
-                    problem = f"{len(edges)} edges, expected {n_edges}"
-                elif table.keys() != {rd, *edges}:
-                    problem = "the table is not the root and its distinct children"
-                elif wrong := [d for d, (b, e) in table.items() if d != rd and roots.get(masks.get(d)) != (b, tuple(map(masks.get, e)))]:
-                    problem = f"entry {sorted(wrong[0].s_inf)} differs from its own root entry"
-                roots[s_mask] = bound, child_masks
-                yield problem and f"{problem}: {where}"
+                s_inf, where = frozenset(s), f"f={f} s_inf={list(s)}"
+                maxima = []  # the oracle's degree maximum at each prime, none at dimension 0
+                if size < f:
+                    profiles = relaxed_profile_exponents(f, s_inf).values()
+                    maxima = [max([sum([q**e for e in exponents]) for exponents in profiles]) for q in primes]
+                if f - size <= _MAX_DIM:
+                    rd = RamificationData(f, s_inf, size & 1, p)
+                    try:
+                        table = _case_split(rd)
+                        bound, edges = table[rd]
+                    except Exception as exc:  # a fault of the producer, reported as this root's
+                        yield f"raised {exc!r}: {where}"
+                        continue
+                    masks = {d: sum([1 << x for x in d.s_inf]) for d in table}
+                    s_mask, t_masks = masks[rd], [0]
+                    for x in range(f):
+                        if not s_mask >> x & 1:
+                            t_masks += [t | 1 << x for t in t_masks]
+                    child_masks = tuple(map(masks.get, edges))
+                    for t, got, child in zip(t_masks[1:-1], child_masks, edges):
+                        occupied = s_mask | t
+                        if (comps := ends.get(occupied)) is None:
+                            found = component_ends(f, frozenset(_places(occupied)))
+                            comps = ends[occupied] = [(sum([1 << x for x in c]), e) for c, e in found]
+                        want = occupied
+                        for comp, before_end in comps:
+                            if (comp & t).bit_count() & 1:
+                                want |= 1 << before_end
+                        yield None if got == want else f"t={_places(t)}: child s_inf {sorted(child.s_inf)}, expected {_places(want)}: {where}"
+                    want_bound = maxima[0] if maxima else None
+                    problem = None
+                    if bound != want_bound:
+                        problem = f"bound {bound}, expected {want_bound}"
+                    elif len(edges) != (n_edges := max(len(t_masks) - 2, 0)):
+                        problem = f"{len(edges)} edges, expected {n_edges}"
+                    elif table.keys() != {rd, *edges}:
+                        problem = "the table is not the root and its distinct children"
+                    elif wrong := [d for d, (b, e) in table.items() if d != rd and roots.get(masks.get(d)) != (b, tuple(map(masks.get, e)))]:
+                        problem = f"entry {sorted(wrong[0].s_inf)} differs from its own root entry"
+                    roots[s_mask] = bound, child_masks
+                    yield problem and f"{problem}: {where}"
+                for q, want_bound in zip(primes, maxima):
+                    bound = degree_bound(RamificationData(f, s_inf, size & 1, q))  # selfcheck() has checked q
+                    yield None if bound == want_bound else f"p={q} bound {bound}, expected {want_bound}: {where}"
 
 
 def _suite_model_masks(max_f: int, p: int) -> _Verdicts:
@@ -159,27 +165,6 @@ def _suite_model_masks(max_f: int, p: int) -> _Verdicts:
         for got, (t, child) in zip(masks, children):
             want = sum([1 << x for x in child.s_inf])
             yield None if got == want else f"m={m} t={sorted(t)}: mask {got}, expected {want}"
-
-
-def _suite_degree_oracle(max_f: int, primes: tuple[int, ...], profiles: dict) -> _Verdicts:
-    """One case per datum and prime, each datum at the primes in ascending order.
-
-    degree_bound is checked against the oracle's degree maximum at the prime,
-    and against the bound at the next smaller prime.
-    """
-    ordered = sorted(primes)
-    for f, s_inf, s_fin_count, _ in all_ramifications(max_f, ordered[0], min_dim=1):
-        s_mask = sum([1 << x for x in s_inf])
-        last = None  # (prime, bound) at the next smaller prime
-        for p in ordered:
-            bound = degree_bound(RamificationData(f, s_inf, s_fin_count, p))  # selfcheck() has checked p
-            if bound != _oracle_bound(profiles, f, s_mask, p):
-                yield f"p={p} f={f} s_inf={sorted(s_inf)}"
-            elif last and bound < last[1]:
-                yield f"not monotone in p: p={last[0]}->{p} f={f} s_inf={sorted(s_inf)}"
-            else:
-                yield None
-            last = p, bound
 
 
 def _suite_curve_table() -> _Verdicts:
@@ -237,9 +222,10 @@ def _scope(max_f: int, primes: tuple[int, ...]) -> str:
 def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     """Run every suite over the configurations its scope names.
 
-    case-split-oracle and model-masks use the first prime only (the place
-    combinatorics does not depend on p), case-split-oracle stops at dimension
-    _MAX_DIM, which its scope states from max_f 10 on, and the certificate
+    case-split-oracle checks every datum's bound at every prime, and builds
+    the case split at the first prime only (the place combinatorics does not
+    depend on p) and up to dimension _MAX_DIM, which its scope states from
+    max_f 10 on; model-masks uses the first prime only, and the certificate
     round trip stops at f <= 4 and the first two primes because each check
     builds and verifies a whole tree.
     Raises ValueError, before any suite runs, for a max_f that is not a JSON
@@ -268,16 +254,14 @@ def selfcheck(max_f: int, primes: list[int]) -> SelfcheckReport:
     if max_f == 0:
         return SelfcheckReport(max_f=max_f, primes=prime_tuple, suites=())
     base_p = prime_tuple[0]
-    base = _scope(max_f, (base_p,))
-    split = base if max_f <= _MAX_DIM else f"{base} dim<={_MAX_DIM}"
-    every = _scope(max_f, prime_tuple)
+    split = f"{_scope(max_f, prime_tuple)}; case split p={base_p}"
+    if max_f > _MAX_DIM:
+        split += f" dim<={_MAX_DIM}"
     trip_f, trip_primes = min(max_f, 4), prime_tuple[:2]
     trip = _scope(trip_f, trip_primes)
-    profiles: dict = {}  # shared by both bound checks
     suites = (
-        _run("case-split-oracle", split, _suite_case_split_oracle(max_f, base_p, profiles)),
-        _run("model-masks", base, _suite_model_masks(max_f, base_p)),
-        _run("degree-oracle", every, _suite_degree_oracle(max_f, prime_tuple, profiles)),
+        _run("case-split-oracle", split, _suite_case_split_oracle(max_f, prime_tuple)),
+        _run("model-masks", _scope(max_f, (base_p,)), _suite_model_masks(max_f, base_p)),
         _run("curve-table", "g<=10 n<=10", _suite_curve_table()),
         _run("certificate-roundtrip", trip, _suite_certificate_roundtrip(trip_f, trip_primes)),
     )

@@ -81,20 +81,17 @@ def decompose_chains(st: Stratum) -> Chains:
     return tuple(chains)
 
 
-def induced_ramification(st: Stratum, *, chains: Chains | None = None) -> RamificationData:
+def induced_ramification(st: Stratum) -> RamificationData:
     """Quaternionic datum the stratum fibers over: s_inf extended by every chain contribution.
 
     Each chain contributes its intersection with T, plus the place one
     backward step past its end when that intersection has odd size.  The
     extension has even size, contains T, and adds only places outside
-    s_inf | T, so the even-ramification parity is preserved.  A caller that
-    already holds decompose_chains(st) passes it as chains.
+    s_inf | T, so the even-ramification parity is preserved.
     """
     rd, t = st.rd, st.t
-    if chains is None:
-        chains = decompose_chains(st)
     t_aug = set(t)
-    for chain in chains:
+    for chain in decompose_chains(st):
         if len(t.intersection(chain)) % 2:
             t_aug.add((chain[-1] - 1) % rd.f)
     return RamificationData(rd.f, rd.s_inf | t_aug, rd.s_fin_count, rd.p)

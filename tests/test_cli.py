@@ -444,7 +444,6 @@ def test_selfcheck_json(capsys):
     assert [suite["name"] for suite in doc["suites"]] == [
         "case-split-oracle",
         "model-masks",
-        "degree-oracle",
         "curve-table",
         "certificate-roundtrip",
     ]
@@ -466,12 +465,11 @@ def test_selfcheck_counts_at_max_f_8(capsys):
     doc = json.loads(out)
     for suite in doc["suites"]:
         del suite["seconds"]
-    base, every, curves = "f<=8 p=2", "f<=8 p in 2,3,5", "g<=10 n<=10"
     coverage = [
-        ("case-split-oracle", 9338, base),
-        ("model-masks", 494, base),
-        ("degree-oracle", 1506, every),
-        ("curve-table", 121, curves),
+        # 9 338 case-split cases at p = 2 and the bounds of 502 data at each of the three primes
+        ("case-split-oracle", 10844, "f<=8 p in 2,3,5; case split p=2"),
+        ("model-masks", 494, "f<=8 p=2"),
+        ("curve-table", 121, "g<=10 n<=10"),
         ("certificate-roundtrip", 156, "f<=4 p in 2,3"),
     ]
     suites = [
@@ -485,7 +483,7 @@ def test_selfcheck_small(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--max-f", "3", "--primes", "2,3")
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
-    assert len(lines) == 5
+    assert len(lines) == 4
     assert "all suites passed" in out
 
 

@@ -17,9 +17,8 @@ SELFCHECK = importlib.import_module("gocert.selfcheck")
 
 # (suite, checked, scope) for max_f=5 over the primes 2 and 3
 EXPECTED_COVERAGE = [
-    ("case-split-oracle", 306, "f<=5 p=2"),
+    ("case-split-oracle", 420, "f<=5 p in 2,3; case split p=2"),
     ("model-masks", 52, "f<=5 p=2"),
-    ("degree-oracle", 114, "f<=5 p in 2,3"),
     ("curve-table", 121, "g<=10 n<=10"),
     ("certificate-roundtrip", 156, "f<=4 p in 2,3"),
 ]
@@ -56,7 +55,7 @@ def test_selfcheck_refuses_a_max_f_that_is_not_an_integer(monkeypatch, max_f):
         raise AssertionError("a suite ran")
 
     suites = [name for name in vars(SELFCHECK) if name.startswith("_suite_")]
-    assert len(suites) == 5
+    assert len(suites) == 4
     for name in suites:
         monkeypatch.setattr(SELFCHECK, name, unreachable)
     with pytest.raises(ValueError) as refused:
@@ -106,12 +105,12 @@ def test_certificate_roundtrip_walks_once_per_build_and_verify(monkeypatch):
 
 
 def test_augmented_oracle_catches_the_place_after_an_odd_chains_head(monkeypatch):
-    def after_the_head(st, chains=None):
+    def after_the_head(st):
         # adds the place after each odd chain's head, not the one before its tail: every
         # subtree size and the parity, growth and dimension of every induced datum hold
         rd, t = st.rd, st.t
         added = set(t)
-        for chain in decompose_chains(st) if chains is None else chains:
+        for chain in decompose_chains(st):
             if len(t.intersection(chain)) % 2:
                 added.add((chain[0] + 1) % rd.f)
         return RamificationData(rd.f, rd.s_inf | added, rd.s_fin_count, rd.p)
@@ -148,16 +147,31 @@ def test_selfcheck_asks_the_oracle_once_per_occupied_set(monkeypatch):
     assert set(asked) == set(proper)
 
 
-# one too large
-DEGREE_MUTANTS = {"degree_bound": lambda bound: bound + 1}
-
-
-@pytest.mark.parametrize("name, counterexample", [("degree_bound", "p=2 f=1 s_inf=[]")])
-def test_degree_oracle_names_its_counterexample(monkeypatch, name, counterexample):
-    original, mutant = getattr(SELFCHECK, name), DEGREE_MUTANTS[name]
-    monkeypatch.setattr(SELFCHECK, name, lambda *args: mutant(original(*args)))
-    (suite,) = [s for s in selfcheck(3, [2, 3]).suites if s.name == "degree-oracle"]
-    assert (suite.passed, suite.checked, suite.counterexample) == (False, 1, counterexample)
+# degree_bound one too large on the data each fault names, with the case-split-oracle result it gives
+@pytest.mark.parametrize(
+    "wrong, max_f, primes, checked, counterexample, scope",
+    [
+        # the root cases of f = 1 with s_inf = [0] and [], then the first datum of positive dimension at p = 2
+        (lambda rd: True, 3, [2, 3], 3, "p=2 bound 2, expected 1: f=1 s_inf=[]", "f<=3 p in 2,3; case split p=2"),
+        # the case split is checked at the first prime only; every prime's bound is checked
+        (lambda rd: rd.p == 3, 3, [2, 3], 4, "p=3 bound 2, expected 1: f=1 s_inf=[]", "f<=3 p in 2,3; case split p=2"),
+        # the one datum of dimension 10 at f <= 10, the last case: the case split stops at dimension 9, its bound does not
+        (
+            lambda rd: rd.f - len(rd.s_inf) == 10,
+            10,
+            [2],
+            87_549,
+            "p=2 bound 1024, expected 1023: f=10 s_inf=[]",
+            "f<=10 p=2; case split p=2 dim<=9",
+        ),
+    ],
+    ids=["everywhere", "only-at-p3", "only-at-dim10"],
+)
+def test_case_split_oracle_names_each_degree_bound_fault(monkeypatch, wrong, max_f, primes, checked, counterexample, scope):
+    original = SELFCHECK.degree_bound
+    monkeypatch.setattr(SELFCHECK, "degree_bound", lambda rd: original(rd) + wrong(rd))
+    (suite,) = [s for s in selfcheck(max_f, primes).suites if s.name == "case-split-oracle"]
+    assert (suite.passed, suite.checked, suite.counterexample, suite.scope) == (False, checked, counterexample, scope)
 
 
 def test_selfcheck_computes_one_degree_bound_per_datum_and_prime(monkeypatch):
@@ -171,8 +185,8 @@ def test_selfcheck_computes_one_degree_bound_per_datum_and_prime(monkeypatch):
 
     monkeypatch.setattr(SELFCHECK, "degree_bound", counted)
     assert selfcheck(5, [2, 3]).ok
-    # 57 data at each of the two primes, each checked against the oracle and the smaller prime's
-    # bound by degree-oracle; case-split-oracle checks each root's bound against the oracle alone
+    # 57 data at each of the two primes, each checked against the oracle; each root's own bound,
+    # from the case split, is checked against the oracle alone
     assert calls == 114
 
 
@@ -188,7 +202,7 @@ def test_selfcheck_runs_one_exponent_fixpoint_per_datum(monkeypatch, primes):
     monkeypatch.setattr(SELFCHECK, "relaxed_profile_exponents", counted)
     assert selfcheck(5, primes).ok
     # the 57 data of positive dimension at f <= 5, each relaxed once: the exponents do not
-    # depend on p, and case-split-oracle and degree-oracle read the same profiles
+    # depend on p, and case-split-oracle checks the root and every prime's bound on them
     assert len(asked) == sum(asked.values()) == 57
 
 
@@ -204,10 +218,7 @@ def test_case_split_oracle_catches_a_bound_fault_both_bound_users_share(monkeypa
     monkeypatch.setattr(certificate, "split_degree_bound", one_too_large)
     assert degree_bound(make_ramification(1, 2)) == 2
     report = selfcheck(5, [2, 3])
-    failures = {
-        "case-split-oracle": (2, "bound 2, expected 1: f=1 s_inf=[]"),
-        "degree-oracle": (1, "p=2 f=1 s_inf=[]"),
-    }
+    failures = {"case-split-oracle": (2, "bound 2, expected 1: f=1 s_inf=[]")}
     expected = [
         (name, name not in failures, *failures.get(name, (checked, None)), scope)
         for name, checked, scope in EXPECTED_COVERAGE
@@ -234,25 +245,6 @@ def test_chain_partition_catches_merged_chains(monkeypatch):
     ]
     got = [(s.name, s.passed, s.checked, s.counterexample, s.scope) for s in report.suites]
     assert got == expected
-
-
-class _FallingExponent:
-    """An exponent e with p ** e = 10 - p, which no integer exponent gives."""
-
-    def __rpow__(self, p):
-        return 10 - p
-
-
-def test_degree_oracle_catches_a_bound_that_falls_with_p(monkeypatch):
-    # the oracle's one-place profile agrees with the falling bound at every prime
-    monkeypatch.setattr(SELFCHECK, "degree_bound", lambda rd: 10 - rd.p)
-    monkeypatch.setattr(SELFCHECK, "relaxed_profile_exponents", lambda f, s_inf: {0: (_FallingExponent(),)})
-    (suite,) = [s for s in selfcheck(3, [3, 2]).suites if s.name == "degree-oracle"]
-    assert (suite.passed, suite.checked, suite.counterexample) == (
-        False,
-        2,
-        "not monotone in p: p=2->3 f=1 s_inf=[]",
-    )
 
 
 @pytest.mark.parametrize(
@@ -312,8 +304,8 @@ def test_selfcheck_judges_each_occupied_set_and_its_chains_once(monkeypatch):
 
 
 def test_the_oracle_depends_on_no_gocert_module_but_places():
-    # the oracle is the independent opinion, and selfcheck keeps its answers for a
-    # whole call; both hold only while it shares no code with the kernels it checks
+    # the oracle is the independent opinion, and selfcheck reuses its answers within
+    # a walk; both hold only while it shares no code with the kernels it checks
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -371,7 +363,7 @@ def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(mon
             "added >> x & 1",
             "added >> x & 2",
             1,
-            {"case-split-oracle": (6, "t=[0]: child s_inf [0], expected [0, 1]: f=2 s_inf=[]")},
+            {"case-split-oracle": (12, "t=[0]: child s_inf [0], expected [0, 1]: f=2 s_inf=[]")},
         ),
         # raises on every root of dimension 0, which the certificate round trip never builds
         (
@@ -393,7 +385,7 @@ def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(mon
             "[*map(place, kept)]",
             "[*map(place, kept[1:] or kept)]",
             0,
-            {"case-split-oracle": (94, "entry [0, 3] differs from its own root entry: f=4 s_inf=[]")},
+            {"case-split-oracle": (144, "entry [0, 3] differs from its own root entry: f=4 s_inf=[]")},
         ),
         # drops the first kept place outright, so a relabeled datum of dimension 1 has no split
         # place for its bound: both suites report the raise, and selfcheck returns
@@ -404,7 +396,7 @@ def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(mon
             0,
             {
                 "case-split-oracle": (
-                    22,
+                    42,
                     "raised ValueError('degree bound needs at least one split place'): f=3 s_inf=[]",
                 ),
                 "certificate-roundtrip": (
@@ -431,6 +423,7 @@ def test_selfcheck_fails_on_each_case_split_mutant(monkeypatch, name, old, new, 
 
 
 def test_case_split_oracle_states_its_dimension_cap():
-    # _case_split refuses dimension 10, so from max_f 10 on the scope says where the suite stops
+    # _case_split refuses dimension 10, so from max_f 10 on the scope says where the case split
+    # stops: 85 513 case-split cases and the bounds of the 2 036 data of positive dimension
     (suite,) = [s for s in selfcheck(10, [2]).suites if s.name == "case-split-oracle"]
-    assert (suite.passed, suite.checked, suite.scope) == (True, 85_513, "f<=10 p=2 dim<=9")
+    assert (suite.passed, suite.checked, suite.scope) == (True, 87_549, "f<=10 p=2; case split p=2 dim<=9")
