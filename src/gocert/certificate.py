@@ -44,20 +44,27 @@ Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  _preorder is the one expansion of the
 table: it lists item(datum, entry) for every node in preorder, building each
 datum's subtree list once, from its children's, which the table lists before
-it.  serialize_certificate expands one node text per
-distinct datum and joins them; certificate_to_doc expands one node dict per
-distinct datum and copies each node (a test pins the two texts equal); and
-verification replays the case split from the embedded configuration, compares
-each block with the rebuilt one by value and JSON type, then the document's
-nodes with the expanded ones, by value in one comparison and by JSON type in
-whole-list passes, naming the first differing node only on a mismatch.
+it.  The blocks other than config and nodes depend only on the curve's fields:
+_curve_blocks keeps them for the last 16 keys (those fields, and the types of
+rigidity's and contradiction's) as a read-only document, which only verify
+reads, and as canonical text cut at a config slot and a nodes slot.
+serialize_certificate splices the encoded config and one node text per
+distinct datum into that text; certificate_to_doc builds fresh blocks and one
+node dict per distinct datum, and copies each node (a test pins the two texts
+equal); and verification replays the case split from the embedded
+configuration, compares each block by value and JSON type with the rebuilt
+config or the cached document, then the document's nodes with the expanded
+ones, by value in one comparison and by JSON type in whole-list passes, naming
+the first differing node only on a mismatch.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import chain, compress, count
 from operator import is_, itemgetter, ne
+from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
 from ._version import __version__
@@ -233,6 +240,9 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     return table
 
 
+_CURVE_1_2 = CurveType(1, 2)  # the one curve whose root steps flag an extrapolation
+
+
 def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertificate:
     """Replay the induction over the full stratum tree of rd, deterministically.
 
@@ -256,7 +266,7 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     table = _case_split(rd)
     contra = contradiction_check(ct, 1, 0)
     root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
-    root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
+    root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == _CURVE_1_2 else ())
     verdict = "finite" if rig.finite else "inconclusive"
     return FinitenessCertificate(
         rd=rd,
@@ -291,26 +301,38 @@ def _node_doc(datum: RamificationData, entry: _Split) -> dict[str, Any]:
     return {"degree_bound": entry.degree_bound, "s_inf": sorted(datum.s_inf)}
 
 
-def _blocks_doc(cert: FinitenessCertificate) -> dict[str, Any]:
-    """Every top-level block of the certificate's document except "nodes"."""
+def _config_doc(cert: FinitenessCertificate) -> dict[str, Any]:
+    """The certificate's "config" block, the one block besides "nodes" that names its datum."""
     rd = cert.rd
     return {
-        "config": {
-            "curve": {"g": cert.curve.g, "n": cert.curve.n},
-            "rd": {"f": rd.f, "p": rd.p, "s_fin_count": rd.s_fin_count, "s_inf": sorted(rd.s_inf)},
-        },
-        "contradiction": cert.contradiction._asdict(),
-        "rigidity": {**cert.rigidity._asdict(), "euler_bound": euler_bound(cert.curve)},
-        "steps": {key: {"flags": list(s.flags), "prose": list(s.prose)} for key, s in cert.steps.items()},
-        "tool_version": cert.tool_version,
-        "verdict": cert.verdict,
+        "curve": {"g": cert.curve.g, "n": cert.curve.n},
+        "rd": {"f": rd.f, "p": rd.p, "s_fin_count": rd.s_fin_count, "s_inf": sorted(rd.s_inf)},
+    }
+
+
+def _curve_key(cert: FinitenessCertificate) -> tuple[tuple, tuple]:
+    """_curve_doc's arguments, then the types of the rigidity and contradiction fields: json writes 1, True and 1.0 apart."""
+    fields = cert.curve, cert.rigidity, cert.contradiction, tuple(cert.steps.items()), cert.verdict, cert.tool_version
+    return fields, tuple(map(type, (*cert.rigidity, *cert.contradiction)))
+
+
+def _curve_doc(
+    curve: CurveType, rigidity: RigidityVerdict, contradiction: ContradictionVerdict, steps: tuple, verdict: str, tool_version: str
+) -> dict[str, Any]:
+    """The curve blocks: every top-level block but "config" and "nodes"."""
+    return {
+        "contradiction": contradiction._asdict(),
+        "rigidity": {**rigidity._asdict(), "euler_bound": euler_bound(curve)},
+        "steps": {key: {"flags": list(s.flags), "prose": list(s.prose)} for key, s in steps},
+        "tool_version": tool_version,
+        "verdict": verdict,
     }
 
 
 def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
     """The certificate's document as dicts; every node has a dict and a list of its own."""
-    nodes = _preorder(cert.split, _node_doc)
-    return {**_blocks_doc(cert), "nodes": [{**node, "s_inf": node["s_inf"].copy()} for node in nodes]}
+    nodes = [{**node, "s_inf": node["s_inf"].copy()} for node in _preorder(cert.split, _node_doc)]
+    return {"config": _config_doc(cert), **_curve_doc(*_curve_key(cert)[0]), "nodes": nodes}
 
 
 # built once: json.dumps given any option builds an encoder per call
@@ -326,27 +348,38 @@ def serialize_document(doc: dict[str, Any]) -> str:
     return _ENCODER.encode(doc) + "\n"
 
 
-# A string no field holds (JSON writes the NUL as \u0000), put in the document
-# where the nodes' text goes and found again in the encoded text.
-_NODES_SLOT = "\0nodes"
-_NODES_TEXT = _ENCODER.encode(_NODES_SLOT)
+# Strings no field holds (JSON writes the NUL as \u0000), put in the document
+# where the config's and the nodes' texts go and found again in the encoded text.
+_CONFIG_TEXT = _ENCODER.encode(_CONFIG_SLOT := "\0config")
+_NODES_TEXT = _ENCODER.encode(_NODES_SLOT := "\0nodes")
+
+
+@lru_cache(maxsize=16)
+def _curve_blocks(fields: tuple, types: tuple) -> tuple[MappingProxyType, tuple[str, str, str]]:
+    """_curve_doc(*fields) as a read-only document and as its text cut at the two slots, keyed by _curve_key."""
+    doc = _curve_doc(*fields)
+    before, _, after = serialize_document({**doc, "config": _CONFIG_SLOT, "nodes": _NODES_SLOT}).partition(_CONFIG_TEXT)
+    middle, _, after = after.partition(_NODES_TEXT)
+    return MappingProxyType(doc), (before, middle, after)
 
 
 def _node_text(datum: RamificationData, entry: _Split) -> str:
-    """The canonical text of every node of datum."""
-    return _ENCODER.encode(_node_doc(datum, entry))
+    """The canonical text of every node of datum, _node_doc's as json writes it: int.__repr__ digits, null at dimension 0."""
+    bound = "null" if entry.degree_bound is None else int.__repr__(entry.degree_bound)
+    return f'{{"degree_bound":{bound},"s_inf":[{",".join(map(int.__repr__, sorted(datum.s_inf)))}]}}'
 
 
 def serialize_certificate(cert: FinitenessCertificate) -> str:
     """The certificate's document in canonical text form.
 
-    The text equals serialize_document(certificate_to_doc(cert)), but no
-    dict is built per node: each distinct datum's node is encoded once, and the
-    preorder expansion of those texts is joined into the document's "nodes".
+    The text equals serialize_document(certificate_to_doc(cert)), but only
+    the config is encoded: the curve blocks' text comes from _curve_blocks,
+    each distinct datum's node is formatted once, and the preorder expansion
+    of those texts is joined into the document's "nodes".
     """
+    before, middle, after = _curve_blocks(*_curve_key(cert))[1]
     texts = _preorder(cert.split, _node_text)
-    before, _, after = serialize_document({**_blocks_doc(cert), "nodes": _NODES_SLOT}).partition(_NODES_TEXT)
-    return f"{before}[{','.join(texts)}]{after}"
+    return f"{before}{_ENCODER.encode(_config_doc(cert))}{middle}[{','.join(texts)}]{after}"
 
 
 def error_document(message: str) -> dict[str, Any]:
@@ -485,7 +518,7 @@ def verify_document(doc: Any) -> VerifyResult:
         cert = build_certificate(rd, ct)
     except ValueError as exc:
         return VerifyResult(False, (str(exc),))
-    blocks = sorted(_blocks_doc(cert).items())
+    blocks = [("config", _config_doc(cert)), *_curve_blocks(*_curve_key(cert))[0].items()]  # in key order
     failures = [failure for key, want in blocks if (failure := _first_mismatch(key, doc[key], want))]
     want = _preorder(cert.split, _node_doc)
     if not (nodes == want and _nodes_hold_json_types(nodes)):

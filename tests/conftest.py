@@ -7,8 +7,9 @@ from gocert import certificate
 
 @pytest.fixture(autouse=True)
 def empty_model_tables(monkeypatch):
-    """Give each test an empty cache of model case-split tables, so no count of walks or listings depends on test order."""
+    """Give each test empty caches of model case-split tables and of curve blocks, so no count depends on test order."""
     monkeypatch.setattr(certificate, "_MODEL_TABLES", {})
+    certificate._curve_blocks.cache_clear()
 
 
 @pytest.fixture

@@ -190,7 +190,7 @@ def test_serialization_is_canonical_and_integer_only():
 
 @pytest.mark.parametrize("p", [2, 3, 1000000007])
 def test_serialized_text_equals_the_encoded_document(p):
-    # analyze writes the text from per-datum templates; certificate_to_doc is the reference
+    # analyze splices per-datum node texts into the curve blocks' template; certificate_to_doc is the reference
     curves = [GENUS_TWO, FOUR_PUNCTURED, CurveType(3, 0), CurveType(1, 2), CurveType(1, 1)]
     for rd in all_ramifications(6, p):
         for curve in curves:
@@ -211,6 +211,92 @@ def test_serialization_builds_no_node_documents(monkeypatch):
     monkeypatch.setattr(certificate, "_node_text", counted)
     assert serialize_certificate(cert) == expected
     assert set(calls) == set(cert.split) and len(calls) == len(cert.split) == 11
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000000007])
+def test_node_text_is_the_encoded_node_document(p):
+    # _node_text formats the record json would write, for every distinct datum of the largest case split
+    table = certificate._case_split(make_ramification(9, p))
+    assert len(table) == 76
+    for datum, entry in table.items():
+        assert certificate._node_text(datum, entry) == certificate._ENCODER.encode(certificate._node_doc(datum, entry))
+
+
+def test_node_text_writes_the_largest_bound_json_converts(default_int_digits):
+    datum = make_ramification(3, 3, {0, 2})
+    largest = 10**default_int_digits - 1
+    certificate._check_json_digits(largest, "the bound")
+    with pytest.raises(ValueError):
+        certificate._check_json_digits(largest + 1, "the bound")
+    entry = certificate._Split(largest, ())
+    text = certificate._node_text(datum, entry)
+    assert text == certificate._ENCODER.encode(certificate._node_doc(datum, entry))
+    assert text == '{"degree_bound":' + "9" * default_int_digits + ',"s_inf":[0,2]}'
+
+
+def test_curve_blocks_survive_eviction():
+    # more distinct curves than the cache holds, visited twice in turn: every serialize misses and evicts
+    # the oldest entry, and the verify that follows it hits the entry the serialize made
+    curves = [CurveType(g, n) for g in range(4) for n in range(5)]
+    size = certificate._curve_blocks.cache_info().maxsize
+    assert len(curves) > size
+    for rd in (make_ramification(3, 3), make_ramification(4, 2, {1, 3})) * 2:
+        for curve in curves:
+            cert = build_certificate(rd, curve)
+            text = serialize_certificate(cert)
+            assert text == serialize_document(certificate_to_doc(cert)), (rd, curve)
+            assert verify_document(json.loads(text)), (rd, curve)
+    info = certificate._curve_blocks.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4 * len(curves), 4 * len(curves), size)
+
+
+def scramble(value):
+    """Change every dict, list and scalar field reachable from value in place; whether value was a dict or list."""
+    if isinstance(value, dict):
+        for key, item in list(value.items()):
+            if not scramble(item):
+                value[key] = "scrambled"
+        value["scrambled"] = None
+    elif isinstance(value, list):
+        for item in value:
+            scramble(item)
+        value.append("scrambled")
+    else:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("curve", [GENUS_TWO, FOUR_PUNCTURED, CurveType(1, 2), CurveType(3, 0)])
+def test_documents_share_no_block_with_the_curve_cache(curve):
+    # certificate_to_doc builds fresh blocks and verify hands none of the cached ones out, so scrambling
+    # every block of either document leaves the next serialize and verify of the curve as they were
+    rd = make_ramification(4, 3)
+    text = serialize_certificate(build_certificate(rd, curve))
+    for make in (certificate_to_doc, lambda cert: json.loads(serialize_certificate(cert))):
+        doc = make(build_certificate(rd, curve))
+        assert verify_document(doc)
+        scramble(doc)
+        assert not verify_document(doc)
+        cert = build_certificate(rd, curve)
+        assert serialize_certificate(cert) == text
+        assert verify_document(json.loads(text)) and verify_document(certificate_to_doc(cert))
+
+
+def test_a_certificate_with_other_curve_fields_serializes_its_own():
+    cert = build_certificate(make_ramification(4, 3), GENUS_TWO)
+    text = serialize_certificate(cert)
+    others = [
+        cert._replace(verdict="inconclusive"),
+        cert._replace(steps={**cert.steps, "root": certificate.Steps(("other prose",), ("other-flag",))}),
+        cert._replace(steps=dict(reversed(cert.steps.items()))),
+        # equal in value to the built fields, but json writes 1 and 2.0 apart from true and 2
+        cert._replace(rigidity=cert.rigidity._replace(finite=1)),
+        cert._replace(contradiction=cert.contradiction._replace(deg_tangent=-2.0)),
+    ]
+    for other in others:
+        assert serialize_certificate(other) == serialize_document(certificate_to_doc(other))
+    assert [serialize_certificate(other) == text for other in others] == [False, False, True, False, False]
+    assert serialize_certificate(cert) == text and verify_document(json.loads(text))
 
 
 def test_repeated_builds_are_byte_identical():
