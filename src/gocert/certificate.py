@@ -56,6 +56,15 @@ configuration, compares each block by value and JSON type with the rebuilt
 config or the cached document, then the document's nodes with the expanded
 ones, by value in one comparison and by JSON type in whole-list passes, naming
 the first differing node only on a mismatch.
+
+The curve alone also fixes four fields of a certificate: its rigidity and
+contradiction verdicts, the root's steps and the verdict.  _curve_fields
+keeps them, all immutable, for the last 16 curves, so build_certificate
+computes them once per curve in a process (as places._is_prime decides each
+p once, for the last 64), and each certificate gets a steps dict of its own.
+The check that the curve's 2g - 2 + n has no more digits than json converts
+stays on every build, outside that memo: the interpreter's limit can change
+between two builds of one curve.
 """
 
 from __future__ import annotations
@@ -240,7 +249,12 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     return table
 
 
-_CURVE_1_2 = CurveType(1, 2)  # the one curve whose root steps flag an extrapolation
+@lru_cache(maxsize=16, typed=True)
+def _curve_fields(ct: CurveType) -> tuple[RigidityVerdict, ContradictionVerdict, Steps, str]:
+    """The certificate fields that depend on the curve alone: rigidity, contradiction, root steps and verdict, all immutable."""
+    rig = finiteness_verdict(ct)
+    root_steps = Steps(_PROSE_ROOT_SPECIAL if is_special(ct) else (), ("extrapolated-(1,2)",) if ct == CurveType(1, 2) else ())
+    return rig, contradiction_check(ct, 1, 0), root_steps, "finite" if rig.finite else "inconclusive"
 
 
 def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertificate:
@@ -256,18 +270,16 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     when the equal-degree comparison yields a contradiction (selfcheck's
     curve-table suite); the case split is the certificate's
     content, never a term of its verdict.  The certificate keeps the
-    case-split table and lists no nodes.  Raises ValueError when the curve's
-    2g - 2 + n, or a degree bound, has more digits than json converts, and
-    when the tree has more than MAX_TREE_NODES nodes.
+    case-split table and lists no nodes.  The curve's fields come from the
+    per-process memo _curve_fields, and only the steps dict is made per call.
+    Raises ValueError when the curve's 2g - 2 + n, or a degree bound, has
+    more digits than json converts, checked on every call since the limit
+    can change, and when the tree has more than MAX_TREE_NODES nodes.
     """
     # no integer the curve puts in the document has more digits than 2g - 2 + n
     _check_json_digits(euler_bound(ct), "the curve's 2g-2+n")
-    rig = finiteness_verdict(ct)
+    rig, contra, root_steps, verdict = _curve_fields(ct)
     table = _case_split(rd)
-    contra = contradiction_check(ct, 1, 0)
-    root_prose = _PROSE_ROOT_SPECIAL if is_special(ct) else ()
-    root_steps = Steps(root_prose, ("extrapolated-(1,2)",) if ct == _CURVE_1_2 else ())
-    verdict = "finite" if rig.finite else "inconclusive"
     return FinitenessCertificate(
         rd=rd,
         curve=ct,

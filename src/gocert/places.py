@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Any, Iterable, NamedTuple
 
 
@@ -27,8 +28,13 @@ _EXACT_BELOW = (
 P_BOUND = _EXACT_BELOW[-1]
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the fewest leading bases exact for n; exact for n < P_BOUND."""
+    """Deterministic Miller-Rabin with the fewest leading bases exact for n; exact for n < P_BOUND.
+
+    A pure function of n, remembered for the last 64 values in a process:
+    a run over many configurations meets the same few primes again.
+    """
     if n < 2:
         return False
     for q in _WITNESSES:

@@ -2,14 +2,16 @@ import sys
 
 import pytest
 
-from gocert import certificate
+from gocert import certificate, places
 
 
 @pytest.fixture(autouse=True)
 def empty_model_tables(monkeypatch):
-    """Give each test empty caches of model case-split tables and of curve blocks, so no count depends on test order."""
+    """Give each test empty caches of model case-split tables, curve blocks, curve fields and primality, so no count depends on test order."""
     monkeypatch.setattr(certificate, "_MODEL_TABLES", {})
     certificate._curve_blocks.cache_clear()
+    certificate._curve_fields.cache_clear()
+    places._is_prime.cache_clear()
 
 
 @pytest.fixture

@@ -299,6 +299,46 @@ def test_a_certificate_with_other_curve_fields_serializes_its_own():
     assert serialize_certificate(cert) == text and verify_document(json.loads(text))
 
 
+def test_the_digit_limit_is_checked_on_every_build_of_a_remembered_curve(default_int_digits):
+    # the limit can change between calls, so the check stays outside the memo of the curve's fields
+    curve, rd = CurveType(int("9" * default_int_digits), 0), make_ramification(3, 3)  # 2g - 2 + n has one digit more
+    refusal = f"the curve's 2g-2+n has more than {default_int_digits} digits, the interpreter's limit for integers in JSON"
+    sys.set_int_max_str_digits(0)
+    doc = json.loads(serialize_certificate(build_certificate(rd, curve)))
+    assert verify_document(doc)
+    assert certificate._curve_fields.cache_info().currsize == 1
+    sys.set_int_max_str_digits(default_int_digits)
+    with pytest.raises(ValueError) as refused:
+        build_certificate(rd, curve)
+    assert str(refused.value) == refusal
+    assert verify_document(doc).failures == (refusal,)
+
+
+def test_a_curve_s_fields_are_computed_once_and_no_two_certificates_share_a_mutable_object(monkeypatch):
+    calls: Counter[str] = Counter()
+    for name in ("finiteness_verdict", "contradiction_check"):
+        original = getattr(certificate, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(certificate, name, counted)
+    rd, curve = make_ramification(4, 3), CurveType(1, 2)
+    first, second = build_certificate(rd, curve), build_certificate(rd, curve)
+    text = serialize_certificate(second)
+    for _ in range(3):
+        assert verify_document(json.loads(text))
+    assert calls == {"finiteness_verdict": 1, "contradiction_check": 1}
+    hash(certificate._curve_fields(curve))  # raises TypeError unless every remembered field is immutable
+    first.steps["root"] = certificate.Steps(("edited",), ("edited",))
+    first.steps["ordinary_locus"] = certificate.Steps((), ())
+    del first.steps["dimension_zero"]
+    assert serialize_certificate(second) == text
+    assert serialize_certificate(build_certificate(rd, curve)) == text
+    assert calls == {"finiteness_verdict": 1, "contradiction_check": 1}
+
+
 def test_repeated_builds_are_byte_identical():
     rd = make_ramification(4, 3, {0, 3})
     blobs = {serialize_certificate(build_certificate(rd, GENUS_TWO)) for _ in range(5)}
@@ -400,6 +440,43 @@ def test_verify_rejects_a_value_of_another_json_type_in_the_scalar_blocks():
         assert value == expected and type(value) is not type(expected)
         mutated[block][key] = value
         assert verify_document(mutated).failures == (f"{block}: field {key!r} is {value!r}, expected {expected!r}",)
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def test_verify_rejects_a_subclass_or_a_tuple_in_the_curve_blocks():
+    # equal in value to the rebuild's blocks, but not the exact JSON types json.loads gives
+    genuine = json.loads(serialize_certificate(build_certificate(make_ramification(3, 3), CurveType(3, 0))))
+    zero = "dimension-zero: finiteness over a zero-dimensional datum is automatic"
+    cases = [
+        (("tool_version",), _Str, f"tool_version is {TOOL_VERSION!r}, expected {TOOL_VERSION!r}"),
+        (("steps", "root"), _Dict, "steps: field 'root' is {'flags': [], 'prose': []}, expected {'flags': [], 'prose': []}"),
+        (
+            ("steps", "dimension_zero", "prose"),
+            tuple,
+            f"steps: field 'dimension_zero' is {{'flags': [], 'prose': ('{zero}',)}}, expected {{'flags': [], 'prose': ['{zero}']}}",
+        ),
+        (
+            ("rigidity",),
+            _Dict,
+            "rigidity is {'count': None, 'd': None, 'euler_bound': 4, 'finite': False}, "
+            "expected {'finite': False, 'd': None, 'count': None, 'euler_bound': 4}",
+        ),
+    ]
+    for (*outer, key), kind, message in cases:
+        doc = json.loads(json.dumps(genuine))
+        block = doc
+        for name in outer:
+            block = block[name]
+        block[key] = kind(block[key])
+        assert doc == genuine or kind is tuple  # a tuple never equals a list
+        assert verify_document(doc).failures == (message,), key
 
 
 def test_certificates_list_no_node_records(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import time
 import pytest
 from gocert import CurveType, make_ramification, shimura_dimension, split_places
 from gocert.oracle import all_ramifications, scan_constraints
-from gocert.places import P_BOUND, _check_json_digits
+from gocert.places import P_BOUND, _check_json_digits, _is_prime
 
 
 def test_split_places_examples():
@@ -101,6 +101,21 @@ def test_large_primes_are_fast_and_the_bound_is_enforced():
         make_ramification(1, 3_215_031_751)  # strong pseudoprime to the bases 2, 3, 5 and 7
     with pytest.raises(ValueError, match=str(P_BOUND)):
         make_ramification(1, P_BOUND)  # composite, yet a strong pseudoprime to all thirteen bases
+
+
+def test_the_primality_memo_is_bounded_and_still_refuses_when_warm():
+    maxsize = _is_prime.cache_info().maxsize
+    primes = [n for n in range(2, 1224) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert maxsize is not None and maxsize < len(primes) == 200
+    for p in primes * 2:
+        assert make_ramification(1, p).p == p
+    assert _is_prime.cache_info().currsize <= maxsize
+    for _ in range(2):  # the second time through, the memo answers for 3 215 031 751
+        with pytest.raises(ValueError, match="must be a prime, got 3215031751"):
+            make_ramification(1, 3_215_031_751)  # strong pseudoprime to the bases 2, 3, 5 and 7
+        with pytest.raises(ValueError, match=str(P_BOUND)):
+            make_ramification(1, P_BOUND)  # refused by the bound before the test is asked
+    assert _is_prime.cache_info().hits == 1
 
 
 def test_every_pseudoprime_threshold_below_the_bound_is_refused():
