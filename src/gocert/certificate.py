@@ -42,20 +42,22 @@ checks a node count against it without one.
 
 Documents are canonical JSON: sorted keys, no insignificant whitespace, a
 terminating newline, integers only.  _preorder is the one expansion of the
-table: it lists item(datum, entry) for every node in preorder, building each
-datum's subtree list once, from its children's, which the table lists before
-it.  The blocks other than config and nodes depend only on the curve's fields:
-_curve_blocks keeps them for the last 16 keys (those fields, and the types of
-rigidity's and contradiction's) as a read-only document, which only verify
-reads, and as canonical text cut at a config slot and a nodes slot.
-serialize_certificate splices the encoded config and one node text per
-distinct datum into that text; certificate_to_doc builds fresh blocks and one
-node dict per distinct datum, and copies each node (a test pins the two texts
-equal); and verification replays the case split from the embedded
-configuration, compares each block by value and JSON type with the rebuilt
-config or the cached document, then the document's nodes with the expanded
-ones, by value in one comparison and by JSON type in whole-list passes, naming
-the first differing node only on a mismatch.
+table: it joins each datum's subtree once, from item(datum, entry) and its
+children's subtrees, which the table lists before it, with the join it is
+given: the list of every node's item in preorder (_list_join), or their
+texts joined by commas (_text_join).  The blocks other than config and nodes
+depend only on the curve's fields: _curve_blocks keeps them for the last 16
+keys (those fields, and the types of rigidity's and contradiction's) as a
+read-only document, which only verify reads, and as canonical text cut at a
+config slot and a nodes slot.  serialize_certificate splices into that text
+the encoded config and the root's subtree text, joined from one node text per
+distinct datum; certificate_to_doc builds fresh blocks and one node dict per
+distinct datum, and copies each node (a test pins the two texts equal); and
+verification replays the case split from the embedded configuration, compares
+each block by value and JSON type with the rebuilt config or the cached
+document, then the document's nodes with the expanded list, by value in one
+comparison and by JSON type in whole-list passes, naming the first differing
+node only on a mismatch.
 
 The curve alone also fixes four fields of a certificate: its rigidity and
 contradiction verdicts, the root's steps and the verdict.  _curve_fields
@@ -70,14 +72,16 @@ between two builds of one curve.
 from __future__ import annotations
 
 import json
+import sys
 from functools import lru_cache
 from itertools import chain, compress, count
+from math import log10
 from operator import is_, itemgetter, ne
 from types import MappingProxyType
 from typing import Any, Callable, NamedTuple
 
 from ._version import __version__
-from .hasse import split_degree_bound
+from .hasse import anchored_bound
 from .ledger import ContradictionVerdict, contradiction_check
 from .places import RamificationData, _check_json_digits, _show, make_ramification, shimura_dimension, split_places
 from .rigidity import CurveType, RigidityVerdict, euler_bound, finiteness_verdict, is_special
@@ -206,11 +210,11 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     Applied at every datum below rd, rd's whole table is the model's table
     relabeled: _model_table(m) holds it on indices into the model's split
     places, and one loop maps each entry onto rd's split places, building one
-    record per datum below rd and its bound from the split places it maps
-    (hasse.split_degree_bound), so split_places scans rd alone.  An edge keeps
-    only its child: its T is the index mask of its position.  So a datum's
-    subtree size depends on its dimension alone: _TREE_SIZES[dim], which a
-    test pins to the kernel walk.
+    record per datum below rd, so split_places scans rd alone, and each
+    bound from rd's one table of p-powers (hasse.anchored_bound), given the
+    datum's kept places as indices.  An edge keeps only its child: its T is
+    the index mask of its position.  So a datum's subtree size depends on its dimension
+    alone: _TREE_SIZES[dim], which a test pins to the kernel walk.
 
     Two facts carry this, each checked up to the size stated:
     - every datum of dimension m relabels the model's children: each entry of
@@ -228,22 +232,34 @@ def _case_split(rd: RamificationData) -> dict[RamificationData, _Split]:
     _TREE_SIZES (over MAX_TREE_NODES nodes), and when rd's degree bound, the
     largest integer a node holds, has more digits than json converts
     (_check_json_digits).  No datum below rd has a larger bound: its split
-    places are some of rd's, so each anchored sum only loses terms.
+    places are some of rd's, so each anchored sum only loses terms.  A bound
+    whose term p^(f - gap) alone has clearly too many digits is refused
+    before any power is computed.
     """
     m = shimura_dimension(rd)
     if m >= len(_TREE_SIZES):
         raise ValueError(_TOO_LARGE)
     f, s_inf, s_fin_count, p = rd
     splits = split_places(rd)
-    root_bound = split_degree_bound(f, p, splits) if m else None
-    if root_bound is not None:
-        _check_json_digits(root_bound, f"the degree bound at f={f}")
+    root_bound = None
+    if m:
+        what = f"the degree bound at f={f}"
+        # p^f is above every anchored sum, and the sum anchored just after the smallest cyclic gap
+        # between split places has the term p^(f - gap); when that has clearly more digits than json
+        # converts, 10^limit, one digit too long, stands in for the bound, refused before any power
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit and f * log10(p) > limit + 1:
+            gap = min([b - a for a, b in zip([splits[-1] - f, *splits], splits)])
+            if (f - gap) * log10(p) > limit + 1:
+                _check_json_digits(10**limit, what)
+        bound_of = anchored_bound(f, p, splits)
+        _check_json_digits(root_bound := bound_of(range(m)), what)
     place, data, table = splits.__getitem__, [], {}
     for added, kept, edges in _model_table(m):
         datum, bound = rd, root_bound  # the root's entry, the last one, adds no place
         if added:
             datum = RamificationData(f, s_inf.union(map(place, added)), s_fin_count, p)
-            bound = split_degree_bound(f, p, [*map(place, kept)]) if kept else None
+            bound = bound_of(kept) if kept else None
         data.append(datum)
         table[datum] = _Split(bound, itemgetter(*edges)(data) if edges else ())
     return table
@@ -292,19 +308,31 @@ def build_certificate(rd: RamificationData, ct: CurveType) -> FinitenessCertific
     )
 
 
-def _preorder(table: dict[RamificationData, _Split], item: Callable[[RamificationData, _Split], Any]) -> list[Any]:
-    """item(d, table[d]) for every node d of the tree of table, in preorder.
+def _preorder(
+    table: dict[RamificationData, _Split],
+    item: Callable[[RamificationData, _Split], Any],
+    join: Callable[[Any, tuple[RamificationData, ...], dict[RamificationData, Any]], Any],
+) -> Any:
+    """The root's subtree, where the subtree of each datum d of table is join(item(d, table[d]), d's children, subtrees).
 
     table lists each datum after its children and the root last, as
-    _case_split builds it, so each datum's subtree list is built once, from
-    its children's: item is called once per distinct datum, and every node of
-    a datum is its one item.
+    _case_split builds it, so each datum's subtree is joined once, from its
+    children's, which subtrees holds by then: item is called once per
+    distinct datum, and every node of a datum is its one item.  With
+    _list_join the subtree is the list of its nodes' items in preorder, with
+    _text_join their texts in that order.
     """
-    lists: dict[RamificationData, list[Any]] = {}
+    subtrees: dict[RamificationData, Any] = {}
     for datum, entry in table.items():
-        lists[datum] = below = [item(datum, entry)]
-        for child in entry.edges:
-            below += lists[child]
+        subtrees[datum] = below = join(item(datum, entry), entry.edges, subtrees)
+    return below
+
+
+def _list_join(item: Any, children: tuple[RamificationData, ...], subtrees: dict[RamificationData, list[Any]]) -> list[Any]:
+    """A subtree as the list of its nodes' items in preorder: item, then each child's list."""
+    below = [item]
+    for child in children:
+        below += subtrees[child]
     return below
 
 
@@ -343,7 +371,7 @@ def _curve_doc(
 
 def certificate_to_doc(cert: FinitenessCertificate) -> dict[str, Any]:
     """The certificate's document as dicts; every node has a dict and a list of its own."""
-    nodes = [{**node, "s_inf": node["s_inf"].copy()} for node in _preorder(cert.split, _node_doc)]
+    nodes = [{**node, "s_inf": node["s_inf"].copy()} for node in _preorder(cert.split, _node_doc, _list_join)]
     return {"config": _config_doc(cert), **_curve_doc(*_curve_key(cert)[0]), "nodes": nodes}
 
 
@@ -381,17 +409,22 @@ def _node_text(datum: RamificationData, entry: _Split) -> str:
     return f'{{"degree_bound":{bound},"s_inf":[{",".join(map(int.__repr__, sorted(datum.s_inf)))}]}}'
 
 
+def _text_join(text: str, children: tuple[RamificationData, ...], subtrees: dict[RamificationData, str]) -> str:
+    """A subtree as its nodes' texts in preorder, comma-separated; a datum has no child or at least 2 (2^dim - 2)."""
+    return ",".join([text, *itemgetter(*children)(subtrees)]) if children else text
+
+
 def serialize_certificate(cert: FinitenessCertificate) -> str:
     """The certificate's document in canonical text form.
 
     The text equals serialize_document(certificate_to_doc(cert)), but only
     the config is encoded: the curve blocks' text comes from _curve_blocks,
-    each distinct datum's node is formatted once, and the preorder expansion
-    of those texts is joined into the document's "nodes".
+    each distinct datum's node is formatted once, and _preorder joins each
+    datum's subtree text once, so no list has an entry per node.
     """
     before, middle, after = _curve_blocks(*_curve_key(cert))[1]
-    texts = _preorder(cert.split, _node_text)
-    return f"{before}{_ENCODER.encode(_config_doc(cert))}{middle}[{','.join(texts)}]{after}"
+    nodes = _preorder(cert.split, _node_text, _text_join)
+    return f"{before}{_ENCODER.encode(_config_doc(cert))}{middle}[{nodes}]{after}"
 
 
 def error_document(message: str) -> dict[str, Any]:
@@ -532,7 +565,7 @@ def verify_document(doc: Any) -> VerifyResult:
         return VerifyResult(False, (str(exc),))
     blocks = [("config", _config_doc(cert)), *_curve_blocks(*_curve_key(cert))[0].items()]  # in key order
     failures = [failure for key, want in blocks if (failure := _first_mismatch(key, doc[key], want))]
-    want = _preorder(cert.split, _node_doc)
+    want = _preorder(cert.split, _node_doc, _list_join)
     if not (nodes == want and _nodes_hold_json_types(nodes)):
         # the first node unequal in value, unless one before it is of another JSON type
         i = next(compress(count(), map(ne, nodes, want)), len(nodes))

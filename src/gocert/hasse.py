@@ -9,32 +9,48 @@ single anchor place a pinned at degree one (supplied by a nonzero pulled-back
 Kodaira-Spencer map), each split place x is capped at p^((x - a) mod f), the
 product of the p-powers along the cycle from a, and the total caps the
 polarization degree.
+
+The anchor is not known in advance, so the bound is the largest anchored sum.
+With M the sum of p^x over the split places x and q = p^f - 1, the sum
+anchored at a is M * p^(f - a) mod q: p^f is 1 mod q, and a sum of distinct
+powers below p^f is below q unless it has all f of them.  On that full cycle
+(every place split) every anchor gives M = (p^f - 1)/(p - 1), q at p = 2.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 from .places import RamificationData, split_places
 
 
 def degree_bound(rd: RamificationData) -> int:
     """Uniform bound on the total pulled-back omega degree: the largest anchored sum."""
-    return split_degree_bound(rd.f, rd.p, split_places(rd))
+    splits = split_places(rd)
+    return anchored_bound(rd.f, rd.p, splits)(range(len(splits)))
 
 
-def split_degree_bound(f: int, p: int, splits: list[int]) -> int:
-    """degree_bound of the datum with f places, prime p and the split places splits, in ascending order.
+def anchored_bound(f: int, p: int, splits: list[int]) -> Callable[[Sequence[int]], int]:
+    """bound(kept): the degree bound of the datum with f places and prime p whose split places are splits[i], i in kept.
 
-    The anchor where Kodaira-Spencer pulls back nonzero is not known in
-    advance, so the sound bound maximizes over all split anchors.  The sum
-    anchored at a has the distinct exponents (x - a) mod f.  For p >= 2 each
-    p^k exceeds all lower powers together, so the sums compare as their
-    exponent sets read in base 2: as the split mask rotated to put a at bit 0.
-    The largest rotation picks the best anchor, for every p.
+    p^x and p^(f - x) are computed once per place here, so a bound is one sum
+    over the kept places, then a product and a remainder per kept anchor.
+    bound raises ValueError for an empty kept, a datum with no split place.
     """
-    if not splits:
-        raise ValueError("degree bound needs at least one split place")
-    mask, full = sum([1 << x for x in splits]), (1 << f) - 1
-    doubled = mask | mask << f  # bits a..a + f - 1 hold the mask rotated right by a
-    rotations = [doubled >> a & full for a in splits]
-    best = splits[rotations.index(max(rotations))]
-    return sum([p ** ((x - best) % f) for x in splits])
+    ups, downs, q = [p**x for x in splits], [p ** (f - x) for x in splits], p**f - 1
+
+    def bound(kept: Sequence[int]) -> int:
+        if not kept:
+            raise ValueError("degree bound needs at least one split place")
+        total = 0
+        for i in kept:
+            total += ups[i]
+        if len(kept) == f:
+            return total  # the full cycle
+        best = 0
+        for i in kept:
+            if (anchored := total * downs[i] % q) > best:
+                best = anchored
+        return best
+
+    return bound

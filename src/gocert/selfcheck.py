@@ -49,8 +49,9 @@ from .places import RamificationData, make_ramification
 from .rigidity import CurveType, euler_bound, finiteness_verdict, is_special
 from .strata import model_child_masks, strata_children
 
-# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 2.2 to 2.4 s with the primes 2,3,5
-# and 3.4 to 4.0 s with 16 primes on a 2-core VM, and each step of f costs about 2 to 3 times the last.
+# Largest max_f and most primes selfcheck accepts: --max-f 12 takes 2.6 to 3.3 s with the primes 2,3,5
+# and 3.6 to 6.1 s with 16 primes on a shared 2-core VM (6 runs each, CLI, Python 3.11), and each step
+# of f costs about 2 to 3 times the last.
 MAX_SELFCHECK_F = 12
 MAX_SELFCHECK_PRIMES = 16
 _MAX_DIM = len(_TREE_SIZES) - 1  # the largest dimension case-split-oracle audits: _case_split refuses the next

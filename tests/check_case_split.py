@@ -12,10 +12,11 @@ each model root (f, {}) with f <= 10 at those primes, a walk the first check
 found equal to the case split up to f = 9, against the oracle's augmented set
 a = replay_augmented_set(f, s_inf, t), with each edge's t read from the
 bitmask order of the datum's split places: its child's s_inf must be
-s_inf | a, for all 32 556 edges (about 0.5 s).  Then checks that degree_bound(rd), the anchored sum of
-the split mask's largest rotation, is the largest of helpers.max_degree_sums(rd),
-each anchor's sum from its definition, for all 40 890 data of positive
-dimension with f <= 12 at p in {2, 3, 5, 7, 1 000 003} (about 1 s).
+s_inf | a, for all 32 556 edges (about 0.5 s).  Then checks that degree_bound(rd), each anchored sum
+computed as M * p^(f - a) mod p^f - 1 from the power table of rd's split places
+(the full cycle as M itself), is the largest of helpers.max_degree_sums(rd),
+each anchor's sum from its definition, for all 49 068 data of positive
+dimension with f <= 12 at p in {2, 3, 5, 7, 1 000 003, 1 000 000 007} (about 1.3 s).
 Last, checks that model_child_masks(m), the listing the case split relabels,
 equals the s_inf masks of strata_children on the model datum (f = m,
 s_inf = {}, p = 2) for every m from 1 to 16 (131 038 children, about
@@ -38,7 +39,7 @@ from gocert.strata import model_child_masks, strata_children
 from helpers import edge_vanishing_sets, kernel_case_split, max_degree_sums
 
 MAX_F, PRIMES = 10, (2, 3, 5)
-BOUND_MAX_F, BOUND_PRIMES = 12, (2, 3, 5, 7, 1_000_003)
+BOUND_MAX_F, BOUND_PRIMES = 12, (2, 3, 5, 7, 1_000_003, 1_000_000_007)
 MASK_MAX_M = 16
 REFUSAL = f"the case split has more than {certificate.MAX_TREE_NODES} nodes"
 

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator
 
 from gocert import RamificationData, build_certificate, serialize_certificate, shimura_dimension, split_places, strata_children
 from gocert.certificate import _Split, parse_config, serialize_document
-from gocert.hasse import degree_bound
+from gocert.hasse import anchored_bound, degree_bound
 from gocert.oracle import scan_constraints
 
 
@@ -73,6 +73,22 @@ def kernel_case_split(rd: RamificationData) -> tuple[dict[RamificationData, _Spl
 
     below(rd)
     return table, sizes
+
+
+def counting_anchored_bound(calls: dict[str, int]) -> Callable[..., Callable[..., int]]:
+    """hasse.anchored_bound, counting each per-root table it makes in calls["tables"] and each bound a table gives in calls["bounds"]."""
+
+    def table(*args: Any) -> Callable[..., int]:
+        calls["tables"] += 1
+        bound = anchored_bound(*args)
+
+        def counted(kept: Any) -> int:
+            calls["bounds"] += 1
+            return bound(kept)
+
+        return counted
+
+    return table
 
 
 def edge_vanishing_sets(datum: RamificationData) -> list[frozenset[int]]:

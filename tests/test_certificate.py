@@ -4,6 +4,7 @@ import json
 import sys
 import time
 from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -22,7 +23,15 @@ from gocert import certificate
 from gocert.certificate import error_document, parse_config, serialize_document
 from gocert.cli import main
 from gocert.oracle import all_ramifications, replay_augmented_set
-from helpers import document_mutations, edge_vanishing_sets, is_own_certificate, kernel_case_split, leaf_mutations
+from helpers import (
+    counting_anchored_bound,
+    document_mutations,
+    edge_vanishing_sets,
+    is_own_certificate,
+    kernel_case_split,
+    leaf_mutations,
+    max_degree_sums,
+)
 
 GENUS_TWO = CurveType(2, 0)
 FOUR_PUNCTURED = CurveType(0, 4)
@@ -190,12 +199,16 @@ def test_serialization_is_canonical_and_integer_only():
 
 @pytest.mark.parametrize("p", [2, 3, 1000000007])
 def test_serialized_text_equals_the_encoded_document(p):
-    # analyze splices per-datum node texts into the curve blocks' template; certificate_to_doc is the reference
+    # analyze splices the subtree texts of the node texts into the curve blocks' template; certificate_to_doc
+    # is the reference, for every root with f <= 6 and the roots of dimension 7, 8 and 9 at s_inf = {}
     curves = [GENUS_TWO, FOUR_PUNCTURED, CurveType(3, 0), CurveType(1, 2), CurveType(1, 1)]
     for rd in all_ramifications(6, p):
         for curve in curves:
             cert = build_certificate(rd, curve)
             assert serialize_certificate(cert) == serialize_document(certificate_to_doc(cert)), (rd, curve)
+    for f in (7, 8, 9):
+        cert = build_certificate(make_ramification(f, p), GENUS_TWO)
+        assert serialize_certificate(cert) == serialize_document(certificate_to_doc(cert)), f
 
 
 def test_serialization_builds_no_node_documents(monkeypatch):
@@ -769,7 +782,7 @@ def test_verify_rejects_a_wrong_node_count_without_calling_the_kernel(monkeypatc
 
     monkeypatch.setattr(certificate, "model_child_masks", no_kernel)
     monkeypatch.setattr(certificate, "_model_table", no_kernel)
-    monkeypatch.setattr(certificate, "split_degree_bound", no_kernel)
+    monkeypatch.setattr(certificate, "anchored_bound", no_kernel)
     started = time.perf_counter()
     result = verify_document(doc)
     assert time.perf_counter() - started < 0.1
@@ -855,6 +868,43 @@ def test_an_oversized_degree_bound_is_refused_before_any_walk(monkeypatch, defau
     assert certificate._MODEL_TABLES == {}
 
 
+@pytest.mark.parametrize("p", [2**61 - 1, 1_000_000_007])
+def test_a_1_mib_config_is_refused_before_any_power(monkeypatch, default_int_digits, p):
+    # s_inf = 9..f-1 at f = 140 000, about 1 MiB of config: the sum anchored at 1 has the term p^(f - 1), so
+    # both the build and the verify of a document of the right node count refuse the bound without computing it
+    def no_power(*args):
+        raise AssertionError("the case split computed a power table")
+
+    f = 140_000
+    message = f"the degree bound at f={f} has more than 4300 digits, the interpreter's limit for integers in JSON"
+    doc = certificate_to_doc(build_certificate(make_ramification(9, 3), GENUS_TWO))
+    doc["config"]["rd"] = {"f": f, "p": p, "s_fin_count": 1, "s_inf": list(range(9, f))}
+    assert len(json.dumps(doc["config"])) > 1_000_000
+    rd = make_ramification(f, p, range(9, f), 1)
+    monkeypatch.setattr(certificate, "anchored_bound", no_power)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_certificate(rd, GENUS_TWO)
+    result = verify_document(doc)
+    assert time.perf_counter() - started < 1.0
+    assert result.failures == (message,)
+
+
+def test_a_degree_bound_with_the_limit_s_digits_still_builds(default_int_digits):
+    # at p = 2 and s_inf = 9..f-1 the bound is 255 * 2^(f - 8) + 1, anchored at 8, with about one digit more
+    # than its term 2^(f - 1) anchored at 1: the largest such f whose bound has 4300 digits builds, and the
+    # next one, which the estimate from that term does not refuse, is refused by the exact check
+    def root(f):
+        return make_ramification(f, 2, range(9, f), (f - 9) % 2)
+
+    f = next(f for f in count(14_270) if max(max_degree_sums(root(f + 1)).values()) >= 10**4300)
+    bound = max(max_degree_sums(root(f)).values())
+    assert bound == 255 * 2 ** (f - 8) + 1 and 10**4299 <= bound < 10**4300
+    assert build_certificate(root(f), GENUS_TWO).split[root(f)].degree_bound == bound
+    with pytest.raises(ValueError, match=rf"^the degree bound at f={f + 1} has more than 4300 digits, "):
+        build_certificate(root(f + 1), GENUS_TWO)
+
+
 def test_a_refused_root_builds_no_table(default_int_digits):
     # a dimension past _TREE_SIZES and a root bound too large for json are refused before any model table is walked
     f = 20_000
@@ -928,26 +978,27 @@ def test_every_datum_below_a_model_datum_is_a_direct_child_of_it():
 
 
 def test_build_walks_each_distinct_datum_once(monkeypatch):
-    calls = {"model_child_masks": 0, "split_degree_bound": 0}
-    for name in calls:
-        original = getattr(certificate, name)
+    calls = {"model_child_masks": 0, "tables": 0, "bounds": 0}
+    original = certificate.model_child_masks
 
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def counted(*args):
+        calls["model_child_masks"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(certificate, name, counted)
+    monkeypatch.setattr(certificate, "model_child_masks", counted)
+    monkeypatch.setattr(certificate, "anchored_bound", counting_anchored_bound(calls))
     cert = build_certificate(make_ramification(7, 3), GENUS_TWO)
     doc = certificate_to_doc(cert)
     nodes = doc["nodes"]
     distinct = {node_datum(doc["config"], node) for node in nodes if node["degree_bound"] is not None}
     assert len(nodes) == 1723 and len(distinct) == 29
     # the model children are listed once per dimension 7, 5 and 3 as the model table is walked; every datum
-    # relabels its entry, and a datum of dimension 1 has no children
-    assert calls == {"model_child_masks": 3, "split_degree_bound": 29}
-    # a second build relabels the kept table: one bound per datum of positive dimension, and no listing
+    # relabels its entry, and a datum of dimension 1 has no children; the root makes one power table,
+    # which gives the bound of each of the 29 data of positive dimension
+    assert calls == {"model_child_masks": 3, "tables": 1, "bounds": 29}
+    # a second build relabels the kept table: one table, one bound per datum of positive dimension, and no listing
     assert serialize_certificate(build_certificate(make_ramification(7, 3), GENUS_TWO)) == serialize_certificate(cert)
-    assert calls == {"model_child_masks": 3, "split_degree_bound": 58}
+    assert calls == {"model_child_masks": 3, "tables": 2, "bounds": 58}
 
 
 def test_a_walk_builds_at_most_one_record_per_relabeled_datum(monkeypatch):
@@ -997,8 +1048,8 @@ def test_verify_walks_each_distinct_datum_once(monkeypatch):
     # the expansion makes one expected node per distinct datum
     doc = certificate_to_doc(build_certificate(make_ramification(7, 3), GENUS_TWO))
     monkeypatch.setattr(certificate, "_MODEL_TABLES", {})  # so that verify walks the model table itself
-    calls = {"model_child_masks": 0, "split_degree_bound": 0, "_node_doc": 0}
-    for name in calls:
+    calls = {"model_child_masks": 0, "_node_doc": 0, "tables": 0, "bounds": 0}
+    for name in ("model_child_masks", "_node_doc"):
         original = getattr(certificate, name)
 
         def counted(*args, name=name, original=original):
@@ -1006,8 +1057,9 @@ def test_verify_walks_each_distinct_datum_once(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(certificate, name, counted)
+    monkeypatch.setattr(certificate, "anchored_bound", counting_anchored_bound(calls))
     assert verify_document(doc)
-    assert calls == {"model_child_masks": 3, "split_degree_bound": 29, "_node_doc": 29}
+    assert calls == {"model_child_masks": 3, "_node_doc": 29, "tables": 1, "bounds": 29}
 
 
 @pytest.mark.parametrize(

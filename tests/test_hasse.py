@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from gocert import (
     CurveType,
     build_certificate,
+    certificate,
     certificate_to_doc,
     degree_bound,
     make_ramification,
     split_places,
     strata_children,
 )
+from gocert.hasse import anchored_bound
 from gocert.oracle import all_ramifications, relaxed_profile_exponents, relaxed_profile_maxima, scan_constraints
 from helpers import enumerated_profile_max, max_degree_sums
 
@@ -93,6 +95,32 @@ def test_degree_bound_geometric_series_when_unramified():
     for p in (2, 3, 5):
         for f in range(1, 7):
             assert degree_bound(make_ramification(f, p)) == sum(p**k for k in range(f))
+
+
+def test_the_full_cycle_at_p_2_is_q_itself():
+    # with every place split each anchor gives (p^f - 1)/(p - 1), which at p = 2 is q = p^f - 1 itself, so the
+    # bound is that sum and not its remainder mod q, 0; the case split's table gives it too, up to dimension 9
+    for f in range(1, 13):
+        rd = make_ramification(f, 2)
+        assert degree_bound(rd) == anchored_bound(f, 2, list(range(f)))(range(f)) == 2**f - 1, f
+        if f < len(certificate._TREE_SIZES):
+            assert certificate._case_split(rd)[rd].degree_bound == 2**f - 1, f
+
+
+@pytest.mark.parametrize("p", [2, 3, 1_000_000_007, 2**61 - 1])
+def test_every_bound_is_the_largest_anchored_sum_from_its_definition(p):
+    # the 1 013 split sets with f <= 9, each through degree_bound and as an entry of every case split
+    # that holds it, where the bound comes from the root's power table
+    want = {}
+    for rd in all_ramifications(9, p, min_dim=1):
+        want[rd.f, rd.s_inf] = max(max_degree_sums(rd).values())
+        assert degree_bound(rd) == want[rd.f, rd.s_inf], rd
+    entries = 0
+    for rd in all_ramifications(9, p):
+        for datum, entry in certificate._case_split(rd).items():
+            assert entry.degree_bound == want.get((datum.f, datum.s_inf)), (rd, datum)
+            entries += entry.degree_bound is not None
+    assert (len(want), entries) == (1013, 8326)
 
 
 def test_the_root_degree_bound_is_the_omega_bound():

@@ -10,7 +10,7 @@ import pytest
 from gocert import RamificationData, Stratum, certificate, decompose_chains, degree_bound, hasse, make_ramification, oracle, selfcheck, strata
 from gocert.rigidity import RigidityVerdict
 from gocert.selfcheck import MAX_SELFCHECK_F, MAX_SELFCHECK_PRIMES
-from helpers import source_mutant
+from helpers import counting_anchored_bound, source_mutant
 
 # the module, not the function the package exports under the same name
 SELFCHECK = importlib.import_module("gocert.selfcheck")
@@ -85,8 +85,8 @@ def test_selfcheck_walks_each_stratum_once(monkeypatch):
 
 
 def test_certificate_roundtrip_walks_once_per_build_and_verify(monkeypatch):
-    calls = {"_case_split": 0, "split_degree_bound": 0, "model_child_masks": 0}
-    for name in calls:
+    calls = {"_case_split": 0, "model_child_masks": 0, "tables": 0, "bounds": 0}
+    for name in ("_case_split", "model_child_masks"):
         original = getattr(certificate, name)
 
         def counted(*args, name=name, original=original):
@@ -94,14 +94,16 @@ def test_certificate_roundtrip_walks_once_per_build_and_verify(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(certificate, name, counted)
+    monkeypatch.setattr(certificate, "anchored_bound", counting_anchored_bound(calls))
     assert selfcheck(4, [2, 3]).ok
     # 52 roots, each relabeled once in each of the three curves' builds and once in
-    # each of the three verifies; their tables hold 90 data of positive dimension,
-    # one bound each per relabeling; case-split-oracle calls selfcheck's own binding of
-    # _case_split once for each of the 30 roots with f <= 4 at p = 2, whose tables hold
-    # 45 data of positive dimension; each model table's walk lists the model
+    # each of the three verifies, with one power table per relabeling; their tables hold
+    # 90 data of positive dimension, one bound each per relabeling; case-split-oracle
+    # calls selfcheck's own binding of _case_split once for each of the 30 roots with
+    # f <= 4 at p = 2, whose 26 of positive dimension make a power table each and whose
+    # tables hold 45 data of positive dimension; each model table's walk lists the model
     # children once per dimension it reaches: 2; 3; 4 and 2
-    assert calls == {"_case_split": 6 * 52, "split_degree_bound": 6 * 90 + 45, "model_child_masks": 4}
+    assert calls == {"_case_split": 6 * 52, "model_child_masks": 4, "tables": 6 * 52 + 26, "bounds": 6 * 90 + 45}
 
 
 def test_augmented_oracle_catches_the_place_after_an_odd_chains_head(monkeypatch):
@@ -209,13 +211,14 @@ def test_selfcheck_runs_one_exponent_fixpoint_per_datum(monkeypatch, primes):
 def test_case_split_oracle_catches_a_bound_fault_both_bound_users_share(monkeypatch):
     # every bound one too large, in the producer's binding and in the one degree_bound calls:
     # the case split's bounds equal degree_bound's, so only an oracle sees the fault
-    original = hasse.split_degree_bound
+    original = hasse.anchored_bound
 
     def one_too_large(f, p, splits):
-        return original(f, p, splits) + 1
+        bound = original(f, p, splits)
+        return lambda kept: bound(kept) + 1
 
-    monkeypatch.setattr(hasse, "split_degree_bound", one_too_large)
-    monkeypatch.setattr(certificate, "split_degree_bound", one_too_large)
+    monkeypatch.setattr(hasse, "anchored_bound", one_too_large)
+    monkeypatch.setattr(certificate, "anchored_bound", one_too_large)
     assert degree_bound(make_ramification(1, 2)) == 2
     report = selfcheck(5, [2, 3])
     failures = {"case-split-oracle": (2, "bound 2, expected 1: f=1 s_inf=[]")}
@@ -368,22 +371,17 @@ def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(mon
         # raises on every root of dimension 0, which the certificate round trip never builds
         (
             "_case_split",
-            "root_bound is not None",
-            "root_bound is None",
+            "if m:",
+            "if True:",
             0,
-            {
-                "case-split-oracle": (
-                    1,
-                    "raised AttributeError(\"'NoneType' object has no attribute 'bit_length'\"): f=1 s_inf=[0]",
-                )
-            },
+            {"case-split-oracle": (1, "raised ValueError('degree bound needs at least one split place'): f=1 s_inf=[0]")},
         ),
         # each relabeled bound drops the first kept place when another is left, so builds and
         # verifies agree and only the comparison with each datum's own root entry tells
         (
             "_case_split",
-            "[*map(place, kept)]",
-            "[*map(place, kept[1:] or kept)]",
+            "bound_of(kept)",
+            "bound_of(kept[1:] or kept)",
             0,
             {"case-split-oracle": (144, "entry [0, 3] differs from its own root entry: f=4 s_inf=[]")},
         ),
@@ -391,8 +389,8 @@ def test_model_masks_names_the_first_model_child_a_faulty_listing_gets_wrong(mon
         # place for its bound: both suites report the raise, and selfcheck returns
         (
             "_case_split",
-            "[*map(place, kept)]",
-            "[*map(place, kept[1:])]",
+            "bound_of(kept)",
+            "bound_of(kept[1:])",
             0,
             {
                 "case-split-oracle": (
