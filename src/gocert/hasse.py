@@ -14,7 +14,8 @@ The anchor is not known in advance, so the bound is the largest anchored sum.
 With M the sum of p^x over the split places x and q = p^f - 1, the sum
 anchored at a is M * p^(f - a) mod q: p^f is 1 mod q, and a sum of distinct
 powers below p^f is below q unless it has all f of them.  On that full cycle
-(every place split) every anchor gives M = (p^f - 1)/(p - 1), q at p = 2.
+(every place split) every anchor gives M = (p^f - 1)/(p - 1), which at p = 2
+is q itself, so the bound there is M and not its remainder, 0.
 """
 
 from __future__ import annotations
